@@ -40,7 +40,7 @@ from .exact_algebra import (
     format_scalar,
     parse_scalar,
 )
-from .group_profile import AbelianGroup, GroupProfile, GroupSpec, compute_profile
+from .group_profile import AbelianGroup, GroupSpec, compute_profile
 from . import orbit_oracle
 
 SCHEMA_ID = "homothety-orbits-report/1"
@@ -91,6 +91,8 @@ def _parse_generator(doc: dict, dim: int, index: int) -> Homothety:
     if not isinstance(doc, dict) or "ratio" not in doc:
         raise ValueError(f"generator {index}: expected an object with a 'ratio'")
     ratio = parse_scalar(str(doc["ratio"]))
+    if ratio.eq_zero() is not Trilean.NO:
+        raise ValueError(f"generator {index}: ratio 0 (or within error of 0) is not allowed")
     has_center = "center" in doc
     has_translation = "translation" in doc
     if has_center == has_translation:
@@ -223,7 +225,7 @@ def _emit_report(report: dict, config: RunConfig) -> None:
 
 def _classify_core(
     config: RunConfig,
-) -> Tuple[GroupSpec, List[Point], dict, GroupProfile, List[ClosureDesc], dict]:
+) -> Tuple[GroupSpec, List[Point], dict, List[ClosureDesc], dict]:
     doc = _load_document(config)
     spec, points, merged = build_spec(doc, config)
     profile = compute_profile(spec)
@@ -240,11 +242,11 @@ def _classify_core(
         "verdicts": verdicts.to_report(),
         "status": "ok",
     }
-    return spec, points, merged, profile, closures, report
+    return spec, points, merged, closures, report
 
 
 def cmd_classify(config: RunConfig) -> int:
-    spec, points, merged, profile, closures, report = _classify_core(config)
+    spec, points, merged, closures, report = _classify_core(config)
     if any(isinstance(c, Unsupported) for c in closures):
         report["status"] = "unsupported"
         _emit_report(report, config)
@@ -307,12 +309,13 @@ def _required_evidence(closure: ClosureDesc, ev) -> List[str]:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    spec, points, merged, profile, closures, report = _classify_core(config)
+    spec, points, merged, closures, report = _classify_core(config)
     if any(isinstance(c, Unsupported) for c in closures):
         report["status"] = "unsupported"
         _emit_report(report, config)
         return EXIT_UNSUPPORTED
     window = _window_tuple(spec, merged)
+    approach = orbit_oracle.harvest_translations(spec, 10)
     evidence = []
     failures: List[str] = []
     for z, closure in zip(points, closures):
@@ -326,7 +329,7 @@ def cmd_verify(config: RunConfig) -> int:
             window=window,
             grid_res=merged["grid"],
             eps=merged["eps"],
-            approach_translations=profile.harvested,
+            approach_translations=approach,
         )
         evidence.append({"sample": sample.to_report(), "evidence": ev.to_report()})
         for f in _required_evidence(closure, ev):
@@ -358,8 +361,9 @@ def _scenario_rotation_translation_discrete() -> Tuple[str, bool, str]:
     z = zero_point(1)
     closure = orbit_closure(profile, z)
     sample = orbit_oracle.enumerate(spec, z, 10)
+    approach = orbit_oracle.harvest_translations(spec, 10)
     ev = orbit_oracle.verify(
-        closure, sample, window=2.0, grid_res=40, approach_translations=profile.harvested
+        closure, sample, window=2.0, grid_res=40, approach_translations=approach
     )
     ok = (
         verd.all_orbits_closed_discrete is Trilean.YES

@@ -47,10 +47,10 @@ from .group_profile import (
     GroupSpec,
     crystallographic_test,
     CrystalVerdict,
+    _to_planar_or_complex,
+    schreier_generators,
 )
 
-_FAMILY_STEP = {"S2": 3, "S3": 2}  # zeta12 exponent step: F2 = 4th, F3 = 6th roots
-_FAMILY_ORDER = {"S2": 4, "S3": 6}
 _TRACE_CELL_CAP = 300_000
 
 
@@ -357,33 +357,25 @@ class LambdaCone(ClosureDesc):
 @dataclass(frozen=True)
 class RotationCoset(ClosureDesc):
     """Finite rotation family applied to (z - apex), translated by the
-    closure of the translation subgroup: union over k of
+    closure of the translation subgroup T: union over k of
     zeta^(step*k) * (z - apex) + apex + T-closure."""
 
     family: str = "S2"  # "S2" -> 4th roots, "S3" -> 6th roots
     point: Point = ()
     apex: Point = ()
     translation_closure: Optional[AdditiveClosure] = None  # ambient dim 1 only
-    sampled_translations: Tuple[Point, ...] = ()
+    translation_generators: Tuple[Point, ...] = ()  # generate T (Schreier)
     inner_bound: Optional[Tuple[Scalar, ...]] = None
     outer_bound: Optional[Tuple[Scalar, ...]] = None
     pinned: Optional[bool] = None
     g1_unstable: bool = False
-    # the rotation group actually generated may be a proper subgroup of the
-    # family (e.g. two half-turns); when known it overrides the family step
-    rotation_step: Optional[int] = None
+    # zeta12 exponent step of the rotation group actually generated, which
+    # may be a proper subgroup of the family (e.g. two half-turns)
+    step: int = 3
 
     @property
     def order(self) -> int:
-        if self.rotation_step is not None:
-            return 12 // self.rotation_step
-        return _FAMILY_ORDER[self.family]
-
-    @property
-    def step(self) -> int:
-        if self.rotation_step is not None:
-            return self.rotation_step
-        return _FAMILY_STEP[self.family]
+        return 12 // self.step
 
     @property
     def dim(self) -> int:
@@ -392,19 +384,12 @@ class RotationCoset(ClosureDesc):
     def _rotations(self) -> List[Scalar]:
         return [Scalar.zeta_power(self.step * k) for k in range(self.order)]
 
-    # real span of sampled translations (ambient dim >= 2 fallback)
+    # real span of T (ambient dim >= 2): a closed superset of its closure
     def _span_projector(self) -> np.ndarray:
-        vecs = []
-        for t in self.sampled_translations:
-            zs = v_to_complex(t)
-            for rho in self._rotations():
-                r = rho.to_complex()
-                row = [x for z in zs for x in ((r * z).real, (r * z).imag)]
-                if any(abs(x) > 1e-14 for x in row):
-                    vecs.append(row)
-        if not vecs:
+        if not self.translation_generators:
             return np.zeros((2 * self.dim, 2 * self.dim))
-        m = np.array(vecs, dtype=float).T  # (2n, k)
+        t = _point_rows(self.translation_generators)
+        m = np.stack([t.real, t.imag], axis=2).reshape(len(t), -1).T  # (2n, k)
         return m @ np.linalg.pinv(m)
 
     def contains(self, w, eps: float = 1e-9) -> bool:
@@ -473,7 +458,7 @@ class RotationCoset(ClosureDesc):
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         za = v_sub(self.point, self.apex)
         t_pool: List[Optional[Point]] = [None]
-        for t in list(self.sampled_translations) + list(translations):
+        for t in list(self.translation_generators) + list(translations):
             t_pool.append(t)
         out: List[Point] = []
         for rho in self._rotations():
@@ -512,7 +497,7 @@ class RotationCoset(ClosureDesc):
             out["inner_bound"] = [format_scalar(s) for s in self.inner_bound]
             out["outer_bound"] = [format_scalar(s) for s in self.outer_bound]
             out["pinned"] = self.pinned
-        out["sampled_translation_count"] = len(self.sampled_translations)
+        out["translation_generator_count"] = len(self.translation_generators)
         return out
 
 
@@ -572,61 +557,6 @@ def _ratio_pool(spec: GroupSpec, span: int = 2, cap: int = 24) -> Tuple[Scalar, 
     return tuple(pool[1:])
 
 
-def _rotation_exponent(ratio: Scalar) -> Optional[int]:
-    """k with ratio == zeta12^k, matched exactly when possible."""
-    if ratio.is_exact:
-        for k in range(12):
-            if (ratio.exact_value - Scalar.zeta_power(k).exact_value).is_zero():
-                return k
-        return None
-    w = ratio.to_complex()
-    for k in range(12):
-        if abs(w - Scalar.zeta_power(k).to_complex()) <= 1e-9:
-            return k
-    return None
-
-
-def _rotation_anchor(spec: GroupSpec) -> Optional[Tuple[int, Homothety]]:
-    """Exponent step generating the rotation group, plus a witness word.
-
-    The rotation parts of the generators sit in the 12th roots of unity and
-    generate the cyclic group of zeta12^d, d = gcd of the exponents.  A short
-    word realizing rotation zeta12^d is found by breadth-first search over
-    exponent residues; its fixed point is a valid coset apex, because the
-    whole rotation family is realized by its powers about that point
-    (no single generator need realize the family itself).
-    """
-    expo: List[int] = []
-    for g in spec.generators:
-        e = _rotation_exponent(g.ratio)
-        if e is None:
-            return None
-        expo.append(e)
-    d = 0
-    for e in expo:
-        d = math.gcd(d, e)
-    d = math.gcd(d, 12)
-    if d == 0:
-        return None
-    seen = {0: Homothety.identity(spec.dim)}
-    frontier = [0]
-    steps = [(g, e) for g, e in zip(spec.generators, expo)]
-    steps += [(g.inverse(), (-e) % 12) for g, e in zip(spec.generators, expo)]
-    while frontier and d not in seen:
-        nxt: List[int] = []
-        for r in frontier:
-            w = seen[r]
-            for g, e in steps:
-                r2 = (r + e) % 12
-                if r2 not in seen:
-                    seen[r2] = g.compose(w)
-                    nxt.append(r2)
-        frontier = nxt
-    if d not in seen:
-        return None
-    return d, seen[d]
-
-
 def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
     """Branch table keyed on the ratio flags and the position of z.
 
@@ -683,16 +613,11 @@ def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
             point=z,
             ratio_pool=_ratio_pool(profile.spec),
         )
-    # crystallographic branch: the apex must be a fixed point whose
+    # crystallographic branch: every ratio is an exact 12th root of unity,
+    # so the Schreier data exists.  The apex must be a fixed point whose
     # stabilizer realizes the whole rotation group, so every coset of the
     # family is witnessed by an actual group element about that point
-    family = profile.sr_membership
-    apex = profile.gamma_seeds[0]
-    step = None
-    anchor = _rotation_anchor(profile.spec)
-    if anchor is not None:
-        step, witness = anchor
-        apex = witness.center()
+    schreier = profile.schreier
     unstable = profile.g1_pinned is False
     exact_flag = (
         profile.spec.dim == 1
@@ -703,16 +628,16 @@ def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
     return RotationCoset(
         provenance="Thm1.1(2)(ii)",
         exact=exact_flag,
-        family=family,
+        family=profile.sr_membership,
         point=z,
-        apex=apex,
+        apex=schreier.witness.center(),
         translation_closure=profile.g1_closure if profile.spec.dim == 1 else None,
-        sampled_translations=profile.harvested,
+        translation_generators=schreier.shifts,
         inner_bound=profile.g1_inner,
         outer_bound=profile.g1_outer,
         pinned=profile.g1_pinned,
         g1_unstable=unstable,
-        rotation_step=step,
+        step=schreier.step,
     )
 
 
@@ -833,24 +758,20 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
         g1 = profile.g1_closure
         discrete = g1.is_discrete()
         dense = g1.is_whole_plane()
+        # the outer sandwich lattice bounds only the pair's translations, not
+        # those a third generator adds, so discreteness comes from g1 alone
         if profile.g1_outer is not None:
-            outer = classify_additive_closure(
-                [_planar_of_scalar(s) for s in profile.g1_outer]
-            )
-            if outer.is_discrete() is Trilean.YES and discrete is not Trilean.YES:
-                discrete = Trilean.YES
-                notes.append("outer sandwich lattice is discrete (Lemma 3.7)")
             if profile.g1_pinned:
                 notes.append("sandwich bounds pin the translation closure")
             else:
                 notes.append(
                     "sandwich bounds bracket but do not pin the translation "
-                    "closure; harvested words decide between them"
+                    "closure; the Schreier generators decide between them"
                 )
         elif g1.exact:
             notes.append(
-                "translation closure classified from harvested words; "
-                "treated as exact and cross-checked by the oracle"
+                "translation closure classified exactly from the Schreier "
+                "generators of the translation subgroup"
             )
         dense_out = dense if shortcut is None else shortcut
         notes.append(
@@ -868,8 +789,9 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
         )
 
     notes.append(
-        "crystallographic ratios in dimension >= 2: the translation closure "
-        "lives in R^(2n) and is only sampled here; verdicts stay open"
+        "crystallographic ratios in dimension >= 2: the translation subgroup "
+        "has exact Schreier generators, but its closure in R^(2n) is not "
+        "classified here; verdicts stay open"
     )
     return Verdicts(
         has_dense_orbit=Trilean.UNKNOWN if shortcut is None else shortcut,
@@ -880,14 +802,6 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
         orbits_in_U_homeomorphic=False,
         notes=tuple(notes),
     )
-
-
-def _planar_of_scalar(s: Scalar):
-    from .closed_subgroups import PlanarVector
-
-    if s.is_exact:
-        return PlanarVector.from_cyclo(s.exact_value)
-    return s.to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +867,7 @@ def _exact_center(c) -> Point:
     already the complex coordinate.  The dense/discrete verdict is
     invariant under affine conjugation, so only *which* rational the caller
     handed us matters — and every float is exactly a rational, so the lift
-    is lossless and keeps the harvested translation arithmetic exact."""
+    is lossless and keeps the translation arithmetic exact."""
     coords = list(c) if isinstance(c, (tuple, list)) else [c]
     if len(coords) == 2:
         a, b = (_exact_coord(x) for x in coords)
@@ -973,7 +887,8 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
     Dense whenever one angle leaves both crystallographic families or the
     two angles live in different families (then the composed rotation
     leaves both); closed and discrete when both angles share a family and
-    the harvested translation group is a genuine lattice.
+    the translation subgroup, built from its Schreier generators, is a
+    genuine lattice.
     """
     c1p = _exact_center(c1)
     c2p = _exact_center(c2)
@@ -1022,11 +937,8 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
             Homothety.with_center(r2, c2p),
         ),
     )
-    from .orbit_oracle import harvest_translations
-
-    harvested = harvest_translations(spec, 10)
     lattice = classify_additive_closure(
-        [_planar_of_scalar(p[0]) for p in harvested]
+        [_to_planar_or_complex(t[0]) for t in schreier_generators(spec).shifts]
     )
     if lattice.is_discrete() is Trilean.YES:
         return RotationPairVerdict(
@@ -1040,5 +952,5 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
         provenance="Thm1.2(2)",
         lattice=lattice,
         notes=notes
-        + ("harvested translation group did not classify as discrete",),
+        + ("translation subgroup did not classify as discrete",),
     )

@@ -4,13 +4,16 @@ From the generators alone this module derives: ratio flags (non-real ratio
 present, modulus other than 1 present, containment in the crystallographic
 families), the canonical invariant affine subspace obtained by saturating
 the affine hull of the fixed-point seeds, the crystallographic test for a
-single rotation ratio, and the inner/outer lattice sandwich that brackets
-the translation subgroup in dimension one.
+single rotation ratio, generators of the translation subgroup when the
+ratio group is finite (Schreier's lemma), and the inner/outer lattice
+sandwich that brackets the translation subgroup in dimension one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_maps import (
@@ -26,8 +29,11 @@ from .affine_maps import (
 )
 from .closed_subgroups import (
     AdditiveClosure,
+    LineDense,
     MultClosure,
+    PlaneGroup,
     PlanarVector,
+    _planar_float,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
@@ -41,11 +47,6 @@ from .exact_algebra import (
 
 class AbelianGroup(Exception):
     """All generator pairs commute; fixed-point-based structure degenerates."""
-
-
-class WordCapExceeded(Exception):
-    """A harvested translation escaped the outer lattice bound: the
-    configuration or the arithmetic is wrong, so abort loudly."""
 
 
 @dataclass(frozen=True)
@@ -347,19 +348,89 @@ def crystallographic_test(ratio: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the translation subgroup T = ker(G -> Lambda)
+
+
+class SchreierGenerators(NamedTuple):
+    step: int  # the ratio group Lambda is generated by zeta12^step
+    witness: Homothety  # a word whose ratio is zeta12^step
+    shifts: Tuple[Point, ...]  # nonzero shift vectors generating T
+
+
+def schreier_generators(spec: GroupSpec) -> Optional[SchreierGenerators]:
+    """Generators of the translation subgroup when every ratio is an exact
+    12th root of unity; None otherwise (Lambda infinite or approximate).
+
+    Breadth-first search over exponent residues mod 12 keeps one word w_r
+    per element zeta12^r of Lambda, w_0 the identity.  For each w_r and each
+    generator g of exponent e, w_(r+e)^-1 o g o w_r has ratio exactly 1,
+    and by Schreier's lemma these translations generate T.  The fixed point
+    of the witness is a valid coset apex: its powers realize all of Lambda
+    about that point (no single generator need do so).
+    """
+    expo: List[int] = []
+    for g in spec.generators:
+        k = g.ratio.exact_value.root_of_unity_log() if g.ratio.is_exact else None
+        if k is None:
+            return None
+        expo.append(k)
+    words = {0: Homothety.identity(spec.dim)}
+    frontier = [0]
+    steps = [(g, e) for g, e in zip(spec.generators, expo)]
+    steps += [(g.inverse(), (-e) % 12) for g, e in zip(spec.generators, expo)]
+    while frontier:
+        nxt: List[int] = []
+        for r in frontier:
+            for g, e in steps:
+                r2 = (r + e) % 12
+                if r2 not in words:
+                    words[r2] = g.compose(words[r])
+                    nxt.append(r2)
+        frontier = nxt
+    shifts: List[Point] = []
+    seen = set()
+    for r, w in words.items():
+        for g, e in zip(spec.generators, expo):
+            t = words[(r + e) % 12].inverse().compose(g.compose(w)).shift
+            key = tuple(c.exact_value if c.is_exact else c.to_complex() for c in t)
+            if key not in seen and v_is_zero(t) is not Trilean.YES:
+                seen.add(key)
+                shifts.append(t)
+    step = math.gcd(12, *expo)
+    return SchreierGenerators(step, words[step % 12], tuple(shifts))
+
+
+def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosure:
+    # Some ratio is not an exact 12th root of unity: Lambda is infinite, or
+    # the ratio is approximate and ratio_flags has proved it non-real and
+    # off the 4th and 6th roots.  Either way that ratio preserves no
+    # lattice.  T is nonzero (the group is non-abelian) and invariant under
+    # multiplication by every ratio, so T is not discrete.  A non-discrete
+    # closed subgroup of C that a non-real ratio preserves is all of C; with
+    # real ratios only, it is the real span of T, which the commutator
+    # vectors span.
+    vectors = [f.commutator(g)[0] for f, g in combinations(spec.generators, 2)]
+    c = next(v for v in vectors if v.eq_zero() is Trilean.NO)
+    if nonreal or any((v * c.conj()).is_real() is Trilean.NO for v in vectors):
+        return PlaneGroup(exact=spec.is_exact)
+    direction = _to_planar_or_complex(c)
+    if not c.is_exact:
+        direction = _planar_float(direction)
+    return LineDense(direction=direction, exact=spec.is_exact)
+
+
+# ---------------------------------------------------------------------------
 # translation-subgroup sandwich (dimension 1)
 
 
-def g1_lattice_bounds(
-    spec: GroupSpec, word_cap: int = 10
-) -> Tuple[List[Scalar], List[Scalar], List[Scalar]]:
+def g1_lattice_bounds(spec: GroupSpec) -> Tuple[List[Scalar], List[Scalar], List[Scalar]]:
     """Inner and outer lattice generators bracketing the translation
     subgroup for a one-dimensional pair of equal-ratio rotations, plus the
-    translations actually harvested from words up to the cap.
+    Schreier generators of the translation subgroup that pair generates.
 
-    Returns (inner, outer, sampled) as scalars.  Raises WordCapExceeded if
-    any harvested translation falls outside the outer lattice: that would
-    falsify the bracketing arithmetic.
+    Returns (inner, outer, shifts) as scalars.  Raises AssertionError if
+    any Schreier shift falls outside the outer lattice: that would falsify
+    the bracketing arithmetic.
     """
     if spec.dim != 1:
         raise ValueError("lattice sandwich applies to dimension 1")
@@ -380,24 +451,16 @@ def g1_lattice_bounds(
         lam * (lam - one) ** 2 * a,
     ]
     outer = [(one - lam_bar) * a, (one - lam) * a]
-    from .orbit_oracle import harvest_translations
-
     # the bracketing statement is about the group the pair generates; other
     # generators may legitimately contribute translations beyond it
-    sub = spec
-    if len(spec.generators) != 2 or (f, g) != tuple(spec.generators):
-        sub = GroupSpec(1, (f, g), word_cap=spec.word_cap, eps=spec.eps)
-    sampled_points = harvest_translations(sub, word_cap)
-    sampled = [p[0] for p in sampled_points]
+    shifts = [t[0] for t in schreier_generators(GroupSpec(1, (f, g))).shifts]
     outer_closure = classify_additive_closure(
         [_to_planar_or_complex(s) for s in outer]
     )
-    for s in sampled:
+    for s in shifts:
         if not outer_closure.contains(_to_planar_or_complex(s), eps=spec.eps):
-            raise WordCapExceeded(
-                f"harvested translation {s!r} escapes the outer lattice"
-            )
-    return inner, outer, sampled
+            raise AssertionError(f"Schreier shift {s!r} escapes the outer lattice")
+    return inner, outer, shifts
 
 
 def _sandwich_pair(spec: GroupSpec) -> Optional[Tuple[Homothety, Homothety]]:
@@ -440,7 +503,7 @@ class GroupProfile:
     E_G: AffineSubspace
     gamma_seeds: Tuple[Point, ...]
     lambda_closure: MultClosure
-    harvested: Tuple[Point, ...]
+    schreier: Optional[SchreierGenerators] = None
     g1_closure: Optional[AdditiveClosure] = None
     g1_inner: Optional[Tuple[Scalar, ...]] = None
     g1_outer: Optional[Tuple[Scalar, ...]] = None
@@ -471,7 +534,7 @@ class GroupProfile:
         return out
 
 
-def compute_profile(spec: GroupSpec, harvest_cap: int = 10) -> GroupProfile:
+def compute_profile(spec: GroupSpec) -> GroupProfile:
     """Derive every profile field; raises AbelianGroup for abelian input."""
     flags = ratio_flags(spec)
     eg = compute_EG(spec)
@@ -479,18 +542,20 @@ def compute_profile(spec: GroupSpec, harvest_cap: int = 10) -> GroupProfile:
         g.center() for g in spec.generators if g.is_translation() is Trilean.NO
     )
     lam = classify_multiplicative_closure([g.ratio for g in spec.generators])
-    from .orbit_oracle import harvest_translations
-
-    harvested = tuple(harvest_translations(spec, harvest_cap))
+    schreier = schreier_generators(spec)
     g1_closure = None
     g1_inner = None
     g1_outer = None
     g1_pinned = None
     if spec.dim == 1:
-        vectors = [_to_planar_or_complex(p[0]) for p in harvested]
-        g1_closure = classify_additive_closure(vectors)
+        if schreier is None:
+            g1_closure = _infinite_ratio_g1_closure(spec, flags.has_nonreal_ratio)
+        else:
+            g1_closure = classify_additive_closure(
+                [_to_planar_or_complex(t[0]) for t in schreier.shifts]
+            )
         try:
-            inner, outer, _ = g1_lattice_bounds(spec, word_cap=harvest_cap)
+            inner, outer, _ = g1_lattice_bounds(spec)
             g1_inner = tuple(inner)
             g1_outer = tuple(outer)
             inner_closure = classify_additive_closure(
@@ -512,7 +577,7 @@ def compute_profile(spec: GroupSpec, harvest_cap: int = 10) -> GroupProfile:
         E_G=eg,
         gamma_seeds=gamma_seeds,
         lambda_closure=lam,
-        harvested=harvested,
+        schreier=schreier,
         g1_closure=g1_closure,
         g1_inner=g1_inner,
         g1_outer=g1_outer,

@@ -260,6 +260,7 @@ def test_criterion_4():
     if desc.kind() != "LambdaCone":
         failures.append(f"closure of (0,1) rendered as {desc.kind()}")
     approach = []
+    translations = oracle.harvest_translations(spec, 10)
     for cap in (10, 11, 12):
         sample = oracle.enumerate(spec, z, cap, force_grid=True)
         ev = oracle.verify(
@@ -267,7 +268,7 @@ def test_criterion_4():
             sample,
             window=2.0,
             grid_res=10,
-            approach_translations=profile.harvested,
+            approach_translations=translations,
         )
         if ev.max_violation > 1e-9:
             failures.append(f"violation {ev.max_violation:.2e} at word length {cap}")

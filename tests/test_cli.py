@@ -134,6 +134,20 @@ class TestMalformedInput:
             assert main(["classify", "--input", path]) == EXIT_MALFORMED
             assert "malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["0", "0.0", "1e-300"])
+    def test_zero_ratio_is_rejected(self, tmp_path, capsys, ratio):
+        # ratio 0 (or a decimal within its error radius of 0) is not a
+        # homothety: a message and exit 1, never a traceback
+        path = write_doc(tmp_path, "zero.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": ratio, "center": ["0"]},
+                {"ratio": "i", "center": ["1"]},
+            ],
+        })
+        assert main(["classify", "--input", path]) == EXIT_MALFORMED
+        assert "ratio 0" in capsys.readouterr().err
+
     def test_commuting_generators_are_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, "abelian.json", {
             "dim": 1,
@@ -208,3 +222,24 @@ class TestVerify:
         jsonschema.validate(report, SCHEMA)
         assert report["status"] == "verification-mismatch"
         assert any("density" in f for f in report["failures"])
+
+    @pytest.mark.parametrize("cap", [6, 10, 14])
+    def test_c2_quarter_turn_pair_is_sound_at_every_word_cap(
+        self, tmp_path, capsys, cap
+    ):
+        # the translation subgroup of this pair spans directions that short
+        # words miss; its membership test must not depend on the word cap
+        path = write_doc(tmp_path, "c2.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": "zeta12^9", "center": ["3/2", "-2/3"]},
+                {"ratio": "zeta12^9", "center": ["0", "3/2"]},
+            ],
+            "points": [["-2", "1"], ["-3/2", "0"], ["-1", "2"], ["-3", "-2/3"]],
+        })
+        assert main(["verify", "--input", path, "--word-cap", str(cap)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == []
+        for block in report["evidence"]:
+            assert block["evidence"]["soundness_pass"]
+            assert block["evidence"]["max_violation"] <= 1e-12

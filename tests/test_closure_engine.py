@@ -43,7 +43,7 @@ def cone_profile():
         Homothety.with_center(parse_scalar("2i"), P(0, 0)),
         Homothety.with_center(parse_scalar("3"), P(1, 0)),
     )
-    return compute_profile(GroupSpec(2, gens), harvest_cap=5)
+    return compute_profile(GroupSpec(2, gens))
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +52,7 @@ def quarter_pair_profile():
         Homothety.with_center(I, P(0)),
         Homothety.with_center(I, P(1)),
     )
-    return compute_profile(GroupSpec(1, gens), harvest_cap=8)
+    return compute_profile(GroupSpec(1, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class TestBranchTable:
             Homothety.with_center(parse_scalar("2i"), P(0)),
             Homothety.with_center(parse_scalar("2i"), P(1)),
         )
-        profile = compute_profile(GroupSpec(1, gens), harvest_cap=6)
+        profile = compute_profile(GroupSpec(1, gens))
         desc = orbit_closure(profile, P(0))
         assert desc.kind() == "WholeSpace"
         assert desc.provenance == "Thm1.1(1)(i)"
@@ -134,7 +134,7 @@ class TestBranchTable:
             Homothety.with_center(parse_scalar("2"), P(0)),
             Homothety.with_center(parse_scalar("3"), P(1)),
         )
-        profile = compute_profile(GroupSpec(1, gens), harvest_cap=6)
+        profile = compute_profile(GroupSpec(1, gens))
         desc = orbit_closure(profile, P(0))
         assert desc.kind() == "Unsupported"
         assert desc.provenance == "Remark1.5"
@@ -163,7 +163,7 @@ class TestMixedOrderRotations:
             Homothety.with_center(Scalar.integer(-1), P(-2)),
         )
         spec = GroupSpec(1, gens)
-        profile = compute_profile(spec, harvest_cap=6)
+        profile = compute_profile(spec)
         desc = orbit_closure(profile, P(0))
         assert desc.kind() == "RotationCoset"
         assert desc.to_report()["rotation_order"] == 6
@@ -179,7 +179,7 @@ class TestMixedOrderRotations:
             Homothety.with_center(Scalar.zeta_power(4), P(1)),
         )
         spec = GroupSpec(1, gens)
-        profile = compute_profile(spec, harvest_cap=6)
+        profile = compute_profile(spec)
         desc = orbit_closure(profile, P(0))
         assert desc.kind() == "RotationCoset"
         # the family has order 6 but the pair only generates third turns
@@ -222,7 +222,7 @@ class TestClosureInvariants:
         gens = data.draw(st.lists(homotheties(dim), min_size=2, max_size=3))
         spec = GroupSpec(dim, tuple(gens))
         try:
-            profile = compute_profile(spec, harvest_cap=3)
+            profile = compute_profile(spec)
         except (AbelianGroup, UndecidableAtPrecision):
             assume(False)
             return
@@ -255,7 +255,7 @@ class TestGlobalVerdicts:
             Homothety.with_center(parse_scalar("2i"), P(0)),
             Homothety.with_center(parse_scalar("2i"), P(1)),
         )
-        v = global_verdicts(compute_profile(GroupSpec(1, gens), harvest_cap=6))
+        v = global_verdicts(compute_profile(GroupSpec(1, gens)))
         assert v.has_dense_orbit is Trilean.YES
         assert v.all_orbits_in_U_dense is Trilean.YES
         assert v.no_discrete_orbit is Trilean.YES
@@ -283,7 +283,7 @@ class TestGlobalVerdicts:
             Homothety.with_center(parse_scalar("2i"), P(0, 0, 0, 0)),
             Homothety.with_center(parse_scalar("3i"), P(1, 0, 0, 0)),
         )
-        v = global_verdicts(compute_profile(GroupSpec(4, gens), harvest_cap=4))
+        v = global_verdicts(compute_profile(GroupSpec(4, gens)))
         assert v.has_dense_orbit is Trilean.NO
         assert any("generator-count shortcut" in n for n in v.notes)
 
@@ -292,7 +292,7 @@ class TestGlobalVerdicts:
             Homothety.with_center(parse_scalar("2"), P(0)),
             Homothety.with_center(parse_scalar("3"), P(1)),
         )
-        v = global_verdicts(compute_profile(GroupSpec(1, gens), harvest_cap=6))
+        v = global_verdicts(compute_profile(GroupSpec(1, gens)))
         assert v.has_dense_orbit is Trilean.UNKNOWN
         assert v.all_orbits_closed_discrete is Trilean.UNKNOWN
         assert not v.orbits_in_U_minimal
@@ -310,7 +310,7 @@ class TestGlobalVerdicts:
             )), False),
         ]
         for spec, expect_dense in cases:
-            profile = compute_profile(spec, harvest_cap=5)
+            profile = compute_profile(spec)
             v = global_verdicts(profile)
             z = P(*([0] * spec.dim))
             desc = orbit_closure(profile, z)

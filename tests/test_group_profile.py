@@ -5,7 +5,7 @@ translation-subgroup sandwich."""
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homothety_orbits.affine_maps import Homothety, as_point
 from homothety_orbits.exact_algebra import (
@@ -23,8 +23,12 @@ from homothety_orbits.group_profile import (
     crystallographic_test,
     g1_lattice_bounds,
     ratio_flags,
+    schreier_generators,
 )
-from conftest import homotheties
+from homothety_orbits.closed_subgroups import classify_additive_closure
+from homothety_orbits.group_profile import _to_planar_or_complex
+from homothety_orbits.orbit_oracle import harvest_translations
+from conftest import exact_scalars, homotheties
 
 I = parse_scalar("i")
 Z2 = Scalar.zeta_power(2)
@@ -242,7 +246,7 @@ class TestCrystallographicTest:
 class TestTranslationSandwich:
     def test_quarter_turn_pair_brackets(self):
         spec = pair_spec(I)
-        inner, outer, sampled = g1_lattice_bounds(spec, word_cap=8)
+        inner, outer, shifts = g1_lattice_bounds(spec)
 
         def as_pairs(scalars):
             return {
@@ -252,21 +256,21 @@ class TestTranslationSandwich:
 
         assert as_pairs(inner) == {(0.0, 2.0), (0.0, -2.0), (2.0, 0.0)}
         assert as_pairs(outer) == {(1.0, 1.0), (1.0, -1.0)}
-        assert sampled, "harvest produced no translations"
-        # every harvested translation respects the outer bracket (enforced
-        # inside, but assert the sample is nontrivial and exact)
-        assert all(s.is_exact for s in sampled)
+        assert shifts, "no Schreier generators"
+        # every Schreier shift respects the outer bracket (enforced inside,
+        # but assert the generators are nontrivial and exact)
+        assert all(s.is_exact for s in shifts)
 
     def test_sixth_turn_pair_is_pinned(self):
-        profile = compute_profile(pair_spec(Z2), harvest_cap=8)
+        profile = compute_profile(pair_spec(Z2))
         assert profile.g1_pinned is True
         assert profile.g1_closure.shape == "Lattice2"
 
     def test_quarter_turn_pair_is_not_pinned(self):
-        profile = compute_profile(pair_spec(I), harvest_cap=8)
+        profile = compute_profile(pair_spec(I))
         assert profile.g1_pinned is False
         assert profile.g1_closure.shape == "Lattice2"
-        # the harvested translations already realize both inner generators
+        # the Schreier generators already generate the inner generators
         for s in profile.g1_inner:
             assert profile.g1_closure.contains(s)
 
@@ -276,8 +280,8 @@ class TestTranslationSandwich:
         # dense branch rather than abort
         spec = pair_spec(parse_scalar("zeta12"))
         with pytest.raises(ValueError):
-            g1_lattice_bounds(spec, word_cap=6)
-        profile = compute_profile(spec, harvest_cap=6)
+            g1_lattice_bounds(spec)
+        profile = compute_profile(spec)
         assert profile.g1_inner is None
         assert profile.outside_SR
         assert profile.g1_closure.shape == "Plane"
@@ -295,19 +299,16 @@ class TestTranslationSandwich:
                 ),
             ),
         )
-        inner, outer, sampled = g1_lattice_bounds(spec, word_cap=6)
+        inner, outer, shifts = g1_lattice_bounds(spec)
         assert {s.to_complex() for s in outer} == {(1 + 1j), (1 - 1j)}
-        assert sampled
+        assert shifts
 
     def test_self_map_property_of_the_brackets(self):
         # multiplying an outer generator by the ratio stays in the outer
         # lattice, and (ratio - 1) * outer lands in the inner-generated group
-        from homothety_orbits.closed_subgroups import classify_additive_closure
-        from homothety_orbits.group_profile import _to_planar_or_complex
-
         for ratio in (I, Z2):
             spec = pair_spec(ratio)
-            inner, outer, _ = g1_lattice_bounds(spec, word_cap=8)
+            inner, outer, _ = g1_lattice_bounds(spec)
             outer_closure = classify_additive_closure(
                 [_to_planar_or_complex(s) for s in outer]
             )
@@ -338,12 +339,111 @@ class TestTranslationSandwich:
 
 
 # ---------------------------------------------------------------------------
+# the translation subgroup from Schreier generators
+
+F2_RATIOS = [Scalar.zeta_power(k) for k in (3, 6, 9)]
+F3_RATIOS = [Scalar.zeta_power(k) for k in (2, 4, 6, 8, 10)]
+
+
+def centered_pair(r1, r2, c1=0, c2=1) -> GroupSpec:
+    return GroupSpec(
+        1,
+        (
+            Homothety.with_center(parse_scalar(str(r1)), [parse_scalar(str(c1))]),
+            Homothety.with_center(parse_scalar(str(r2)), [parse_scalar(str(c2))]),
+        ),
+    )
+
+
+class TestSchreierGenerators:
+    def test_engine_does_not_import_the_oracle(self):
+        import ast
+        import pathlib
+
+        import homothety_orbits
+
+        pkg = pathlib.Path(homothety_orbits.__file__).parent
+        for name in ("group_profile.py", "closure_engine.py"):
+            tree = ast.parse((pkg / name).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any("orbit_oracle" in n for n in names), (
+                    f"{name} imports the oracle at line {node.lineno}"
+                )
+
+    def test_step_witness_and_shifts_of_the_quarter_pair(self):
+        gens = schreier_generators(pair_spec(I))
+        assert gens.step == 3
+        assert gens.witness.ratio == I
+        # T is the outer lattice Z(1+i) + Z(1-i) of the sandwich
+        closure = classify_additive_closure(
+            [_to_planar_or_complex(s[0]) for s in gens.shifts]
+        )
+        assert closure == classify_additive_closure(
+            [parse_scalar("1+i"), parse_scalar("1-i")]
+        )
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [("1+i", "i"), ("2", "i"), ("1/2", "zeta12^4")],
+        ids=["spiral", "real-quarter", "half-third"],
+    )
+    def test_infinite_ratio_group_has_a_dense_translation_closure(self, ratios):
+        profile = compute_profile(centered_pair(*ratios))
+        assert profile.g1_closure.shape == "Plane"
+        assert profile.g1_closure.exact
+        assert profile.schreier is None
+
+    def test_real_ratios_close_up_on_the_span_of_the_commutators(self):
+        line = compute_profile(centered_pair(2, 3)).g1_closure
+        assert line.shape == "LineDense" and line.exact
+        assert line.contains(parse_scalar("7/3"))
+        assert not line.contains(I)
+        three = GroupSpec(
+            1,
+            (
+                Homothety.with_center(Scalar.integer(2), [Scalar.integer(0)]),
+                Homothety.with_center(Scalar.integer(3), [Scalar.integer(1)]),
+                Homothety.with_center(Scalar.integer(2), [I]),
+            ),
+        )
+        assert compute_profile(three).g1_closure.shape == "Plane"
+        approx = compute_profile(centered_pair(2, 3, "0.5", "1.5")).g1_closure
+        assert approx.shape == "LineDense" and not approx.exact
+        assert approx.contains(parse_scalar("-7/3").to_complex())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_harvested_translations_lie_in_the_schreier_closure(self, data):
+        family = data.draw(st.sampled_from([F2_RATIOS, F3_RATIOS]))
+        r1 = data.draw(st.sampled_from(family))
+        r2 = data.draw(st.sampled_from(family))
+        c1 = data.draw(exact_scalars())
+        c2 = data.draw(exact_scalars())
+        assume((c1 - c2).eq_zero() is Trilean.NO)
+        spec = GroupSpec(
+            1, (Homothety.with_center(r1, [c1]), Homothety.with_center(r2, [c2]))
+        )
+        closure = classify_additive_closure(
+            [_to_planar_or_complex(t[0]) for t in schreier_generators(spec).shifts]
+        )
+        assert closure.exact
+        for t in harvest_translations(spec, 6):
+            assert closure.contains(_to_planar_or_complex(t[0])), t
+
+
+# ---------------------------------------------------------------------------
 # assembled profile
 
 
 class TestComputeProfile:
     def test_quarter_turn_profile_fields(self):
-        profile = compute_profile(pair_spec(I), harvest_cap=8)
+        profile = compute_profile(pair_spec(I))
         assert profile.has_nonreal_ratio
         assert not profile.has_modulus_ne1
         assert profile.sr_membership == "S2"
@@ -352,7 +452,7 @@ class TestComputeProfile:
         assert len(profile.gamma_seeds) == 2
         assert profile.lambda_closure.shape == "FiniteCyclic"
         assert profile.lambda_closure.order == 4
-        assert profile.harvested
+        assert profile.schreier.step == 3 and profile.schreier.shifts
         assert profile.exact
 
         report = profile.to_report()

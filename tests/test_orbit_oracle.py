@@ -58,7 +58,7 @@ def quarter_sample() -> OrbitSample:
 
 @functools.lru_cache(maxsize=None)
 def quarter_profile():
-    return compute_profile(quarter_spec(), harvest_cap=8)
+    return compute_profile(quarter_spec())
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,7 +268,7 @@ class TestVerify:
 
     def test_dense_orbit_evidence(self):
         spec = mixed_rotation_spec()
-        profile = compute_profile(spec, harvest_cap=5)
+        profile = compute_profile(spec)
         desc = orbit_closure(profile, P(0))
         assert desc.kind() == "WholeSpace"
         sample = oracle.enumerate(spec, P(0), 13, budget=600_000)
@@ -280,7 +280,7 @@ class TestVerify:
 
     def test_closure_against_its_own_sampler(self):
         spec = mixed_rotation_spec()
-        desc = orbit_closure(compute_profile(spec, harvest_cap=5), P(0))
+        desc = orbit_closure(compute_profile(spec), P(0))
         rng = random.Random(5)
         pts = [as_point(p) for p in desc.sample(rng, 30)]
         arr = np.array([v_to_complex(p) for p in pts], dtype=np.complex128)
