@@ -142,9 +142,6 @@ class Homothety:
     def commutes(self, other: "Homothety") -> Trilean:
         return v_is_zero(self.commutator(other))
 
-    def to_floats(self) -> Tuple[complex, Tuple[complex, ...]]:
-        return self.ratio.to_complex(), v_to_complex(self.shift)
-
 
 def commutator_chain(f: Homothety, g: Homothety) -> Homothety:
     """f o g o f^-1 o g^-1 computed the long way (used to cross-check the
@@ -210,27 +207,3 @@ def scalar_columns_solve(
     for r, c in pivots:
         sol[c] = aug[r][m]
     return sol
-
-
-# ---------------------------------------------------------------------------
-# operation-style front end over Homothety methods
-
-
-def apply(f: Homothety, z) -> Point:
-    return f.apply(as_point(z))
-
-
-def compose(f: Homothety, g: Homothety) -> Homothety:
-    return f.compose(g)
-
-
-def inverse(f: Homothety) -> Homothety:
-    return f.inverse()
-
-
-def commutator(f: Homothety, g: Homothety) -> Point:
-    return f.commutator(g)
-
-
-def commutes(f: Homothety, g: Homothety) -> Trilean:
-    return f.commutes(g)

@@ -19,8 +19,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .lattices import (
     clear_denominators,
@@ -92,6 +95,11 @@ class PlanarVector:
     def dot(self, other: "PlanarVector") -> RealQuadratic:
         return self.x * other.x + self.y * other.y
 
+    def planar_lift(self) -> Tuple[Tuple[int, int, int, int], int]:
+        """lift() as integer numerators over one common denominator."""
+        rows, den = clear_denominators([self.lift()])
+        return tuple(rows[0]), den
+
     def to_complex(self) -> complex:
         return complex(self.x.to_float(), self.y.to_float())
 
@@ -111,6 +119,13 @@ def _fmt_planar(v: PlanarVector) -> str:
 
 # ---------------------------------------------------------------------------
 # additive closures
+#
+# Exact membership reads a vector through its planar lift to Q^4 as integer
+# numerators over one denominator, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den
+# (`planar_lift` of CycloScalar and PlanarVector), against integer data of
+# the closure computed once per closure object.  `distance` takes a complex
+# number or an array of them; it is real arithmetic with np.hypot for
+# lengths, so an array entry equals the scalar value bit for bit.
 
 
 @dataclass(frozen=True)
@@ -120,9 +135,23 @@ class AdditiveClosure:
     evidence: Optional[dict] = None
 
     def contains(self, v, eps: float = 1e-9) -> bool:
+        lift = _exact_lift(v) if self.exact else None
+        if lift is not None:
+            return self.contains_lift(*lift)
+        return self.distance(_as_complex(v)) <= eps
+
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+        """Exact membership of (nums[0] + nums[1]*sqrt3, nums[2] + nums[3]*sqrt3) / den."""
         raise NotImplementedError
 
-    def distance(self, v: complex) -> float:
+    def distance(self, v):
+        """Distance to the closure from a complex number (a float), or
+        elementwise from an array of complex numbers (an array)."""
+        arr = np.asarray(v, dtype=np.complex128)
+        d = self._distances(arr.reshape(-1))
+        return float(d[0]) if arr.ndim == 0 else d.reshape(arr.shape)
+
+    def _distances(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def sample(self, rng, count: int) -> List[complex]:
@@ -155,6 +184,16 @@ def _as_planar(v) -> Optional[PlanarVector]:
     return None
 
 
+def _exact_lift(v) -> Optional[Tuple[Tuple[int, int, int, int], int]]:
+    if isinstance(v, Scalar):
+        if not v.is_exact:
+            return None
+        v = v.exact_value
+    if isinstance(v, (CycloScalar, PlanarVector)):
+        return v.planar_lift()
+    return None
+
+
 def _as_complex(v) -> complex:
     if isinstance(v, PlanarVector):
         return v.to_complex()
@@ -170,42 +209,61 @@ class ZeroGroup(AdditiveClosure):
     shape: str = "Zero"
     exact: bool = True
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
-        p = _as_planar(v)
-        if p is not None and self.exact:
-            return p.is_zero()
-        return abs(_as_complex(v)) <= eps
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+        return not any(nums)
 
-    def distance(self, v: complex) -> float:
-        return abs(v)
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        return np.hypot(v.real, v.imag)
 
     def sample(self, rng, count: int) -> List[complex]:
         return [0j] * min(count, 1)
 
-    def to_report(self) -> dict:
-        return super().to_report()
+
+class _LatticeClosure(AdditiveClosure):
+    """Lattice1 and Lattice2: exact membership solves against the integer
+    HNF of the lifted basis."""
+
+    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+        raise NotImplementedError
+
+    @cached_property
+    def _hnf(self) -> Tuple[List[List[int]], int]:
+        rows, den = clear_denominators([b.lift() for b in self._basis_vectors()])
+        return hnf(rows), den
+
+    def _int_basis(self) -> Tuple[List[List[int]], int]:
+        """(rows, D): the lifted lattice is the Z-span of rows / D."""
+        return self._hnf
+
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+        rows, scale = self._hnf
+        target = []
+        for x in nums:
+            q, r = divmod(x * scale, den)
+            if r:
+                return False
+            target.append(q)
+        return hnf_solve(rows, target) is not None
 
 
 @dataclass(frozen=True)
-class Lattice1(AdditiveClosure):
+class Lattice1(_LatticeClosure):
     generator: PlanarVector = None
     shape: str = "Lattice1"
     exact: bool = True
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
-        p = _as_planar(v)
-        if p is not None and self.exact:
-            rows, den = clear_denominators([self.generator.lift()])
-            t = [x * den for x in p.lift()]
-            if any(x.denominator != 1 for x in t):
-                return False
-            return hnf_solve(hnf(rows), [int(x) for x in t]) is not None
-        return self.distance(_as_complex(v)) <= eps
+    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+        return (self.generator,)
 
-    def distance(self, v: complex) -> float:
+    @cached_property
+    def _floats(self) -> Tuple[complex, float]:
         g = self.generator.to_complex()
-        n = round((v.real * g.real + v.imag * g.imag) / abs(g) ** 2)
-        return abs(v - n * g)
+        return g, abs(g) ** 2
+
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        g, norm_sq = self._floats
+        n = np.round((v.real * g.real + v.imag * g.imag) / norm_sq)
+        return np.hypot(v.real - n * g.real, v.imag - n * g.imag)
 
     def sample(self, rng, count: int) -> List[complex]:
         g = self.generator.to_complex()
@@ -219,41 +277,35 @@ class Lattice1(AdditiveClosure):
 
 
 @dataclass(frozen=True)
-class Lattice2(AdditiveClosure):
+class Lattice2(_LatticeClosure):
     basis: Tuple[PlanarVector, PlanarVector] = None
     shape: str = "Lattice2"
     exact: bool = True
 
-    def _int_basis(self):
-        rows, den = clear_denominators([b.lift() for b in self.basis])
-        return hnf(rows), den
+    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+        return self.basis
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
-        p = _as_planar(v)
-        if p is not None and self.exact:
-            rows, den = self._int_basis()
-            t = [x * den for x in p.lift()]
-            if any(x.denominator != 1 for x in t):
-                return False
-            return hnf_solve(rows, [int(x) for x in t]) is not None
-        return self.distance(_as_complex(v)) <= eps
-
-    def distance(self, v: complex) -> float:
+    @cached_property
+    def _floats(self) -> Tuple[complex, complex, float]:
         b1 = self.basis[0].to_complex()
         b2 = self.basis[1].to_complex()
-        det = b1.real * b2.imag - b1.imag * b2.real
+        return b1, b2, b1.real * b2.imag - b1.imag * b2.real
+
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        b1, b2, det = self._floats
         s = (v.real * b2.imag - v.imag * b2.real) / det
         t = (b1.real * v.imag - b1.imag * v.real) / det
-        best = math.inf
-        for ds in (math.floor(s), math.ceil(s)):
-            for dt in (math.floor(t), math.ceil(t)):
-                best = min(best, abs(v - ds * b1 - dt * b2))
+        best = np.full(v.shape, np.inf)
+        for ds in (np.floor(s), np.ceil(s)):
+            for dt in (np.floor(t), np.ceil(t)):
+                dx = v.real - ds * b1.real - dt * b2.real
+                dy = v.imag - ds * b1.imag - dt * b2.imag
+                best = np.minimum(best, np.hypot(dx, dy))
         return best
 
     def shortest_vector(self) -> float:
         """Brute-force shortest nonzero vector length (small search box)."""
-        b1 = self.basis[0].to_complex()
-        b2 = self.basis[1].to_complex()
+        b1, b2, _ = self._floats
         best = math.inf
         for m in range(-6, 7):
             for n in range(-6, 7):
@@ -263,8 +315,7 @@ class Lattice2(AdditiveClosure):
         return best
 
     def sample(self, rng, count: int) -> List[complex]:
-        b1 = self.basis[0].to_complex()
-        b2 = self.basis[1].to_complex()
+        b1, b2, _ = self._floats
         return [
             b1 * rng.randint(-4, 4) + b2 * rng.randint(-4, 4) for _ in range(count)
         ]
@@ -282,17 +333,25 @@ class LineDense(AdditiveClosure):
     shape: str = "LineDense"
     exact: bool = True
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
-        p = _as_planar(v)
-        if p is not None and self.exact:
-            return (p.x * self.direction.y - p.y * self.direction.x).is_zero()
-        return self.distance(_as_complex(v)) <= eps
+    @cached_property
+    def _direction_lift(self) -> Tuple[int, int, int, int]:
+        return self.direction.planar_lift()[0]
 
-    def distance(self, v: complex) -> float:
+    @cached_property
+    def _unit(self) -> complex:
         u = self.direction.to_complex()
-        u /= abs(u)
+        return u / abs(u)
+
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+        # v parallel to the direction: v.x * dir.y == v.y * dir.x in Q(sqrt3)
+        a, b, c, e = nums
+        p, q, r, s = self._direction_lift
+        return a * r + 3 * b * s == c * p + 3 * e * q and a * s + b * r == c * q + e * p
+
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        u = self._unit
         t = v.real * u.real + v.imag * u.imag
-        return abs(v - t * u)
+        return np.hypot(v.real - t * u.real, v.imag - t * u.imag)
 
     def sample(self, rng, count: int) -> List[complex]:
         u = self.direction.to_complex()
@@ -316,17 +375,27 @@ class LineLattice(AdditiveClosure):
     shape: str = "LineLattice"
     exact: bool = True
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
-        p = _as_planar(v)
-        if p is not None and self.exact:
-            pairing = p.dot(self.dual)
-            return pairing.is_rational() and pairing.p.denominator == 1
-        return self.distance(_as_complex(v)) <= eps
+    @cached_property
+    def _dual_lift(self) -> Tuple[Tuple[int, int, int, int], int]:
+        return self.dual.planar_lift()
 
-    def distance(self, v: complex) -> float:
+    @cached_property
+    def _dual_floats(self) -> Tuple[complex, float]:
         d = self.dual.to_complex()
+        return d, abs(d)
+
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+        # the pairing v.dual lies in Z: no sqrt3 part, integral rational part
+        a, b, c, e = nums
+        (p, q, r, s), scale = self._dual_lift
+        if a * q + b * p + c * s + e * r:
+            return False
+        return (a * p + 3 * b * q + c * r + 3 * e * s) % (den * scale) == 0
+
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        d, norm = self._dual_floats
         pairing = v.real * d.real + v.imag * d.imag
-        return abs(pairing - round(pairing)) / abs(d)
+        return np.abs(pairing - np.round(pairing)) / norm
 
     def sample(self, rng, count: int) -> List[complex]:
         u = self.direction.to_complex()
@@ -349,11 +418,11 @@ class PlaneGroup(AdditiveClosure):
     shape: str = "Plane"
     exact: bool = True
 
-    def contains(self, v, eps: float = 1e-9) -> bool:
+    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
         return True
 
-    def distance(self, v: complex) -> float:
-        return 0.0
+    def _distances(self, v: np.ndarray) -> np.ndarray:
+        return np.zeros(v.shape)
 
     def sample(self, rng, count: int) -> List[complex]:
         return [complex(rng.random() * 8 - 4, rng.random() * 8 - 4) for _ in range(count)]
@@ -570,8 +639,12 @@ def _grid_fill(sums: List[complex], half: float = 3.0, res: int = 24) -> float:
     cells = set()
     for s in sums:
         if abs(s.real) <= half and abs(s.imag) <= half:
+            # a point on the upper edge belongs to the last cell
             cells.add(
-                (int((s.real + half) / (2 * half) * res), int((s.imag + half) / (2 * half) * res))
+                (
+                    min(int((s.real + half) / (2 * half) * res), res - 1),
+                    min(int((s.imag + half) / (2 * half) * res), res - 1),
+                )
             )
     return len(cells) / res**2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -384,7 +385,32 @@ class RotationCoset(ClosureDesc):
     def _rotations(self) -> List[Scalar]:
         return [Scalar.zeta_power(self.step * k) for k in range(self.order)]
 
+    @cached_property
+    def _offsets(self) -> Tuple[Point, ...]:
+        """apex + rho^k (point - apex) for every rotation rho^k: the closure
+        is the union of these points translated by the closure of T."""
+        za = v_sub(self.point, self.apex)
+        return tuple(v_add(self.apex, v_scale(rho, za)) for rho in self._rotations())
+
+    @cached_property
+    def _offset_lifts(self) -> Optional[Tuple[Tuple[Tuple[int, ...], int], ...]]:
+        """Planar lifts of the offsets when membership is exact: ambient
+        dim 1, exact closure of T and exact offsets; else None."""
+        closure = self.translation_closure
+        if self.dim != 1 or closure is None or not closure.exact:
+            return None
+        if not all(o[0].is_exact for o in self._offsets):
+            return None
+        return tuple(o[0].exact_value.planar_lift() for o in self._offsets)
+
+    @cached_property
+    def _float_data(self) -> Tuple[np.ndarray, np.ndarray, Tuple[complex, ...]]:
+        apex = np.array(v_to_complex(self.apex), dtype=np.complex128)
+        za = np.array(v_to_complex(v_sub(self.point, self.apex)), dtype=np.complex128)
+        return apex, za, tuple(rho.to_complex() for rho in self._rotations())
+
     # real span of T (ambient dim >= 2): a closed superset of its closure
+    @cached_property
     def _span_projector(self) -> np.ndarray:
         if not self.translation_generators:
             return np.zeros((2 * self.dim, 2 * self.dim))
@@ -394,50 +420,37 @@ class RotationCoset(ClosureDesc):
 
     def contains(self, w, eps: float = 1e-9) -> bool:
         w = as_point(w)
-        za = v_sub(self.point, self.apex)
-        wa = v_sub(w, self.apex)
-        if self.dim == 1 and self.translation_closure is not None:
-            for rho in self._rotations():
-                v = v_sub(wa, v_scale(rho, za))[0]
-                target = v if v.is_exact else v.to_complex()
-                if self.translation_closure.contains(target, eps):
-                    return True
-            return False
+        lifts = self._offset_lifts
+        if lifts is not None and w[0].is_exact:
+            # w - offset = (lw * d - lo * dw) / (dw * d), tested in the lift
+            lw, dw = w[0].exact_value.planar_lift()
+            member = self.translation_closure.contains_lift
+            return any(
+                member([x * d - y * dw for x, y in zip(lw, lo)], dw * d) for lo, d in lifts
+            )
         return self.distance(w) <= eps
 
     def distance(self, w) -> float:
         w = as_point(w)
-        za = np.array(v_to_complex(v_sub(self.point, self.apex)))
-        wa = np.array(v_to_complex(v_sub(w, self.apex)))
-        best = math.inf
-        if self.dim == 1 and self.translation_closure is not None:
-            for rho in self._rotations():
-                v = complex(wa[0] - rho.to_complex() * za[0])
-                best = min(best, self.translation_closure.distance(v))
-            return best
-        proj = self._span_projector()
-        for rho in self._rotations():
-            v = wa - rho.to_complex() * za
-            row = np.array([x for z in v for x in (z.real, z.imag)])
-            res = row - proj @ row
-            best = min(best, float(np.linalg.norm(res)))
-        return best
+        wa = np.array([v_to_complex(v_sub(w, self.apex))], dtype=np.complex128)
+        return float(self._distances_from_apex(wa)[0])
 
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
-        apex = np.array(v_to_complex(self.apex), dtype=np.complex128)
-        za = np.array(v_to_complex(v_sub(self.point, self.apex)), dtype=np.complex128)
-        wa = arr - apex
-        out = np.full(arr.shape[0], np.inf)
+        return self._distances_from_apex(arr - self._float_data[0])
+
+    def _distances_from_apex(self, wa: np.ndarray) -> np.ndarray:
+        """Distances of the points apex + wa, rows of an (N, dim) array."""
+        _, za, rotations = self._float_data
+        out = np.full(wa.shape[0], np.inf)
         if self.dim == 1 and self.translation_closure is not None:
-            for rho in self._rotations():
-                v = wa[:, 0] - rho.to_complex() * za[0]
-                d = np.array([self.translation_closure.distance(complex(x)) for x in v])
-                out = np.minimum(out, d)
+            for rho in rotations:
+                v = wa[:, 0] - rho * za[0]
+                out = np.minimum(out, self.translation_closure.distance(v))
             return out
-        proj = self._span_projector()
-        for rho in self._rotations():
-            v = wa - rho.to_complex() * za
-            rows = np.empty((arr.shape[0], 2 * self.dim))
+        proj = self._span_projector
+        for rho in rotations:
+            v = wa - rho * za
+            rows = np.empty((wa.shape[0], 2 * self.dim))
             rows[:, 0::2] = v.real
             rows[:, 1::2] = v.imag
             res = rows - rows @ proj.T
@@ -456,25 +469,22 @@ class RotationCoset(ClosureDesc):
         return _cells_from_real(near, center, half, res)
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
-        za = v_sub(self.point, self.apex)
-        t_pool: List[Optional[Point]] = [None]
-        for t in list(self.translation_generators) + list(translations):
-            t_pool.append(t)
-        out: List[Point] = []
-        for rho in self._rotations():
-            for t in t_pool:
-                p = v_add(self.apex, v_scale(rho, za))
-                if t is not None:
-                    p = v_add(p, t)
-                out.append(p)
+        """The first `count` distinct points offset + t, t = 0, a generator
+        of T or one of `translations`, in that order per offset."""
+        limit = max(1, count)
+        t_pool = (None, *self.translation_generators, *translations)
         seen = set()
         unique: List[Point] = []
-        for p in out:
-            k = tuple(v_to_complex(p))
-            if k not in seen:
-                seen.add(k)
-                unique.append(p)
-        return unique[: max(1, count)]
+        for offset in self._offsets:
+            for t in t_pool:
+                p = offset if t is None else v_add(offset, t)
+                k = tuple(v_to_complex(p))
+                if k not in seen:
+                    seen.add(k)
+                    unique.append(p)
+                    if len(unique) == limit:
+                        return unique
+        return unique
 
     def to_report(self) -> dict:
         out = {

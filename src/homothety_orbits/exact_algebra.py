@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 SQRT3 = math.sqrt(3.0)
 _MACH_EPS = 2.220446049250313e-16
@@ -38,13 +38,6 @@ class Trilean(Enum):
     @staticmethod
     def of(flag: bool) -> "Trilean":
         return Trilean.YES if flag else Trilean.NO
-
-    def negate(self) -> "Trilean":
-        if self is Trilean.YES:
-            return Trilean.NO
-        if self is Trilean.NO:
-            return Trilean.YES
-        return Trilean.UNKNOWN
 
     def both(self, other: "Trilean") -> "Trilean":
         if self is Trilean.NO or other is Trilean.NO:
@@ -402,8 +395,18 @@ class CycloScalar:
     def abs_sq(self) -> "CycloScalar":
         return self * self.conj()
 
+    def planar_lift(self) -> Tuple[Tuple[int, int, int, int], int]:
+        """Integer numerators (x0, x1, y0, y1) over a common denominator D
+        with re = (x0 + x1*sqrt3)/D and im = (y0 + y1*sqrt3)/D.  D = 2d is
+        not reduced against the numerators."""
+        n0, n1, n2, n3 = self._n
+        return (2 * n0 + n2, n1, n1 + 2 * n3, n2), 2 * self._d
+
     def to_complex(self) -> complex:
-        return complex(self.real_part().to_float(), self.imag_part().to_float())
+        # int / int is correctly rounded, as Fraction.__float__ is, so this
+        # equals the RealQuadratic route bit for bit without any Fraction
+        (x0, x1, y0, y1), den = self.planar_lift()
+        return complex(x0 / den + (x1 / den) * SQRT3, y0 / den + (y1 / den) * SQRT3)
 
     def root_of_unity_log(self) -> Optional[int]:
         """k with self == zeta^k, or None."""
@@ -922,49 +925,3 @@ def format_scalar(s: Scalar) -> str:
         parts.append(("-" if c < 0 else "+") + body)
     out = "".join(parts)
     return out[1:] if out.startswith("+") else out
-
-
-# ---------------------------------------------------------------------------
-# operation-style front end (same functionality as the Scalar methods; kept
-# as free functions so call sites can read like the underlying algebra)
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return Scalar._coerce(x) + y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return Scalar._coerce(x) * y
-
-
-def inv(x: Scalar) -> Scalar:
-    return Scalar._coerce(x).inverse()
-
-
-def conj(x: Scalar) -> Scalar:
-    return Scalar._coerce(x).conj()
-
-
-def abs_sq(x: Scalar) -> Scalar:
-    return Scalar._coerce(x).abs_sq()
-
-
-def is_root_of_unity(x: Scalar):
-    """Order of x as a root of unity, or None."""
-    return Scalar._coerce(x).root_of_unity_order()
-
-
-def in_F2(x: Scalar) -> Trilean:
-    return Scalar._coerce(x).in_f2()
-
-
-def in_F3(x: Scalar) -> Trilean:
-    return Scalar._coerce(x).in_f3()
-
-
-def is_real(x: Scalar) -> Trilean:
-    return Scalar._coerce(x).is_real()
-
-
-def modulus_is_one(x: Scalar) -> Trilean:
-    return Scalar._coerce(x).modulus_is_one()

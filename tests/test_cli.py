@@ -98,6 +98,38 @@ class TestClassify:
         assert "undecidable" in capsys.readouterr().err
 
 
+    def test_heuristic_grid_fill_is_a_fraction(self, tmp_path, capsys):
+        # a sum on the upper edge of the fill window must land in the last
+        # cell; binning it one past the grid pushed the fill to 625/576
+        path = write_doc(tmp_path, "decimal.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": "i", "center": ["0"]},
+                {"ratio": "i", "center": ["1"]},
+                {"ratio": "-1", "center": ["0.3"]},
+            ],
+            "points": [["0"]],
+        })
+        assert main(["classify", "--input", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+
+        def fills(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key == "grid_fill":
+                        yield value
+                    else:
+                        yield from fills(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from fills(value)
+
+        found = list(fills(report))
+        assert found
+        assert all(0.0 <= f <= 1.0 for f in found)
+
+
 class TestMalformedInput:
     def test_exit_codes(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,12 @@ from homothety_orbits.exact_algebra import (
     Scalar,
     Trilean,
     parse_scalar,
+)
+from homothety_orbits.lattices import (
+    clear_denominators,
+    hnf,
+    hnf_solve,
+    lattice_basis_from_rational_rows,
 )
 from homothety_orbits.closed_subgroups import (
     PlanarVector,
@@ -42,6 +49,52 @@ def combo(values, coeffs):
     if acc is None:
         acc = values[0] - values[0]
     return acc
+
+
+def _fraction_member(c, p: PlanarVector) -> bool:
+    """Membership of an exact vector computed on RealQuadratic fractions."""
+    if c.shape == "Plane":
+        return True
+    if c.shape == "Zero":
+        return p.is_zero()
+    if c.shape == "LineDense":
+        return (p.x * c.direction.y - p.y * c.direction.x).is_zero()
+    if c.shape == "LineLattice":
+        pairing = p.dot(c.dual)
+        return pairing.is_rational() and pairing.p.denominator == 1
+    basis = [c.generator] if c.shape == "Lattice1" else list(c.basis)
+    rows = lattice_basis_from_rational_rows([b.lift() for b in basis])
+    ints, _ = clear_denominators(rows + [list(p.lift())])
+    return hnf_solve(hnf(ints[:-1]), ints[-1]) is not None
+
+
+def _reference_distance(c, v: complex) -> float:
+    """The distance formulas evaluated on Python complex numbers."""
+    if c.shape == "Plane":
+        return 0.0
+    if c.shape == "Zero":
+        return abs(v)
+    if c.shape == "Lattice1":
+        g = c.generator.to_complex()
+        n = round((v.real * g.real + v.imag * g.imag) / abs(g) ** 2)
+        return abs(v - n * g)
+    if c.shape == "Lattice2":
+        b1, b2 = (b.to_complex() for b in c.basis)
+        det = b1.real * b2.imag - b1.imag * b2.real
+        s = (v.real * b2.imag - v.imag * b2.real) / det
+        t = (b1.real * v.imag - b1.imag * v.real) / det
+        return min(
+            abs(v - ds * b1 - dt * b2)
+            for ds in (math.floor(s), math.ceil(s))
+            for dt in (math.floor(t), math.ceil(t))
+        )
+    if c.shape == "LineDense":
+        u = c.direction.to_complex()
+        u /= abs(u)
+        return abs(v - (v.real * u.real + v.imag * u.imag) * u)
+    d = c.dual.to_complex()
+    pairing = v.real * d.real + v.imag * d.imag
+    return abs(pairing - round(pairing)) / abs(d)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +137,14 @@ class TestAdditivePinned:
         assert not c.contains(pv(0, 1))
         assert c.distance(1j) == pytest.approx(1.0)
         assert c.is_discrete() is Trilean.NO
+
+        # a skew dense line: direction (1, sqrt3), both coordinates irrational
+        skew = classify_additive_closure([pv(1, SQRT3), pv(SQRT3, RealQuadratic(3, 0))])
+        assert skew.shape == "LineDense"
+        on = pv(RealQuadratic(Fraction(1, 3), 2), RealQuadratic(6, Fraction(1, 3)))
+        off = pv(RealQuadratic(Fraction(1, 3), 2), RealQuadratic(6, Fraction(1, 2)))
+        assert skew.contains(on) and _fraction_member(skew, on)
+        assert not skew.contains(off) and not _fraction_member(skew, off)
 
     def test_dense_line_plus_transversal_steps(self):
         c = classify_additive_closure([pv(1, 0), pv(SQRT3, 0), pv(0, 1)])
@@ -199,6 +260,35 @@ class TestAdditiveInvariants:
             assert c.dual.dot(c.direction).is_zero()
             pairing = c.dual.dot(c.transversal)
             assert pairing.is_rational() and pairing.p == 1
+
+    @given(
+        st.lists(exact_scalars(), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)]),
+        exact_scalars(),
+    )
+    def test_integer_membership_matches_the_fraction_route(self, gens, pairs, scale, extra):
+        c = classify_additive_closure(gens)
+        vals = [g.exact_value for g in gens]
+        probes = [combo(vals[:2], pair) * scale for pair in pairs] + [extra.exact_value]
+        for probe in probes:
+            assert c.contains(probe) == _fraction_member(c, PlanarVector.from_cyclo(probe))
+
+    @given(
+        st.lists(exact_scalars(), min_size=1, max_size=4),
+        st.lists(st.complex_numbers(max_magnitude=50, allow_nan=False), max_size=8),
+        st.booleans(),
+    )
+    def test_array_distance_is_the_scalar_distance(self, gens, points, numeric):
+        # numeric=True sends the same generators down the heuristic path
+        c = classify_additive_closure([g.to_complex() if numeric else g for g in gens])
+        values = [g.to_complex() for g in gens] + points
+        many = c.distance(np.array(values))
+        assert isinstance(many, np.ndarray) and many.shape == (len(values),)
+        for v, d in zip(values, many):
+            scalar = c.distance(v)
+            assert isinstance(scalar, float) and scalar == d
+            assert scalar == _reference_distance(c, v)
 
     def test_many_seeded_membership_checks(self, rng):
         for _ in range(300):

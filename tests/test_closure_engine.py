@@ -17,12 +17,18 @@ from homothety_orbits.exact_algebra import (
     parse_scalar,
 )
 from homothety_orbits.group_profile import GroupSpec, compute_profile
+from homothety_orbits.lattices import (
+    clear_denominators,
+    hnf,
+    hnf_solve,
+    lattice_basis_from_rational_rows,
+)
 from homothety_orbits.closure_engine import (
     global_verdicts,
     orbit_closure,
     rotation_pair_classify,
 )
-from conftest import homotheties
+from conftest import exact_scalars, homotheties
 
 I = parse_scalar("i")
 
@@ -188,6 +194,84 @@ class TestMixedOrderRotations:
 
         sample = oracle.enumerate(spec, P(0), 8)
         assert all(desc.contains(p) for p in sample.exact_points)
+
+
+# ratios of the two crystallographic families: fourth and sixth roots of 1
+CRYSTAL_FAMILIES = ((3, 6, 9), (2, 4, 6, 8, 10))
+GAUSS_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _fraction_lift(x: Scalar):
+    """Q^4 lift of an exact scalar through RealQuadratic fractions."""
+    re, im = x.exact_value.real_part(), x.exact_value.imag_part()
+    return [re.p, re.q, im.p, im.q]
+
+
+def _in_span(basis, v) -> bool:
+    """v in the Z-span of rational rows: HNF membership on one denominator."""
+    ints, _ = clear_denominators(list(basis) + [v])
+    return hnf_solve(hnf(ints[:-1]), ints[-1]) is not None
+
+
+@st.composite
+def crystal_pairs(draw):
+    """Exact non-abelian pair with ratios in one crystallographic family,
+    plus a base point."""
+    logs = draw(st.sampled_from(CRYSTAL_FAMILIES))
+    k1 = draw(st.sampled_from([k for k in logs if k != 6]))  # one non-real ratio
+    k2 = draw(st.sampled_from(logs))
+    c1, c2, z = draw(st.lists(exact_scalars(), min_size=3, max_size=3))
+    assume(c1 != c2)
+    gens = (
+        Homothety.with_center(Scalar.zeta_power(k1), P(c1)),
+        Homothety.with_center(Scalar.zeta_power(k2), P(c2)),
+    )
+    return GroupSpec(1, gens), P(z)
+
+
+class TestExactRotationCosetMembership:
+    """RotationCoset tests exact membership on integer numerators against
+    cached data; a Fraction-lift reference decides the same questions."""
+
+    @given(crystal_pairs(), GAUSS_FRACTIONS, GAUSS_FRACTIONS, st.data())
+    def test_membership_agrees_with_a_fraction_reference(self, pair, sx, sy, data):
+        from homothety_orbits import orbit_oracle as oracle
+
+        spec, z = pair
+        desc = orbit_closure(compute_profile(spec), z)
+        assert desc.kind() == "RotationCoset"
+        assert desc.exact
+        closure = desc.translation_closure
+        sample = oracle.enumerate(spec, z, 5)
+        assert all(desc.contains(p) for p in sample.exact_points)
+
+        # reference: T is the Z-span of the Schreier shifts, discrete unless
+        # its closure is the plane; the closure of the orbit is the union of
+        # apex + rho^k (z - apex) + closure(T)
+        basis = lattice_basis_from_rational_rows(
+            [_fraction_lift(t[0]) for t in desc.translation_generators]
+        )
+
+        def in_t_closure(v: Scalar) -> bool:
+            return closure.shape == "Plane" or _in_span(basis, _fraction_lift(v))
+
+        za = z[0] - desc.apex[0]
+        offsets = [
+            desc.apex[0] + Scalar.zeta_power(desc.step * k) * za
+            for k in range(desc.order)
+        ]
+        shift = Scalar.gauss(sx, sy)
+        assume(not in_t_closure(shift))
+        p = data.draw(st.sampled_from(sample.exact_points), label="orbit point")
+        w = (p[0] + shift,)
+        expected = any(in_t_closure(w[0] - o) for o in offsets)
+        assert desc.contains(w) == expected
+
+        # the array distance is the scalar distance, entry by entry
+        values = sample.array[:, 0] - complex(w[0].to_complex())
+        many = closure.distance(values)
+        assert many.shape == values.shape
+        assert list(many) == [closure.distance(complex(v)) for v in values]
 
 
 class TestClosureInvariants:

@@ -118,6 +118,26 @@ def test_embedding_homomorphism(x, y):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+wide_numerators = st.integers(-(2**80), 2**80) | st.integers(-50, 50)
+
+
+@given(
+    st.tuples(wide_numerators, wide_numerators, wide_numerators, wide_numerators),
+    st.integers(1, 2**70) | st.integers(1, 12),
+)
+def test_to_complex_is_bit_identical_to_the_real_quadratic_route(nums, d):
+    x = CycloScalar(*nums, d)
+    via_fractions = complex(x.real_part().to_float(), x.imag_part().to_float())
+    assert repr(x.to_complex()) == repr(via_fractions)
+
+
+@given(cyclo_scalars())
+def test_planar_lift_matches_real_and_imaginary_parts(x):
+    (x0, x1, y0, y1), den = x.planar_lift()
+    re, im = x.real_part(), x.imag_part()
+    assert (re.p, re.q, im.p, im.q) == tuple(Fraction(n, den) for n in (x0, x1, y0, y1))
+
+
 @given(st.integers(0, 11), st.integers(0, 11))
 def test_f2_f3_multiplicatively_closed(j, k):
     x, y = CycloScalar.zeta_power(j), CycloScalar.zeta_power(k)
