@@ -12,8 +12,7 @@ its parent takes one command per checkout:
     python3 scripts/report_digest.py --repo ../parent-checkout
 
 `--repo` selects the checkout whose `src/` and `perfbench/` are used
-(default: the one holding this script).  `--dump DIR` also writes every
-report to DIR, one file per document, for diffing a mismatch.
+(default: the one holding this script).
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from pathlib import Path
 
 HERE_ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = (("classify-exact", "classify"), ("verify-exact", "verify"))
+SEEDS = (1, 2, 3, 4, 5)
+ROUNDS = 2
 
 
 def run_cli(cli, argv):
@@ -45,36 +46,27 @@ def run_cli(cli, argv):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=HERE_ROOT)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--rounds", type=int, default=2)
-    ap.add_argument("--dump", type=Path, default=None)
     args = ap.parse_args()
     root = args.repo.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from homothety_orbits import cli
     from workloads import WORKLOADS as BENCH
 
-    if args.dump:
-        args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in WORKLOADS:
             h = hashlib.sha256()
             count = 0
-            for seed in args.seeds:
-                for family, doc in BENCH[name].documents(seed, args.rounds):
+            for seed in SEEDS:
+                for family, doc in BENCH[name].documents(seed, ROUNDS):
                     path = os.path.join(tmp, "doc.json")
                     with open(path, "w") as fh:
                         json.dump(doc, fh)
                     code, out = run_cli(cli, [command, "--input", path])
                     h.update(f"{seed}:{count}:{family}:{code}\n".encode())
                     h.update(out.encode())
-                    if args.dump:
-                        (args.dump / f"{name}-{count:04d}.txt").write_text(f"{code}\n{out}")
                     count += 1
             print(f"{name:<16} {count:>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
-        if args.dump:
-            (args.dump / "paper-examples.txt").write_text(f"{code}\n{out}")
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)
     return 0
