@@ -4,7 +4,12 @@
 Runs, in-process, the seeded documents of both benchmark workloads
 (`classify` on classify-exact, `verify` on verify-exact, built by
 perfbench/workloads.py) and `paper-examples`, and hashes every document's
-exit code and stdout in order.  Two checkouts print the same digests
+exit code and stdout in order.  The `verify-c2` line runs
+`verify --word-cap 6` on the C^2 families of classify-exact at two grids,
+one above the closure trace's cell cap (40^4 cells) and one below it
+(8^4), with the first generator's centre as an extra point: so it covers
+the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
+both sides of the cap.  Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
 
@@ -31,6 +36,8 @@ HERE_ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = (("classify-exact", "classify"), ("verify-exact", "verify"))
 SEEDS = (1, 2, 3, 4, 5)
 ROUNDS = 2
+C2_SEEDS = (1, 2, 3)
+C2_GRIDS = (40, 8)
 
 
 def run_cli(cli, argv):
@@ -41,6 +48,13 @@ def run_cli(cli, argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+def write_doc(tmp, doc) -> str:
+    path = os.path.join(tmp, "doc.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
 
 
 def main() -> int:
@@ -58,14 +72,27 @@ def main() -> int:
             count = 0
             for seed in SEEDS:
                 for family, doc in BENCH[name].documents(seed, ROUNDS):
-                    path = os.path.join(tmp, "doc.json")
-                    with open(path, "w") as fh:
-                        json.dump(doc, fh)
+                    path = write_doc(tmp, doc)
                     code, out = run_cli(cli, [command, "--input", path])
                     h.update(f"{seed}:{count}:{family}:{code}\n".encode())
                     h.update(out.encode())
                     count += 1
             print(f"{name:<16} {count:>4} docs  {h.hexdigest()}", flush=True)
+        h = hashlib.sha256()
+        count = 0
+        for seed in C2_SEEDS:
+            for family, doc in BENCH["classify-exact"].documents(seed, 1):
+                if doc["dim"] != 2:
+                    continue
+                path = write_doc(tmp, doc)
+                centre = ",".join(doc["generators"][0]["center"])
+                for grid in C2_GRIDS:
+                    code, out = run_cli(cli, ["verify", "--input", path, "--word-cap", "6",
+                                              "--grid", str(grid), f"--point={centre}"])
+                    h.update(f"{seed}:{count}:{family}:{grid}:{code}\n".encode())
+                    h.update(out.encode())
+                    count += 1
+        print(f"{'verify-c2':<16} {count:>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)

@@ -54,25 +54,28 @@ EXIT_MISMATCH = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs: input, command, caps, window, policy."""
+    """Everything one run needs: input, command, caps, window, policy.
+
+    A cap, tolerance, window or grid left at None was not given on the
+    command line: the document's `options` decide it, else the default."""
 
     command: str
     input_path: Optional[str] = None
     word_cap: Optional[int] = None
-    eps: float = 1e-9
+    eps: Optional[float] = None
     window_center: Tuple[str, ...] = ()
-    window_half: float = 2.0
-    grid_res: int = 40
+    window_half: Optional[float] = None
+    grid_res: Optional[int] = None
     out_dir: Optional[str] = None
     exact_policy: str = "allow-approx"
     cli_points: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.grid_res < 2:
+        if self.grid_res is not None and self.grid_res < 2:
             raise ValueError("grid resolution must be at least 2")
-        if self.window_half <= 0:
+        if self.window_half is not None and self.window_half <= 0:
             raise ValueError("window half-width must be positive")
         if self.exact_policy not in ("require-exact", "allow-approx"):
             raise ValueError(f"unknown exactness policy {self.exact_policy!r}")
@@ -141,22 +144,21 @@ def build_spec(doc: dict, config: RunConfig) -> Tuple[GroupSpec, List[Point], di
     word_cap = config.word_cap if config.word_cap is not None else opts.get("word_cap")
     if word_cap is not None:
         word_cap = int(word_cap)
-    eps = float(opts.get("eps", config.eps)) if config.eps == 1e-9 else config.eps
+    eps = config.eps if config.eps is not None else float(opts.get("eps", 1e-9))
     window = opts.get("window")
     half = config.window_half
     center_texts: Tuple[str, ...] = config.window_center
-    if window is not None and config.window_half == 2.0 and not center_texts:
+    if half is None:
+        half = 2.0
         if isinstance(window, (int, float)):
             half = float(window)
         elif isinstance(window, dict):
             half = float(window.get("half", 2.0))
             center_texts = tuple(str(c) for c in window.get("center", ()))
-        else:
+        elif window is not None:
             raise ValueError("'options.window' must be a number or an object")
-    grid = int(opts.get("grid", config.grid_res)) if config.grid_res == 40 else config.grid_res
-    spec = GroupSpec(
-        dim=dim, generators=generators, word_cap=word_cap, eps=eps, window=half
-    )
+    grid = config.grid_res if config.grid_res is not None else int(opts.get("grid", 40))
+    spec = GroupSpec(dim=dim, generators=generators, word_cap=word_cap, eps=eps)
     if config.exact_policy == "require-exact" and not spec.is_exact:
         raise ValueError(
             "approximate scalar in input while --exact (require-exact) is set"
@@ -516,13 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help="extra point, comma-separated scalar coordinates (repeatable)",
         )
         p.add_argument("--word-cap", type=int, help="maximum word length")
-        p.add_argument("--eps", type=float, default=1e-9, help="tolerance")
+        p.add_argument("--eps", type=float, help="tolerance (default 1e-9)")
         p.add_argument(
             "--window",
-            default="2.0",
             help="evidence window: HALF or 'c1,...,cn:HALF' (default 2.0)",
         )
-        p.add_argument("--grid", type=int, default=40, help="grid resolution per axis")
+        p.add_argument("--grid", type=int, help="grid resolution per axis (default 40)")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument(
             "--exact",
@@ -533,14 +534,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    window = str(args.window)
     center: Tuple[str, ...] = ()
-    if ":" in window:
-        center_part, half_part = window.rsplit(":", 1)
+    half = None
+    if args.window is not None and ":" in args.window:
+        center_part, half_part = args.window.rsplit(":", 1)
         center = tuple(center_part.split(","))
         half = float(half_part)
-    else:
-        half = float(window)
+    elif args.window is not None:
+        half = float(args.window)
     return RunConfig(
         command=args.command,
         input_path=args.input,

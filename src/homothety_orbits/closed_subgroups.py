@@ -154,9 +154,6 @@ class AdditiveClosure:
     def _distances(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng, count: int) -> List[complex]:
-        raise NotImplementedError
-
     def is_discrete(self) -> Trilean:
         if not self.exact:
             return Trilean.UNKNOWN
@@ -215,9 +212,6 @@ class ZeroGroup(AdditiveClosure):
     def _distances(self, v: np.ndarray) -> np.ndarray:
         return np.hypot(v.real, v.imag)
 
-    def sample(self, rng, count: int) -> List[complex]:
-        return [0j] * min(count, 1)
-
 
 class _LatticeClosure(AdditiveClosure):
     """Lattice1 and Lattice2: exact membership solves against the integer
@@ -265,10 +259,6 @@ class Lattice1(_LatticeClosure):
         n = np.round((v.real * g.real + v.imag * g.imag) / norm_sq)
         return np.hypot(v.real - n * g.real, v.imag - n * g.imag)
 
-    def sample(self, rng, count: int) -> List[complex]:
-        g = self.generator.to_complex()
-        return [g * rng.randint(-6, 6) for _ in range(count)]
-
     def to_report(self) -> dict:
         out = super().to_report()
         out["generator"] = _fmt_planar(self.generator)
@@ -314,12 +304,6 @@ class Lattice2(_LatticeClosure):
                 best = min(best, abs(m * b1 + n * b2))
         return best
 
-    def sample(self, rng, count: int) -> List[complex]:
-        b1, b2, _ = self._floats
-        return [
-            b1 * rng.randint(-4, 4) + b2 * rng.randint(-4, 4) for _ in range(count)
-        ]
-
     def to_report(self) -> dict:
         out = super().to_report()
         out["basis"] = [_fmt_planar(b) for b in self.basis]
@@ -352,10 +336,6 @@ class LineDense(AdditiveClosure):
         u = self._unit
         t = v.real * u.real + v.imag * u.imag
         return np.hypot(v.real - t * u.real, v.imag - t * u.imag)
-
-    def sample(self, rng, count: int) -> List[complex]:
-        u = self.direction.to_complex()
-        return [u * (rng.random() * 8 - 4) for _ in range(count)]
 
     def to_report(self) -> dict:
         out = super().to_report()
@@ -397,13 +377,6 @@ class LineLattice(AdditiveClosure):
         pairing = v.real * d.real + v.imag * d.imag
         return np.abs(pairing - np.round(pairing)) / norm
 
-    def sample(self, rng, count: int) -> List[complex]:
-        u = self.direction.to_complex()
-        b = self.transversal.to_complex()
-        return [
-            u * (rng.random() * 8 - 4) + b * rng.randint(-4, 4) for _ in range(count)
-        ]
-
     def to_report(self) -> dict:
         out = super().to_report()
         out["direction"] = _fmt_planar(self.direction)
@@ -423,9 +396,6 @@ class PlaneGroup(AdditiveClosure):
 
     def _distances(self, v: np.ndarray) -> np.ndarray:
         return np.zeros(v.shape)
-
-    def sample(self, rng, count: int) -> List[complex]:
-        return [complex(rng.random() * 8 - 4, rng.random() * 8 - 4) for _ in range(count)]
 
 
 def _c2l(z: complex) -> List[float]:
@@ -666,9 +636,6 @@ class MultClosure:
     def distance(self, w: complex) -> float:
         raise NotImplementedError
 
-    def sample(self, rng, count: int) -> List[complex]:
-        raise NotImplementedError
-
     def is_whole_plane(self) -> Trilean:
         return Trilean.NO if self.exact else Trilean.UNKNOWN
 
@@ -719,10 +686,6 @@ class FiniteCyclic(MultClosure):
 
     def distance(self, w: complex) -> float:
         return min(abs(w - e) for e in self.elements())
-
-    def sample(self, rng, count: int) -> List[complex]:
-        e = self.elements()
-        return e[: max(1, min(count, len(e)))]
 
     def to_report(self) -> dict:
         out = super().to_report()
@@ -807,18 +770,6 @@ class RaysDiscrete(MultClosure):
                 best = min(best, abs(w - cmath.rect(mod, ang)))
         return best
 
-    def sample(self, rng, count: int) -> List[complex]:
-        out = []
-        (m1, c1), (_, g0) = self.hnf_rows
-        steps = 12 // g0 if g0 else 1
-        for _ in range(count):
-            n1 = rng.randint(-4, 4)
-            j = rng.randint(0, steps - 1)
-            mod = self.modulus_base ** (m1 * n1)
-            ang = ((c1 * n1 + g0 * j) % 12) * math.pi / 6
-            out.append(cmath.rect(mod, ang))
-        return out
-
     def to_report(self) -> dict:
         out = super().to_report()
         out["angle_order"] = self.angle_order
@@ -862,54 +813,10 @@ class RaysDense(MultClosure):
                 best = min(best, abs(w - t * u))
         return best
 
-    def sample(self, rng, count: int) -> List[complex]:
-        out = []
-        g = gcd(self.angle_step or 12, 12)
-        for _ in range(count):
-            j = rng.randrange(0, 12, g)
-            mod = math.exp(rng.random() * 4 - 2)
-            out.append(cmath.rect(mod, j * math.pi / 6))
-        return out
-
     def to_report(self) -> dict:
         out = super().to_report()
         out["angle_order"] = self.angle_order
         return out
-
-
-@dataclass(frozen=True)
-class CircleDense(MultClosure):
-    shape: str = "CircleDense"
-    exact: bool = False
-    includes_zero: bool = False
-
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        return abs(abs(_as_complex(w)) - 1.0) <= eps
-
-    def distance(self, w: complex) -> float:
-        return abs(abs(w) - 1.0)
-
-    def sample(self, rng, count: int) -> List[complex]:
-        return [cmath.rect(1.0, rng.random() * math.tau) for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class PlaneDense(MultClosure):
-    shape: str = "PlaneDense"
-    exact: bool = False
-    includes_zero: bool = True
-
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        return True
-
-    def distance(self, w: complex) -> float:
-        return 0.0
-
-    def is_whole_plane(self) -> Trilean:
-        return Trilean.YES if self.exact else Trilean.UNKNOWN
-
-    def sample(self, rng, count: int) -> List[complex]:
-        return [complex(rng.random() * 4 - 2, rng.random() * 4 - 2) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -930,11 +837,6 @@ class HeuristicMult(MultClosure):
         for s in self.samples:
             best = min(best, abs(w - s))
         return best
-
-    def sample(self, rng, count: int) -> List[complex]:
-        pool = list(self.samples)
-        rng.shuffle(pool)
-        return pool[:count]
 
     def is_whole_plane(self) -> Trilean:
         if self.shape == "HeuristicDiscrete":
@@ -971,9 +873,7 @@ def _exponent_vector(q: Fraction, primes: Sequence[int]) -> Optional[Dict[int, i
     return out
 
 
-def classify_multiplicative_closure(
-    ratios: Sequence[Scalar], word_cap: int = 14
-) -> MultClosure:
+def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     """Closure in C of the multiplicative group generated by the ratios.
 
     Exact when every ratio is exact with argument a multiple of pi/6 and
@@ -993,7 +893,7 @@ def classify_multiplicative_closure(
             break
         polar.append((k, rho_sq.p))
     if not exact_ok:
-        return _classify_mult_heuristic(ratios, word_cap)
+        return _classify_mult_heuristic(ratios)
     polar = [(k, q) for k, q in polar if not (k == 0 and q == 1)]
     if not polar:
         return FiniteCyclic(order=1, generator_log=0)
@@ -1043,7 +943,7 @@ def classify_multiplicative_closure(
     )
 
 
-def _classify_mult_heuristic(ratios: Sequence, word_cap: int) -> MultClosure:
+def _classify_mult_heuristic(ratios: Sequence) -> MultClosure:
     vals = [_as_complex(r) for r in ratios]
     vals = [v for v in vals if abs(v - 1.0) > 1e-15]
     if not vals:
@@ -1053,7 +953,7 @@ def _classify_mult_heuristic(ratios: Sequence, word_cap: int) -> MultClosure:
     level = 0
     # deep levels are cheap for few generators and sharpen the angle
     # statistics; the sample cap bounds the many-generator blowup
-    while frontier and level < max(word_cap, 200) and len(samples) < 40000:
+    while frontier and level < 200 and len(samples) < 40000:
         level += 1
         nxt = []
         for s in frontier:

@@ -57,7 +57,6 @@ class GroupSpec:
     generators: Tuple[Homothety, ...]
     word_cap: Optional[int] = None
     eps: float = 1e-9
-    window: float = 2.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -161,18 +160,6 @@ class AffineSubspace:
             return t is Trilean.YES
         sol = scalar_columns_solve(list(self.basis), diff, eps=eps)
         return sol is not None
-
-    def distance(self, z) -> float:
-        """Euclidean distance from z to the subspace (float arithmetic)."""
-        import numpy as np
-
-        z = as_point(z)
-        d = np.array(v_to_complex(v_sub(z, self.base)))
-        if not self.basis:
-            return float(np.linalg.norm(d))
-        b = np.array([v_to_complex(v) for v in self.basis]).T
-        coef, *_ = np.linalg.lstsq(b, d, rcond=None)
-        return float(np.linalg.norm(d - b @ coef))
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         """Points of the subspace.  When translation vectors are supplied the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -24,6 +25,7 @@ DEFAULT_BUDGET = 2_000_000
 HARVEST_BUDGET = 200_000
 GRID_DEDUP_EPS = 1e-7
 MIN_GAP_POINT_CAP = 200_000
+APPROACH_COUNT = 24  # closure points tested for approach by the orbit
 
 
 class BudgetExceeded(Exception):
@@ -123,7 +125,6 @@ def enumerate(
     z,
     L: int,
     budget: int = DEFAULT_BUDGET,
-    grid_eps: Optional[float] = None,
     force_grid: bool = False,
 ) -> OrbitSample:
     """Breadth-first closure of {z} under the generators and inverses up to
@@ -140,11 +141,10 @@ def enumerate(
     z = as_point(z)
     if len(z) != spec.dim:
         raise ValueError("point dimension does not match the group")
-    cell = GRID_DEDUP_EPS if grid_eps is None else grid_eps
     exact_mode = spec.is_exact and all(c.is_exact for c in z) and not force_grid
     if exact_mode:
         return _enumerate_exact(spec, z, L, budget)
-    return _enumerate_grid(spec, z, L, budget, cell)
+    return _enumerate_grid(spec, z, L, budget)
 
 
 def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
@@ -208,9 +208,8 @@ def _row_keys(q: np.ndarray) -> np.ndarray:
     return q.view([("", q.dtype)] * q.shape[1]).reshape(-1)
 
 
-def _enumerate_grid(
-    spec: GroupSpec, z: Point, L: int, budget: int, cell: float
-) -> OrbitSample:
+def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
+    cell = GRID_DEDUP_EPS
     letters = _letters(spec)
     ratios = np.array([l.ratio.to_complex() for l in letters], dtype=np.complex128)
     shifts = np.array(
@@ -284,9 +283,7 @@ def _map_key(h: Homothety, cell: float = 1e-12):
     return ("a", *parts)
 
 
-def harvest_translations(
-    spec: GroupSpec, L: int, budget: int = HARVEST_BUDGET
-) -> List[Point]:
+def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     """Translation vectors of all words of length <= L whose composed map
     has ratio exactly 1, deduplicated, plus every pairwise generator
     commutator (a length-4 word); the zero vector (empty word) is always
@@ -295,7 +292,7 @@ def harvest_translations(
     Maps, not points, are enumerated: the ratio of a word is the product of
     generator ratios with signed exponents, so tracking the net exponent
     vector detects ratio-one words exactly even with approximate scalars.
-    When the map-state count passes `budget` the search stops expanding
+    When the map-state count reaches HARVEST_BUDGET the search stops expanding
     (the result is then a sublist of the full harvest, which is safe for
     every use here: harvests are lower-bound evidence).
     """
@@ -350,7 +347,7 @@ def harvest_translations(
                 states.append((comp, e2t))
                 new_frontier.append(len(states) - 1)
                 _emit(comp, e2t)
-                if len(states) >= budget:
+                if len(states) >= HARVEST_BUDGET:
                     stopped = True
                     break
             if stopped:
@@ -499,31 +496,6 @@ def _min_gap_history(
     return best, history, used
 
 
-def _trace_cells_from_sampler(
-    closure, center: np.ndarray, half: float, res: int, dim: int
-) -> Optional[Set[bytes]]:
-    sampler = getattr(closure, "sample", None)
-    if sampler is None:
-        return None
-    import random
-
-    rng = random.Random(20260817)
-    cells_target = res ** (2 * dim)
-    count = min(20 * cells_target, 60_000)
-    try:
-        pts = sampler(rng, count)
-    except TypeError:
-        return None
-    if not pts:
-        return None
-    arr = np.array([v_to_complex(as_point(p)) for p in pts], dtype=np.complex128)
-    arr = arr.reshape(len(pts), dim)
-    real = np.empty((arr.shape[0], 2 * dim))
-    real[:, 0::2] = arr.real
-    real[:, 1::2] = arr.imag
-    return _occupied_cells(real, center, half, res)
-
-
 def verify(
     closure,
     sample: OrbitSample,
@@ -531,15 +503,16 @@ def verify(
     grid_res: int = 40,
     eps: float = 1e-9,
     approach_translations: Sequence[Point] = (),
-    approach_count: int = 24,
 ) -> EvidenceReport:
     """Measure a predicted closure against an enumerated orbit.
 
-    `closure` is duck-typed: it must offer contains(point, eps) and
-    distance(point); it may offer exact membership (attribute `exact`),
-    a vectorized distance_many(array), trace_cells(center, half, res) for
-    the window trace, and sample(rng, count[, translations]) for approach
-    evidence.  Failures are report fields, never exceptions.
+    `closure` is a description from `closure_engine.orbit_closure` (any but
+    `Unsupported`), read through its contract: contains(point, eps) for
+    exact membership when `closure.exact` and the sample has exact points,
+    distance_many(array) otherwise and for the size of a failed exact test
+    (through `distance`), trace_points(center, half, res) for the cells of
+    the window on the closure, and sample(rng, count, translations) for
+    approach evidence.  Failures are report fields, never exceptions.
     """
     if len(sample) == 0:
         raise ValueError("empty orbit sample")
@@ -548,9 +521,7 @@ def verify(
     real_pts = sample.real_array()
 
     # --- soundness -----------------------------------------------------
-    exact_membership = bool(getattr(closure, "exact", False)) and (
-        sample.exact_points is not None
-    )
+    exact_membership = closure.exact and sample.exact_points is not None
     max_violation = 0.0
     if exact_membership:
         checked = len(sample)
@@ -562,39 +533,22 @@ def verify(
             if max_violation == 0.0:
                 max_violation = float(eps)  # a failed exact test is a failure
     else:
-        distance_many = getattr(closure, "distance_many", None)
-        if distance_many is not None:
-            d = np.asarray(distance_many(sample.array), dtype=float)
-            checked = int(d.shape[0])
-            max_violation = float(d.max()) if checked else 0.0
-        else:
-            stride = max(1, len(sample) // MIN_GAP_POINT_CAP)
-            rows = range(0, len(sample), stride)
-            checked = 0
-            for i in rows:
-                p = as_point([complex(c) for c in sample.array[i]])
-                max_violation = max(max_violation, float(closure.distance(p)))
-                checked += 1
+        d = closure.distance_many(sample.array)
+        checked = int(d.shape[0])
+        max_violation = float(d.max())
 
     # --- fill fractions -------------------------------------------------
     occupied = _occupied_cells(real_pts, center, half, grid_res)
     total_cells = grid_res ** (2 * dim)
     window_fill = len(occupied) / total_cells
-    trace_fn = getattr(closure, "trace_cells", None)
-    trace: Optional[Set[bytes]]
-    if trace_fn is not None:
-        trace = trace_fn(tuple(center), half, grid_res)
-    else:
-        trace = _trace_cells_from_sampler(closure, center, half, grid_res, dim)
-    if trace is None:  # whole-space trace
+    trace_pts = closure.trace_points(center, half, grid_res)
+    if trace_pts is None:  # the trace is every cell
         trace_count = total_cells
         fill = window_fill
-    elif not trace:
-        trace_count = 0
-        fill = 0.0
     else:
+        trace = _occupied_cells(trace_pts, center, half, grid_res)
         trace_count = len(trace)
-        fill = len(occupied & trace) / trace_count
+        fill = len(occupied & trace) / trace_count if trace else 0.0
 
     # --- discreteness ----------------------------------------------------
     min_gap, history, used = _min_gap_history(real_pts, sample.generations)
@@ -602,28 +556,20 @@ def verify(
     # --- approach (completeness) evidence --------------------------------
     approach_max = None
     approach_points = 0
-    sampler = getattr(closure, "sample", None)
-    if sampler is not None and approach_count > 0:
-        import random
+    from scipy.spatial import cKDTree
 
-        from scipy.spatial import cKDTree
-
-        rng = random.Random(20260817)
-        try:
-            targets = sampler(rng, approach_count, approach_translations)
-        except TypeError:
-            targets = sampler(rng, approach_count)
-        t_rows = []
-        for p in targets:
-            zs = v_to_complex(as_point(p))
-            row = [x for zz in zs for x in (zz.real, zz.imag)]
-            if all(abs(r - c) <= half for r, c in zip(row, center)):
-                t_rows.append(row)
-        if t_rows:
-            tree = cKDTree(real_pts)
-            d, _ = tree.query(np.array(t_rows), k=1)
-            approach_max = float(np.max(d))
-            approach_points = len(t_rows)
+    rng = random.Random(20260817)
+    t_rows = []
+    for p in closure.sample(rng, APPROACH_COUNT, approach_translations):
+        zs = v_to_complex(as_point(p))
+        row = [x for zz in zs for x in (zz.real, zz.imag)]
+        if all(abs(r - c) <= half for r, c in zip(row, center)):
+            t_rows.append(row)
+    if t_rows:
+        tree = cKDTree(real_pts)
+        d, _ = tree.query(np.array(t_rows), k=1)
+        approach_max = float(np.max(d))
+        approach_points = len(t_rows)
 
     return EvidenceReport(
         n_points=len(sample),

@@ -72,6 +72,18 @@ class TestClassify:
         assert ["1/2"] in report["points"]
         assert report["options"]["window"] == {"center": ["0"], "half": 1.5}
 
+    def test_explicit_flags_override_document_options(self, tmp_path, capsys):
+        # flags given at their default values still win over the document
+        path = quarter_doc(tmp_path, options={"grid": 10, "eps": 1e-6, "window": 3.0})
+        assert main(["classify", "--input", path]) == EXIT_OK
+        opts = json.loads(capsys.readouterr().out)["options"]
+        assert (opts["grid"], opts["eps"], opts["window"]["half"]) == (10, 1e-6, 3.0)
+        assert main([
+            "classify", "--input", path, "--grid", "40", "--eps", "1e-9", "--window", "2.0",
+        ]) == EXIT_OK
+        opts = json.loads(capsys.readouterr().out)["options"]
+        assert (opts["grid"], opts["eps"], opts["window"]["half"]) == (40, 1e-9, 2.0)
+
     def test_real_ratio_group_exits_unsupported(self, tmp_path, capsys):
         path = write_doc(tmp_path, "real.json", {
             "dim": 1,

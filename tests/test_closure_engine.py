@@ -6,10 +6,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homothety_orbits.affine_maps import Homothety, as_point
+from homothety_orbits import orbit_oracle
+from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
 from homothety_orbits.exact_algebra import (
     Scalar,
     Trilean,
@@ -151,6 +153,53 @@ class TestBranchTable:
     def test_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             orbit_closure(cone_profile(), P(0))
+
+
+# ---------------------------------------------------------------------------
+# the contract the oracle reads: distance, distance_many and sample
+
+
+def _contract_cases():
+    """(label, spec, point) for each description kind in dimensions 1 and 2."""
+    spiral = parse_scalar("2i")
+    plane = (Homothety.with_center(spiral, P(0)), Homothety.with_center(spiral, P(1)))
+    space = tuple(Homothety.with_center(spiral, p) for p in (P(0, 0), P(1, 0), P(0, 1)))
+    cone = (Homothety.with_center(spiral, P(0, 0)), Homothety.with_center(parse_scalar("3"), P(1, 0)))
+    quarter1 = (Homothety.with_center(I, P(0)), Homothety.with_center(I, P(1)))
+    quarter2 = (Homothety.with_center(I, P(0, 0)), Homothety.with_center(I, P(1, 1)))
+    half = Scalar.rational(Fraction(1, 2))
+    cases = [
+        ("WholeSpace", GroupSpec(1, plane), P(half)),
+        ("WholeSpace", GroupSpec(2, space), P(half, 1)),
+        ("Affine", GroupSpec(2, cone), P(5, 0)),
+        ("LambdaCone", GroupSpec(2, cone), P(half, 1)),
+        ("RotationCoset", GroupSpec(1, quarter1), P(half)),
+        ("RotationCoset", GroupSpec(2, quarter2), P(half, 0)),
+    ]
+    return [pytest.param(*c, id=f"{c[0]}-C{c[1].dim}") for c in cases]
+
+
+class TestClosureContract:
+    @pytest.mark.parametrize("kind, spec, z", _contract_cases())
+    def test_one_distance_and_a_contained_sample(self, kind, spec, z):
+        desc = orbit_closure(compute_profile(spec), z)
+        assert desc.kind() == kind and len(z) == spec.dim
+
+        rng = random.Random(17)
+        queries = [z, P(*([I] * spec.dim))] + [
+            as_point([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in z])
+            for _ in range(6)
+        ]
+        for q in queries:
+            row = np.array([v_to_complex(q)], dtype=np.complex128)
+            assert desc.distance(q) == float(desc.distance_many(row)[0])
+
+        sample = desc.sample(random.Random(3), 30, orbit_oracle.harvest_translations(spec, 4))
+        assert sample
+        for p in sample:
+            assert desc.contains(p), f"{kind} sample point {v_to_complex(p)} is not contained"
+        rows = np.array([v_to_complex(p) for p in sample], dtype=np.complex128)
+        assert desc.distance_many(rows).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,25 @@ class TestVerify:
         ):
             assert key in d
 
+    def test_c2_window_trace_above_the_cell_cap(self):
+        # 40^4 cells are too many to test one by one: an Affine claim bins a
+        # sample of its subspace, a cone claim counts every cell
+        spec = GroupSpec(2, (
+            Homothety.with_center(parse_scalar("1+i"), P(0, 0)),
+            Homothety.with_center(I, P(1, 0)),
+        ))
+        profile = compute_profile(spec)
+        for z, kind in ((P(0, 0), "Affine"), (P(0, 1), "LambdaCone")):
+            desc = orbit_closure(profile, z)
+            assert desc.kind() == kind
+            rep = oracle.verify(desc, oracle.enumerate(spec, z, 4), window=2.0, grid_res=40)
+            assert rep.total_cells == 40 ** 4
+            assert rep.soundness_pass
+            if kind == "Affine":
+                assert 0 < rep.trace_cell_count < rep.total_cells
+            else:
+                assert rep.trace_cell_count == rep.total_cells
+
     def test_empty_sample_is_rejected(self):
         s = quarter_sample()
         empty = OrbitSample(
