@@ -277,9 +277,21 @@ class Lattice2(_LatticeClosure):
 
     @cached_property
     def _floats(self) -> Tuple[complex, complex, float]:
-        b1 = self.basis[0].to_complex()
-        b2 = self.basis[1].to_complex()
-        return b1, b2, b1.real * b2.imag - b1.imag * b2.real
+        """The basis after an exact Gauss reduction (|b1| <= |b2| and
+        |b1.b2| <= |b1|^2 / 2), as floats, and its determinant.  The stored
+        basis is an HNF and can be long and thin; for a reduced basis the
+        nearest lattice point to v is a corner of the basis cell holding v."""
+        b1, b2 = self.basis
+        if b1.dot(b1) > b2.dot(b2):
+            b1, b2 = b2, b1
+        while True:
+            m = round(b1.dot(b2).to_float() / b1.dot(b1).to_float())
+            b2 = PlanarVector(b2.x - m * b1.x, b2.y - m * b1.y)
+            if b2.dot(b2) >= b1.dot(b1):
+                break
+            b1, b2 = b2, b1
+        c1, c2 = b1.to_complex(), b2.to_complex()
+        return c1, c2, c1.real * c2.imag - c1.imag * c2.real
 
     def _distances(self, v: np.ndarray) -> np.ndarray:
         b1, b2, det = self._floats
@@ -294,15 +306,8 @@ class Lattice2(_LatticeClosure):
         return best
 
     def shortest_vector(self) -> float:
-        """Brute-force shortest nonzero vector length (small search box)."""
-        b1, b2, _ = self._floats
-        best = math.inf
-        for m in range(-6, 7):
-            for n in range(-6, 7):
-                if m == 0 and n == 0:
-                    continue
-                best = min(best, abs(m * b1 + n * b2))
-        return best
+        """Length of a shortest nonzero vector: the first reduced one."""
+        return abs(self._floats[0])
 
     def to_report(self) -> dict:
         out = super().to_report()

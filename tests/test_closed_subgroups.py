@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from homothety_orbits.exact_algebra import (
     RealQuadratic,
@@ -26,6 +26,7 @@ from homothety_orbits.lattices import (
     lattice_basis_from_rational_rows,
 )
 from homothety_orbits.closed_subgroups import (
+    Lattice2,
     PlanarVector,
     classify_additive_closure,
     classify_multiplicative_closure,
@@ -79,7 +80,7 @@ def _reference_distance(c, v: complex) -> float:
         n = round((v.real * g.real + v.imag * g.imag) / abs(g) ** 2)
         return abs(v - n * g)
     if c.shape == "Lattice2":
-        b1, b2 = (b.to_complex() for b in c.basis)
+        b1, b2, _ = c._floats  # the reduced basis
         det = b1.real * b2.imag - b1.imag * b2.real
         s = (v.real * b2.imag - v.imag * b2.real) / det
         t = (b1.real * v.imag - b1.imag * v.real) / det
@@ -210,6 +211,113 @@ class TestAdditivePinned:
         assert strip.shape == "LineLattice"
         assert not strip.exact
         assert strip.contains(complex(math.pi, 2.0), eps=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Lattice2 distances on long, thin bases
+
+
+def _lattice_points_within(b1: complex, b2: complex, radius: float) -> np.ndarray:
+    """Every lattice point m*b1 + n*b2 of length <= radius, by brute force:
+    |m| <= radius*|b2|/|det|, and for fixed m such a point has n within
+    radius/|b2| of the foot of the perpendicular from 0 to the line m*b1 + R*b2."""
+    det = b1.real * b2.imag - b1.imag * b2.real
+    k = math.ceil(radius * abs(b2) / abs(det))
+    pts = []
+    for m in range(-k, k + 1):
+        foot = -m * (b1.real * b2.real + b1.imag * b2.imag) / abs(b2) ** 2
+        width = radius / abs(b2)
+        for n in range(math.ceil(foot - width), math.floor(foot + width) + 1):
+            pts.append(m * b1 + n * b2)
+    pts = np.array(pts)
+    return pts[np.abs(pts) <= radius]
+
+
+def _nearest_by_brute_force(b1: complex, b2: complex, v: complex, reach: float) -> float:
+    """Distance from v to the nearest lattice point, searched among the
+    points within |v| + reach of 0; exact when the answer is <= reach."""
+    pts = _lattice_points_within(b1, b2, abs(v) + reach)
+    best = float(np.min(np.abs(v - pts)))
+    assert best <= reach, "search radius too small for a conclusive answer"
+    return best
+
+
+@st.composite
+def skewed_bases(draw):
+    """(short basis, the same lattice through a long thin unimodular image)."""
+    small = st.integers(-4, 4)
+    den = draw(st.sampled_from([1, 2, 3, 7]), label="den")
+
+    def coord():
+        return RealQuadratic(Fraction(draw(small), den), Fraction(draw(st.integers(-1, 1)), den))
+
+    c1, c2 = PlanarVector(coord(), coord()), PlanarVector(coord(), coord())
+    z1, z2 = c1.to_complex(), c2.to_complex()
+    assume(abs(z1.real * z2.imag - z1.imag * z2.real) > 0.1 * abs(z1) * abs(z2))
+    # a product of shears [[1, k], [0, 1]] and [[1, 0], [k, 1]]: unimodular
+    u = [[1, 0], [0, 1]]
+    for i, k in enumerate(draw(st.lists(st.integers(-12, 12), min_size=2, max_size=5))):
+        u = [[u[0][0] + k * u[1][0], u[0][1] + k * u[1][1]], u[1]] if i % 2 == 0 else \
+            [u[0], [u[1][0] + k * u[0][0], u[1][1] + k * u[0][1]]]
+
+    def comb(p, q):
+        return PlanarVector(p * c1.x + q * c2.x, p * c1.y + q * c2.y)
+
+    return (c1, c2), (comb(*u[0]), comb(*u[1]))
+
+
+class TestLattice2Reduction:
+    @given(
+        skewed_bases(),
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=6),
+    )
+    def test_distance_matches_brute_force_on_skewed_bases(self, bases, points):
+        (c1, c2), skewed = bases
+        lattice = Lattice2(basis=skewed)
+        z1, z2 = c1.to_complex(), c2.to_complex()
+        reach = abs(z1) + abs(z2)  # some cell corner is this close to any point
+        for x, y in points:
+            v = complex(x, y)
+            assert lattice.distance(v) == pytest.approx(
+                _nearest_by_brute_force(z1, z2, v, reach), abs=1e-9
+            )
+        near = _lattice_points_within(z1, z2, min(abs(z1), abs(z2)) * (1 + 1e-9))
+        shortest = min(abs(p) for p in near if abs(p) > 0)
+        assert lattice.shortest_vector() == pytest.approx(shortest, rel=1e-9)
+
+    def test_thin_translation_lattice_of_a_quarter_turn_pair(self):
+        # the HNF basis of this pair's translation lattice is about 3900 and
+        # 6300 long; with it, floor/ceil corners missed the nearest points
+        # by up to 1937.7 and exact orbit points measured 1.04e-9
+        from homothety_orbits.affine_maps import Homothety, as_point
+        from homothety_orbits.closure_engine import orbit_closure
+        from homothety_orbits.group_profile import GroupSpec, compute_profile
+        from homothety_orbits.orbit_oracle import enumerate as enumerate_orbit
+
+        i = parse_scalar("i")
+        spec = GroupSpec(1, (
+            Homothety(i, (parse_scalar("8/15-11/3*zeta12-13/3*zeta12^2+21/5*zeta12^3"),)),
+            Homothety(i, (parse_scalar("4+3/2*zeta12+3/2*zeta12^2-11/2*zeta12^3"),)),
+        ))
+        profile = compute_profile(spec)
+        lattice = profile.g1_closure
+        assert lattice.shape == "Lattice2"
+        b1, b2 = (b.to_complex() for b in lattice.basis)
+        assert min(abs(b1), abs(b2)) > 3000
+
+        shortest = min(abs(p) for p in _lattice_points_within(b1, b2, 20.0) if abs(p) > 0)
+        assert shortest == pytest.approx(11.0524, abs=1e-4)
+        assert lattice.shortest_vector() == pytest.approx(shortest, rel=1e-9)
+        for x in np.linspace(-3, 3, 5):
+            for y in np.linspace(-3, 3, 5):
+                v = complex(x, y)
+                assert lattice.distance(v) == pytest.approx(
+                    _nearest_by_brute_force(b1, b2, v, 20.0), abs=1e-6
+                )
+
+        desc = orbit_closure(profile, as_point([parse_scalar("0")]))
+        sample = enumerate_orbit(spec, desc.point, 5)
+        assert desc.distance_many(sample.array).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
