@@ -3,8 +3,8 @@
 Given a group profile and a point, produce a closed-form description of the
 orbit closure (whole space, invariant affine subspace, scaled cone over it,
 or a finite union of rotated lattice cosets), each with a membership
-predicate, a distance function, and a sampler so the brute-force oracle can
-cross-examine every claim.  Global verdicts (dense orbit, discrete orbit,
+predicate, a distance function, a window trace and a sampler, so the
+brute-force oracle can cross-examine every claim.  Global verdicts (dense orbit, discrete orbit,
 minimality) are three-valued: whenever a heuristic classifier feeds a
 hypothesis, the answer is "unknown", never a silent "no".
 """
