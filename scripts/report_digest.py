@@ -85,6 +85,7 @@ def main() -> int:
                 if doc["dim"] != 2:
                     continue
                 path = write_doc(tmp, doc)
+                # passed as --point=..., since argparse reads "-1/2,3" as an option
                 centre = ",".join(doc["generators"][0]["center"])
                 for grid in C2_GRIDS:
                     code, out = run_cli(cli, ["verify", "--input", path, "--word-cap", "6",
