@@ -257,6 +257,11 @@ class CycloScalar:
         d = self._d
         return tuple(Fraction(n, d) for n in self._n)
 
+    @property
+    def numerators(self) -> Tuple[Tuple[int, int, int, int], int]:
+        """((n0, n1, n2, n3), d): the value is sum(n_k zeta^k) / d."""
+        return self._n, self._d
+
     def _coerce(self, x):
         if isinstance(x, CycloScalar):
             return x

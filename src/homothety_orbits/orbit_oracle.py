@@ -4,7 +4,18 @@ Enumerates orbit points breadth-first by words in the generators and their
 inverses, harvests the translation subgroup by composing maps and keeping
 ratio-one words, and measures density/discreteness evidence against a
 predicted closure description.  Nothing here is clever on purpose: the
-point of the module is to be an independent check on the symbolic engine.
+point of the module is to be an independent check on the symbolic engine,
+and it reads nothing of the engine but the generator list.
+
+With exact input both searches run on one kernel over integer rows: a
+point of Q(zeta)^n is its 4n numerators and one common denominator,
+reduced, so equal points have equal rows; each letter is an integer
+matrix, and a generation is one matrix product over the whole frontier,
+deduplicated by sorting row keys.  The harvest runs the same kernel on
+map states [ratio | shift].  Rows are int64 while a bound on the next
+products stays below 2^62 and Python ints past it.  Approximate input
+runs the same breadth-first order in floats, deduplicated on an epsilon
+grid.
 """
 
 from __future__ import annotations
@@ -13,12 +24,13 @@ import csv
 import io
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .affine_maps import Homothety, Point, as_point, v_to_complex
-from .exact_algebra import Scalar, Trilean
+from .affine_maps import Homothety, Point, as_point, v_exact, v_to_complex
+from .exact_algebra import SQRT3, CycloScalar, Scalar, Trilean
 from .group_profile import GroupSpec
 
 DEFAULT_BUDGET = 2_000_000
@@ -26,6 +38,8 @@ HARVEST_BUDGET = 200_000
 GRID_DEDUP_EPS = 1e-7
 MIN_GAP_POINT_CAP = 200_000
 APPROACH_COUNT = 24  # closure points tested for approach by the orbit
+_INT64_SAFE = 2 ** 62  # integer rows widen to Python ints before products reach this
+_FLOAT_SAFE = 2 ** 51  # below this, lifted numerators and 2 * den are exact in float64
 
 
 class BudgetExceeded(Exception):
@@ -116,10 +130,6 @@ def _letters(spec: GroupSpec) -> List[Homothety]:
     return out
 
 
-def _exact_key(p: Point):
-    return tuple(c.exact_value for c in p)
-
-
 def enumerate(
     spec: GroupSpec,
     z,
@@ -147,50 +157,180 @@ def enumerate(
     return _enumerate_grid(spec, z, L, budget)
 
 
-def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
-    letters = _letters(spec)
-    points: List[Point] = [z]
-    gens: List[int] = [0]
-    seen = {_exact_key(z): 0}
-    frontier = [0]
-    truncated = False
+# ---------------------------------------------------------------------------
+# breadth-first search on integer rows (exact mode)
+#
+# A point of Q(zeta)^k is one row of 4k + 1 integers: the numerators of
+# every coordinate in the basis 1, zeta, zeta^2, zeta^3, then one positive
+# common denominator, with the gcd of the whole row divided out, so equal
+# points have equal rows.  A letter z -> lam * z + s acts on rows as one
+# integer matrix (homogeneous coordinates), and a generation is one matrix
+# product of the frontier with every letter.
+
+
+def _point_row(coords: Sequence[CycloScalar]) -> List[int]:
+    """The reduced row of a point (a common denominator of lowest-terms
+    coordinates leaves no common factor)."""
+    den = 1
+    for c in coords:
+        den = lcm(den, c.numerators[1])
+    row: List[int] = []
+    for c in coords:
+        nums, d = c.numerators
+        row += [x * (den // d) for x in nums]
+    return row + [den]
+
+
+def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
+    """Integer (K, K) matrix T of h with row' = T @ row, as Python ints.
+
+    With lam = Lam/a and s = S/b, h(N/D) = (b Lam N + a S D) / (a b D).
+    With `ratio_coord` the row is a map state [ratio | shift] and T is
+    composition on the left: the ratio coordinate is multiplied by lam and
+    not shifted."""
+    lam_nums, a = h.ratio.exact_value.numerators
+    num = CycloScalar(*lam_nums)
+    mul = np.array(
+        [(num * CycloScalar.zeta_power(j)).numerators[0] for j in range(4)], dtype=object
+    ).T  # column j: Lam * zeta^j
+    shift = _point_row([c.exact_value for c in h.shift])
+    b = shift[-1]
+    first = 4 if ratio_coord else 0
+    size = first + len(shift)
+    out = np.zeros((size, size), dtype=object)
+    for i in range(0, size - 1, 4):
+        out[i: i + 4, i: i + 4] = b * mul
+    out[first:-1, -1] = [a * s for s in shift[:-1]]
+    out[-1, -1] = a * b
+    return out
+
+
+def _max_abs(rows: np.ndarray) -> int:
+    return int(np.abs(rows).max()) if rows.size else 0
+
+
+def _row_keys(q: np.ndarray) -> np.ndarray:
+    """One comparable key per row: the row's bytes (int64), else a tuple."""
+    if q.dtype == object:
+        return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
+    q = np.ascontiguousarray(q)
+    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1)
+
+
+class _SeenRows:
+    """Sorted keys of every row found so far: the dedup step of both
+    breadth-first searches."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = np.sort(keys)
+
+    def admit(self, keys: np.ndarray, room: int) -> Tuple[np.ndarray, bool]:
+        """Indices, in candidate order, of the first occurrence of each key
+        not seen before, which become seen.  When there are `room` or more
+        the first max(room, 1) are kept and `full` is True (a search stops
+        right after the row that reaches its cap)."""
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        cand = keys[first]
+        pos = np.searchsorted(self.keys, cand)
+        hit = pos < self.keys.shape[0]
+        hit[hit] = self.keys[pos[hit]] == cand[hit]
+        new = first[~hit]
+        full = new.shape[0] > 0 and new.shape[0] >= room
+        if full:
+            new = new[: max(room, 1)]
+        add = np.sort(keys[new])
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, add), add)
+        return new, full
+
+
+def _row_bfs(
+    start: List[int], letters: Sequence[np.ndarray], L: int, cap: int
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, generations, stopped): breadth-first closure of `start` under
+    the letter matrices up to word length L, new rows in frontier-major
+    letter order, stopping right after the row count reaches `cap`.
+
+    Rows are int64 while every product provably stays below 2^62, checked
+    in Python ints before each generation; past that the same search runs
+    on Python-int (object) rows."""
+    size = len(start)
+    wide = np.concatenate([t.T for t in letters], axis=1)  # (K, letters * K)
+    growth = max(int(np.abs(t).sum(axis=1).max()) for t in letters)
+    wide64 = wide.astype(np.int64) if growth < _INT64_SAFE else None
+    frontier = np.array([start], dtype=object)
+    if _max_abs(frontier) * growth < _INT64_SAFE:
+        frontier = frontier.astype(np.int64)
+    seen = _SeenRows(_row_keys(frontier))
+    chunks = [frontier]
+    gens = [np.zeros(1, dtype=np.int32)]
+    total = 1
+    stopped = False
     for level in range(1, L + 1):
-        new_frontier: List[int] = []
-        for idx in frontier:
-            p = points[idx]
-            for letter in letters:
-                q = letter.apply(p)
-                k = _exact_key(q)
-                if k in seen:
-                    continue
-                seen[k] = len(points)
-                points.append(q)
-                gens.append(level)
-                new_frontier.append(len(points) - 1)
-                if len(points) > budget:
-                    truncated = True
-                    break
-            if truncated:
-                break
-        frontier = new_frontier
-        if truncated or not frontier:
+        if frontier.shape[0] == 0:
             break
-    arr = np.array(
-        [v_to_complex(p) for p in points], dtype=np.complex128
-    ).reshape(len(points), spec.dim)
+        if frontier.dtype != object and _max_abs(frontier) * growth >= _INT64_SAFE:
+            chunks = [c.astype(object) for c in chunks]
+            frontier = chunks[-1]
+            seen = _SeenRows(_row_keys(np.concatenate(chunks)))
+        cand = (frontier @ (wide if frontier.dtype == object else wide64)).reshape(-1, size)
+        cand //= np.gcd.reduce(cand, axis=1)[:, None]
+        new, stopped = seen.admit(_row_keys(cand), cap - total)
+        frontier = cand[new]
+        chunks.append(frontier)
+        gens.append(np.full(new.shape[0], level, dtype=np.int32))
+        total += new.shape[0]
+        if stopped:
+            break
+    return np.concatenate(chunks), np.concatenate(gens), stopped
+
+
+def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
+    """(N, k) complex128 coordinates of (N, 4k + 1) rows, bit for bit
+    `CycloScalar.to_complex`: both divide the same rationals, correctly
+    rounded (int64 only while numerators and denominators are exact in
+    float64, Python ints otherwise)."""
+    if rows.dtype != object and _max_abs(rows) >= _FLOAT_SAFE:
+        rows = rows.astype(object)
+    nums = rows[:, :-1].reshape(rows.shape[0], k, 4)
+    den = 2 * rows[:, -1:]
+    n0, n1, n2, n3 = (nums[:, :, j] for j in range(4))
+    out = np.empty((rows.shape[0], k), dtype=np.complex128)
+    # the planar lift of CycloScalar.planar_lift
+    out.real = (2 * n0 + n2) / den + (n1 / den) * SQRT3
+    out.imag = (n1 + 2 * n3) / den + (n2 / den) * SQRT3
+    return out
+
+
+def _rows_to_points(rows: np.ndarray, k: int) -> List[Point]:
+    out: List[Point] = []
+    for r in rows.tolist():
+        d = r[-1]
+        out.append(tuple(Scalar(CycloScalar(*r[4 * j: 4 * j + 4], d)) for j in range(k)))
+    return out
+
+
+def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
+    letters = [_letter_matrix(h, False) for h in _letters(spec)]
+    start = _point_row([c.exact_value for c in z])
+    rows, gens, truncated = _row_bfs(start, letters, L, budget + 1)
     sample = OrbitSample(
         base=z,
-        array=arr,
-        generations=np.array(gens, dtype=np.int32),
+        array=_rows_to_complex(rows, spec.dim),
+        generations=gens,
         word_cap=L,
         dedup="exact",
         grid_eps=0.0,
-        exact_points=points,
+        exact_points=_rows_to_points(rows, spec.dim),
         truncated=truncated,
     )
     if truncated:
         raise BudgetExceeded(sample)
     return sample
+
+
+# ---------------------------------------------------------------------------
+# epsilon-grid search (approximate mode)
 
 
 def _quantize(arr: np.ndarray, cell: float) -> np.ndarray:
@@ -202,12 +342,6 @@ def _quantize(arr: np.ndarray, cell: float) -> np.ndarray:
     return out
 
 
-def _row_keys(q: np.ndarray) -> np.ndarray:
-    """View int64 rows as void scalars so whole rows hash/compare at once."""
-    q = np.ascontiguousarray(q)
-    return q.view([("", q.dtype)] * q.shape[1]).reshape(-1)
-
-
 def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
     cell = GRID_DEDUP_EPS
     letters = _letters(spec)
@@ -217,7 +351,7 @@ def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSamp
     ).reshape(len(letters), spec.dim)
 
     base_row = np.array([v_to_complex(z)], dtype=np.complex128).reshape(1, spec.dim)
-    seen: Set[bytes] = {_row_keys(_quantize(base_row, cell))[0].tobytes()}
+    seen = _SeenRows(_row_keys(_quantize(base_row, cell)))
     chunks: List[np.ndarray] = [base_row]
     gen_chunks: List[np.ndarray] = [np.zeros(1, dtype=np.int32)]
     frontier = base_row
@@ -229,27 +363,11 @@ def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSamp
         cand = np.concatenate(
             [ratios[i] * frontier + shifts[i] for i in range(len(letters))], axis=0
         )
-        keys = _row_keys(_quantize(cand, cell))
-        # first occurrence within this generation, preserving candidate order
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        cand = cand[first]
-        keys = keys[first]
-        fresh_rows: List[int] = []
-        for i, k in zip(range(len(keys)), keys):
-            b = k.tobytes()
-            if b in seen:
-                continue
-            seen.add(b)
-            fresh_rows.append(i)
-            if total + len(fresh_rows) > budget:
-                truncated = True
-                break
-        new = cand[fresh_rows] if fresh_rows else cand[:0]
-        chunks.append(new)
+        new, truncated = seen.admit(_row_keys(_quantize(cand, cell)), budget + 1 - total)
+        frontier = cand[new]
+        chunks.append(frontier)
         gen_chunks.append(np.full(new.shape[0], level, dtype=np.int32))
         total += new.shape[0]
-        frontier = new
         if truncated:
             break
     arr = np.concatenate(chunks, axis=0)
@@ -274,13 +392,21 @@ def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSamp
 
 
 def _map_key(h: Homothety, cell: float = 1e-12):
+    # approximate groups still hold exact maps (the identity, words in exact
+    # generators); they stay apart from float maps near them
     if h.is_exact:
-        return ("e", h.ratio.exact_value) + tuple(c.exact_value for c in h.shift)
+        return ("e", h.ratio, *h.shift)
     r = h.ratio.to_complex()
     parts: List[float] = [round(r.real / cell), round(r.imag / cell)]
     for c in v_to_complex(h.shift):
         parts += [round(c.real / cell), round(c.imag / cell)]
     return ("a", *parts)
+
+
+def _vector_key(v: Point, cell: float = 1e-12):
+    if v_exact(v):
+        return v
+    return tuple((round(c.real / cell), round(c.imag / cell)) for c in v_to_complex(v))
 
 
 def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
@@ -289,13 +415,43 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     commutator (a length-4 word); the zero vector (empty word) is always
     present.
 
-    Maps, not points, are enumerated: the ratio of a word is the product of
-    generator ratios with signed exponents, so tracking the net exponent
-    vector detects ratio-one words exactly even with approximate scalars.
-    When the map-state count reaches HARVEST_BUDGET the search stops expanding
-    (the result is then a sublist of the full harvest, which is safe for
-    every use here: harvests are lower-bound evidence).
+    Maps, not points, are enumerated, in the order `enumerate` uses.  With
+    exact generators a map state is the row [ratio | shift] of the integer
+    kernel, and the ratio-one states are read off the rows.  With
+    approximate ones the ratio of a word is the product of generator ratios
+    with signed exponents, so tracking the net exponent vector detects
+    ratio-one words even with approximate scalars.  When the map-state
+    count reaches HARVEST_BUDGET the search stops expanding (the result is
+    then a sublist of the full harvest, which is safe for every use here:
+    harvests are lower-bound evidence).
     """
+    found = _harvest_exact(spec, L) if spec.is_exact else _harvest_approx(spec, L)
+    # commutators are always included, whatever the cap
+    m = len(spec.generators)
+    for i in range(m):
+        for j in range(i + 1, m):
+            f, g = spec.generators[i], spec.generators[j]
+            found.append(f.compose(g).compose(f.inverse()).compose(g.inverse()).shift)
+    vectors: List[Point] = []
+    known: Set = set()
+    for v in found:
+        key = _vector_key(v)
+        if key not in known:
+            known.add(key)
+            vectors.append(v)
+    return vectors
+
+
+def _harvest_exact(spec: GroupSpec, L: int) -> List[Point]:
+    letters = [_letter_matrix(h, True) for h in _letters(spec)]
+    identity = [1, 0, 0, 0] + [0] * (4 * spec.dim) + [1]
+    rows, _, _ = _row_bfs(identity, letters, L, HARVEST_BUDGET)
+    # distinct maps of ratio one have distinct shifts
+    ratio_one = (rows[:, 0] == rows[:, -1]) & np.all(rows[:, 1:4] == 0, axis=1)
+    return _rows_to_points(rows[ratio_one][:, 4:], spec.dim)
+
+
+def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
     m = len(spec.generators)
     letters = _letters(spec)
     # letter i corresponds to generator i // 2, exponent +1 if i even else -1
@@ -305,28 +461,7 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     ]
     seen = {_map_key(identity)}
     frontier = [0]
-    vectors: List[Point] = []
-    vec_seen: Set = set()
-
-    def _emit(h: Homothety, exponents: Tuple[int, ...]) -> None:
-        if any(exponents):
-            r1 = h.ratio.eq(Scalar.integer(1))
-            if r1 is not Trilean.YES:
-                return
-        # key on the shift alone
-        if h.is_exact:
-            vk = tuple(c.exact_value for c in h.shift)
-        else:
-            vk = tuple(
-                (round(c.real / 1e-12), round(c.imag / 1e-12))
-                for c in v_to_complex(h.shift)
-            )
-        if vk in vec_seen:
-            return
-        vec_seen.add(vk)
-        vectors.append(h.shift)
-
-    _emit(identity, tuple([0] * m))
+    shifts: List[Point] = [identity.shift]
     stopped = False
     for _level in range(1, L + 1):
         if stopped or not frontier:
@@ -346,20 +481,15 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
                 e2t = tuple(e2)
                 states.append((comp, e2t))
                 new_frontier.append(len(states) - 1)
-                _emit(comp, e2t)
+                if not any(e2t) or comp.ratio.eq(Scalar.integer(1)) is Trilean.YES:
+                    shifts.append(comp.shift)
                 if len(states) >= HARVEST_BUDGET:
                     stopped = True
                     break
             if stopped:
                 break
         frontier = new_frontier
-    # commutators are always included, whatever the cap
-    for i in range(m):
-        for j in range(i + 1, m):
-            f, g = spec.generators[i], spec.generators[j]
-            w = f.compose(g).compose(f.inverse()).compose(g.inverse())
-            _emit(w, tuple([0] * m))
-    return vectors
+    return shifts
 
 
 # ---------------------------------------------------------------------------

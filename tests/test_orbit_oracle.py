@@ -4,9 +4,12 @@ reports that score a predicted closure against an enumerated orbit."""
 import functools
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
 from homothety_orbits.exact_algebra import Scalar, parse_scalar
@@ -14,6 +17,8 @@ from homothety_orbits.group_profile import GroupSpec, compute_profile
 from homothety_orbits.closure_engine import orbit_closure
 from homothety_orbits import orbit_oracle as oracle
 from homothety_orbits.orbit_oracle import BudgetExceeded, OrbitSample
+
+import oracle_reference as reference
 
 I = parse_scalar("i")
 
@@ -169,6 +174,85 @@ class TestEnumerate:
         s = quarter_sample()
         assert len(s) == 45
         assert all(in_even_gaussian_lattice(p[0].exact_value) for p in s.exact_points)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernel against the CycloScalar reference searches
+
+KERNEL_RATIOS = (
+    [Scalar.zeta_power(k) for k in (1, 2, 3, 4, 6)]  # roots of unity
+    + [parse_scalar("1+i"), S(2), Scalar.rational(Fraction(1, 2))]  # non-units
+    + [Scalar.exact(2, 2, 0, -1)]  # the unit 2 + sqrt(3)
+)
+# word caps that keep the reference search small in each dimension
+KERNEL_CAPS = {1: 6, 2: 4, 3: 3}
+
+kernel_coords = st.builds(
+    Scalar.gauss,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def kernel_groups(draw):
+    dim = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        centre = tuple(draw(kernel_coords) for _ in range(dim))
+        if draw(st.integers(0, 5)) == 0:
+            gens.append(Homothety.translation(centre))
+        else:
+            gens.append(Homothety.with_center(draw(st.sampled_from(KERNEL_RATIOS)), centre))
+    z = tuple(draw(kernel_coords) for _ in range(dim))
+    return GroupSpec(dim, tuple(gens)), z, draw(st.integers(0, KERNEL_CAPS[dim]))
+
+
+def run_kernel(spec, z, cap, budget):
+    try:
+        return oracle.enumerate(spec, z, cap, budget=budget)
+    except BudgetExceeded as exc:
+        return exc.sample
+
+
+def assert_same_as_reference(spec, z, cap, budget):
+    s = run_kernel(spec, z, cap, budget)
+    points, gens, arr, truncated = reference.enumerate_exact(spec, z, cap, budget)
+    assert s.dedup == "exact" and s.exact_points == points
+    assert s.generations.dtype == gens.dtype and np.array_equal(s.generations, gens)
+    assert s.array.dtype == arr.dtype and s.array.tobytes() == arr.tobytes()
+    assert s.truncated == truncated
+    return s
+
+
+class TestKernelEquivalence:
+    @given(kernel_groups(), st.sampled_from([1, 7, 60, 2_000_000]))
+    def test_enumerate_matches_the_reference(self, case, budget):
+        spec, z, cap = case
+        assert_same_as_reference(spec, z, cap, budget)
+
+    @given(kernel_groups(), st.sampled_from([1, 2, 9, 200_000]))
+    def test_harvest_matches_the_reference(self, case, harvest_budget):
+        spec, _, cap = case
+        with mock.patch.object(oracle, "HARVEST_BUDGET", harvest_budget):
+            got = oracle.harvest_translations(spec, cap)
+        assert got == reference.harvest_exact(spec, cap, harvest_budget)
+
+    def test_wide_numerators_take_python_int_rows(self):
+        # 1000^8 passes 2^62: the search widens to Python ints part way
+        spec = GroupSpec(1, (Homothety.with_center(S(1000), P(0)),
+                             Homothety.with_center(I, P(1))))
+        s = assert_same_as_reference(spec, P(Scalar.rational(Fraction(1, 3))), 8, 2_000_000)
+        biggest = max(abs(n) for p in s.exact_points
+                      for n in p[0].exact_value.numerators[0])
+        assert biggest >= 2 ** 62
+        with mock.patch.object(oracle, "HARVEST_BUDGET", 5_000):
+            got = oracle.harvest_translations(spec, 8)
+        assert got == reference.harvest_exact(spec, 8, 5_000)
+
+    def test_budget_cut_keeps_one_point_past_the_budget(self):
+        s = assert_same_as_reference(quarter_spec(), P(0), 8, 0)
+        assert s.truncated and len(s) == 2
 
 
 # ---------------------------------------------------------------------------
