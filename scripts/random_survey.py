@@ -4,9 +4,10 @@
 Draw random non-commuting generator pairs with exact cyclotomic ratios and
 small rational centers, classify every orbit closure the engine reports for
 a few probe points, and score each prediction against the brute-force orbit
-oracle.  Prints a census of closure kinds and the worst soundness violation
-seen per kind — the whole-program version of the per-case verification the
-test suite does.
+oracle, on an epsilon-grid sample and on an exact one.  Prints a census of
+closure kinds and the worst soundness violation seen per kind — the
+whole-program version of the per-case verification the test suite does;
+tests/test_survey.py runs a small seeded census.
 
 Usage:
     python3 scripts/random_survey.py
@@ -57,21 +58,56 @@ def rand_pair(rng: random.Random, dim: int):
             return f, g
 
 
-def check_one(spec: GroupSpec, cfg: SurveyConfig, rng: random.Random
+def check_one(spec: GroupSpec, profile, cfg: SurveyConfig, rng: random.Random
               ) -> Optional[tuple]:
-    profile = compute_profile(spec)
+    """(closure kind, worst violation, grid-sample size) for one random
+    probe point, scored on an epsilon-grid sample and on an exact one."""
     base = rand_center(rng, cfg.dim)
     desc = orbit_closure(profile, base)
     if desc.kind() == "Unsupported":
         return desc.kind(), 0.0, 0
-    try:
-        sample = oracle.enumerate(
-            spec, base, cfg.word_cap, budget=cfg.budget, force_grid=True
-        )
-    except oracle.BudgetExceeded as stop:
-        sample = stop.sample
-    ev = oracle.verify(desc, sample, window=4.0, grid_res=8)
-    return desc.kind(), ev.max_violation, len(sample)
+    violation = 0.0
+    for force_grid in (True, False):
+        try:
+            sample = oracle.enumerate(
+                spec, base, cfg.word_cap, budget=cfg.budget, force_grid=force_grid
+            )
+        except oracle.BudgetExceeded as stop:
+            sample = stop.sample
+        if force_grid:
+            n = len(sample)
+        ev = oracle.verify(desc, sample, window=4.0, grid_res=8)
+        violation = max(violation, ev.max_violation)
+    return desc.kind(), violation, n
+
+
+@dataclass
+class Census:
+    kinds: collections.Counter
+    worst: dict  # closure kind -> worst soundness violation
+    points: collections.Counter
+    verdicts: collections.Counter
+
+    @property
+    def max_violation(self) -> float:
+        return max(self.worst.values()) if self.worst else 0.0
+
+
+def survey(cfg: SurveyConfig) -> Census:
+    rng = random.Random(cfg.seed)
+    out = Census(collections.Counter(), collections.defaultdict(float),
+                 collections.Counter(), collections.Counter())
+    for _ in range(cfg.trials):
+        f, g = rand_pair(rng, cfg.dim)
+        spec = GroupSpec(cfg.dim, (f, g), word_cap=cfg.word_cap)
+        profile = compute_profile(spec)
+        verd = global_verdicts(profile)
+        out.verdicts[verd.to_report()["has_dense_orbit"]] += 1
+        kind, violation, n = check_one(spec, profile, cfg, rng)
+        out.kinds[kind] += 1
+        out.worst[kind] = max(out.worst[kind], violation)
+        out.points[kind] += n
+    return out
 
 
 def main() -> int:
@@ -84,30 +120,16 @@ def main() -> int:
     cfg = SurveyConfig(
         trials=args.trials, dim=args.dim, seed=args.seed, word_cap=args.word_cap
     )
-
-    rng = random.Random(cfg.seed)
-    census = collections.Counter()
-    worst = collections.defaultdict(float)
-    points = collections.Counter()
-    verdict_census = collections.Counter()
-    for _ in range(cfg.trials):
-        f, g = rand_pair(rng, cfg.dim)
-        spec = GroupSpec(cfg.dim, (f, g), word_cap=cfg.word_cap)
-        verd = global_verdicts(compute_profile(spec))
-        verdict_census[verd.to_report()["has_dense_orbit"]] += 1
-        kind, violation, n = check_one(spec, cfg, rng)
-        census[kind] += 1
-        worst[kind] = max(worst[kind], violation)
-        points[kind] += n
-
+    census = survey(cfg)
     print(f"{cfg.trials} random pairs in C^{cfg.dim}, word cap {cfg.word_cap}, "
           f"seed {cfg.seed}")
     print(f"{'closure kind':>14} {'count':>6} {'orbit pts':>10} {'worst violation':>16}")
-    for kind, count in census.most_common():
-        print(f"{kind:>14} {count:>6} {points[kind]:>10} {worst[kind]:>16.3e}")
-    dense = ", ".join(f"{k}={v}" for k, v in sorted(verdict_census.items()))
+    for kind, count in census.kinds.most_common():
+        print(f"{kind:>14} {count:>6} {census.points[kind]:>10} "
+              f"{census.worst[kind]:>16.3e}")
+    dense = ", ".join(f"{k}={v}" for k, v in sorted(census.verdicts.items()))
     print(f"density verdicts: {dense}")
-    bad = max(worst.values()) if worst else 0.0
+    bad = census.max_violation
     print(f"max soundness violation overall: {bad:.3e}")
     return 0 if bad <= 1e-6 else 1
 

@@ -837,10 +837,16 @@ class HeuristicMult(MultClosure):
     def contains(self, w, eps: float = 1e-9) -> bool:
         return self.distance(_as_complex(w)) <= eps
 
+    @cached_property
+    def _sample_array(self) -> np.ndarray:
+        return np.array(self.samples, dtype=np.complex128)
+
     def distance(self, w: complex) -> float:
         best = abs(w) if self.includes_zero else math.inf
-        for s in self.samples:
-            best = min(best, abs(w - s))
+        if self.samples:
+            # np.hypot, not np.abs: it is bit for bit the abs() of a complex
+            d = w - self._sample_array
+            best = min(best, float(np.hypot(d.real, d.imag).min()))
         return best
 
     def is_whole_plane(self) -> Trilean:
