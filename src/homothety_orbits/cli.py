@@ -515,13 +515,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "--point",
             action="append",
             default=[],
-            help="extra point, comma-separated scalar coordinates (repeatable)",
+            help=(
+                "extra point, comma-separated scalar coordinates (repeatable); "
+                "a value may start with a minus sign, as in --point -1/2,3"
+            ),
         )
         p.add_argument("--word-cap", type=int, help="maximum word length")
         p.add_argument("--eps", type=float, help="tolerance (default 1e-9)")
         p.add_argument(
             "--window",
-            help="evidence window: HALF or 'c1,...,cn:HALF' (default 2.0)",
+            help="evidence window: HALF or 'c1,...,cn:HALF' (default 2.0), "
+            "as in --window -1:2",
         )
         p.add_argument("--grid", type=int, help="grid resolution per axis (default 40)")
         p.add_argument("--out", help="output directory (default: stdout)")
@@ -531,6 +535,20 @@ def _build_parser() -> argparse.ArgumentParser:
             help="require exact input data (reject decimals)",
         )
     return parser
+
+
+def _attach_dash_values(argv: Sequence[str]) -> List[str]:
+    """Write `--point V` and `--window V` as `--point=V`, `--window=V`:
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a plain negative number, and "-1/2,3" is not one."""
+    out: List[str] = []
+    for arg in argv:
+        dash_value = arg.startswith("-") and not arg.startswith("--")
+        if dash_value and out and out[-1] in ("--point", "--window"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -558,7 +576,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from_args(args)
         if config.command == "classify":

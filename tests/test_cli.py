@@ -72,6 +72,21 @@ class TestClassify:
         assert ["1/2"] in report["points"]
         assert report["options"]["window"] == {"center": ["0"], "half": 1.5}
 
+    def test_values_with_a_leading_minus_sign(self, tmp_path, capsys):
+        # a separate value "-1/2" is not read as an option: the spaced form
+        # and the --point= form give the same report
+        path = quarter_doc(tmp_path)
+        spaced = main(["verify", "--input", path, "--word-cap", "4",
+                       "--point", "-1/2", "--window", "-1:2"])
+        spaced_out = capsys.readouterr().out
+        joined = main(["verify", "--input", path, "--word-cap", "4",
+                       "--point=-1/2", "--window=-1:2"])
+        assert spaced == joined == EXIT_OK
+        assert spaced_out == capsys.readouterr().out
+        report = json.loads(spaced_out)
+        assert ["-1/2"] in report["points"]
+        assert report["options"]["window"] == {"center": ["-1"], "half": 2.0}
+
     def test_explicit_flags_override_document_options(self, tmp_path, capsys):
         # flags given at their default values still win over the document
         path = quarter_doc(tmp_path, options={"grid": 10, "eps": 1e-6, "window": 3.0})
