@@ -54,6 +54,10 @@ from .group_profile import (
 )
 
 _TRACE_CELL_CAP = 300_000
+# relative slack on the half-diagonal: a closure point on a cell corner is
+# exactly that far from four cell centres, and the float distance must not
+# decide by its last bit whether those cells are on the trace
+_TRACE_SLACK = 1e-9
 
 
 def _format_point(p: Point) -> List[str]:
@@ -113,8 +117,9 @@ class ClosureDesc:
 
     def trace_points(self, center, half: float, res: int) -> Optional[np.ndarray]:
         """Real coordinates (rows of 2n floats) of the window's cell centres
-        within half a cell diagonal of the closure; None stands for every
-        cell, which is the answer when the grid has more than
+        within half a cell diagonal of the closure (up to _TRACE_SLACK, so a
+        cell that touches the closure only at a corner counts); None stands
+        for every cell, which is the answer when the grid has more than
         _TRACE_CELL_CAP cells."""
         center = np.asarray(center, dtype=float)
         if res ** center.shape[0] > _TRACE_CELL_CAP:
@@ -122,7 +127,8 @@ class ClosureDesc:
         cell = 2.0 * half / res
         centers = _cell_centers(center, half, res)
         d = self.distance_many(_real_to_complex(centers))
-        return centers[d <= cell * math.sqrt(center.shape[0]) / 2.0]
+        limit = cell * math.sqrt(center.shape[0]) / 2.0
+        return centers[d <= limit * (1.0 + _TRACE_SLACK)]
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         raise NotImplementedError

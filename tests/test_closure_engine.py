@@ -202,6 +202,27 @@ class TestClosureContract:
         assert desc.distance_many(rows).max() <= 1e-9
 
 
+    def test_trace_keeps_every_cell_at_a_closure_point_on_a_corner(self):
+        # the orbit closure of 0 under the quarter-turn pair is the lattice
+        # {x + iy : x + y even}; on a 40-cell grid over [-2, 2]^2 each
+        # lattice point is a cell corner, exactly half a diagonal from the
+        # centres of the (up to) four cells that meet there
+        desc = orbit_closure(quarter_pair_profile(), P(0))
+        half, res = 2.0, 40
+        cell = 2 * half / res
+        pts = desc.trace_points(np.zeros(2), half, res)
+        got = {tuple(ix) for ix in np.floor((pts + half) / cell).astype(int).tolist()}
+        want = set()
+        for x in range(-2, 3):
+            for y in range(-2, 3):
+                if (x + y) % 2 == 0:
+                    cx, cy = round((x + half) / cell), round((y + half) / cell)
+                    want |= {(i, j) for i in (cx - 1, cx) for j in (cy - 1, cy)
+                             if 0 <= i < res and 0 <= j < res}
+        assert len(want) == 4 * 5 + 2 * 4 + 1 * 4  # inner, edge and corner points
+        assert want <= got
+
+
 # ---------------------------------------------------------------------------
 # structural invariants of the descriptions
 
