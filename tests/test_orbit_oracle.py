@@ -238,17 +238,21 @@ class TestKernelEquivalence:
             got = oracle.harvest_translations(spec, cap)
         assert got == reference.harvest_exact(spec, cap, harvest_budget)
 
-    def test_wide_numerators_take_python_int_rows(self):
-        # 1000^8 passes 2^62: the search widens to Python ints part way
+    @pytest.mark.parametrize("cap, low, high", [(6, 2 ** 51, 2 ** 62), (8, 2 ** 62, None)])
+    def test_wide_numerators(self, cap, low, high):
+        # ratio 1000: at cap 6 the int64 rows pass 2^51, so their floats are
+        # divided in Python ints; at cap 8 they pass 2^62 and the search
+        # itself widens to Python ints part way
+        third = Scalar.rational(Fraction(1, 3))
         spec = GroupSpec(1, (Homothety.with_center(S(1000), P(0)),
-                             Homothety.with_center(I, P(1))))
-        s = assert_same_as_reference(spec, P(Scalar.rational(Fraction(1, 3))), 8, 2_000_000)
-        biggest = max(abs(n) for p in s.exact_points
-                      for n in p[0].exact_value.numerators[0])
-        assert biggest >= 2 ** 62
+                             Homothety.with_center(I, P(third))))
+        s = assert_same_as_reference(spec, P(Scalar.rational(Fraction(2, 7))), cap, 2_000_000)
+        biggest = max(max(map(abs, nums + (d,)))  # the largest row entry
+                      for nums, d in (p[0].exact_value.numerators for p in s.exact_points))
+        assert biggest >= low and (high is None or biggest < high)
         with mock.patch.object(oracle, "HARVEST_BUDGET", 5_000):
-            got = oracle.harvest_translations(spec, 8)
-        assert got == reference.harvest_exact(spec, 8, 5_000)
+            got = oracle.harvest_translations(spec, cap)
+        assert got == reference.harvest_exact(spec, cap, 5_000)
 
     def test_budget_cut_keeps_one_point_past_the_budget(self):
         s = assert_same_as_reference(quarter_spec(), P(0), 8, 0)
