@@ -208,15 +208,11 @@ def kernel_groups(draw):
     return GroupSpec(dim, tuple(gens)), z, draw(st.integers(0, KERNEL_CAPS[dim]))
 
 
-def run_kernel(spec, z, cap, budget):
-    try:
-        return oracle.enumerate(spec, z, cap, budget=budget)
-    except BudgetExceeded as exc:
-        return exc.sample
-
-
 def assert_same_as_reference(spec, z, cap, budget):
-    s = run_kernel(spec, z, cap, budget)
+    try:
+        s = oracle.enumerate(spec, z, cap, budget=budget)
+    except BudgetExceeded as exc:
+        s = exc.sample
     points, gens, arr, truncated = reference.enumerate_exact(spec, z, cap, budget)
     assert s.dedup == "exact" and s.exact_points == points
     assert s.generations.dtype == gens.dtype and np.array_equal(s.generations, gens)
