@@ -9,8 +9,9 @@ reduces the classification to integer kernels of small rational systems.
 
 Multiplicative side: subgroups of C* generated by ratios whose argument is
 a multiple of pi/6 and whose squared modulus is rational are classified
-exactly through prime-exponent lattices coupled to the 12th-root angle
-group.  Everything else falls back to a numeric heuristic and is flagged.
+exactly through the exponent vectors of the squared moduli over the primes
+and the unit of Z[sqrt(3)], with arguments in units of pi/12.  Everything
+else falls back to a numeric heuristic and is flagged.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,10 +37,13 @@ from .lattices import (
     lattice_basis_from_rational_rows,
 )
 from .exact_algebra import (
+    CYCLO_ONE,
+    ZETA_POWERS,
     CycloScalar,
     RealQuadratic,
     Scalar,
     Trilean,
+    format_scalar,
 )
 
 RQ_ZERO = RealQuadratic(0, 0)
@@ -626,6 +630,15 @@ def _grid_fill(sums: List[complex], half: float = 3.0, res: int = 24) -> float:
 
 # ---------------------------------------------------------------------------
 # multiplicative closures
+#
+# Exact ratios lie in Q(zeta)*, and a closure is read through the log-polar
+# map w -> (log|w|, arg w).  The squared modulus |w|^2 is a positive element
+# of Q(sqrt3), recorded by its exponent vector: one valuation per prime of
+# Z[sqrt3] (a Euclidean domain) and, last, the exponent of the unit 2+sqrt3.
+# The argument is a multiple of pi/12 exactly when (w / conj w)^12 = 1, since
+# the roots of unity of Q(zeta) are the 12th roots; otherwise arg w / pi is
+# irrational.  `distance_many` takes a complex array and `distance` is its
+# one-point case; exact membership of an exact value never reads a float.
 
 
 @dataclass(frozen=True)
@@ -636,10 +649,21 @@ class MultClosure:
     evidence: Optional[dict] = None
 
     def contains(self, w, eps: float = 1e-9) -> bool:
+        x = _exact_cyclo(w) if self.exact else None
+        if x is not None:
+            return self.includes_zero if x.is_zero() else self._member(x)
+        return self.distance(w) <= eps
+
+    def _member(self, w: CycloScalar) -> bool:
+        """Exact membership of a nonzero exact value."""
         raise NotImplementedError
 
-    def distance(self, w: complex) -> float:
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        """Distances to the closure from a 1-d array of complex numbers."""
         raise NotImplementedError
+
+    def distance(self, w) -> float:
+        return float(self.distance_many(np.array([_as_complex(w)], dtype=np.complex128))[0])
 
     def is_whole_plane(self) -> Trilean:
         return Trilean.NO if self.exact else Trilean.UNKNOWN
@@ -655,14 +679,10 @@ class MultClosure:
         return out
 
 
-def _exact_polar(w) -> Optional[Tuple[int, RealQuadratic]]:
+def _exact_cyclo(w) -> Optional[CycloScalar]:
     if isinstance(w, Scalar):
-        if not w.is_exact:
-            return None
-        w = w.exact_value
-    if isinstance(w, CycloScalar):
-        return w.polar_pi6()
-    return None
+        return w.exact_value if w.is_exact else None
+    return w if isinstance(w, CycloScalar) else None
 
 
 @dataclass(frozen=True)
@@ -674,23 +694,22 @@ class FiniteCyclic(MultClosure):
     includes_zero: bool = False
 
     def elements(self) -> List[complex]:
-        from .exact_algebra import ZETA_POWERS
-
         return [
             ZETA_POWERS[(self.generator_log * j) % 12].to_complex()
             for j in range(self.order)
         ]
 
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        if isinstance(w, (Scalar, CycloScalar)):
-            ww = w.exact_value if isinstance(w, Scalar) and w.is_exact else w
-            if isinstance(ww, CycloScalar):
-                k = ww.root_of_unity_log()
-                return k is not None and k % gcd(self.generator_log or 12, 12) == 0
-        return self.distance(_as_complex(w)) <= eps
+    def _member(self, w: CycloScalar) -> bool:
+        k = w.root_of_unity_log()
+        return k is not None and k % gcd(self.generator_log or 12, 12) == 0
 
-    def distance(self, w: complex) -> float:
-        return min(abs(w - e) for e in self.elements())
+    @cached_property
+    def _element_array(self) -> np.ndarray:
+        return np.array(self.elements(), dtype=np.complex128)
+
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        d = xi[:, None] - self._element_array[None, :]
+        return np.hypot(d.real, d.imag).min(axis=1)
 
     def to_report(self) -> dict:
         out = super().to_report()
@@ -701,127 +720,194 @@ class FiniteCyclic(MultClosure):
 
 @dataclass(frozen=True)
 class RaysDiscrete(MultClosure):
-    """Discrete spiral group: elements r^(m) * zeta^(c) for (m, c) in the
-    row span of `hnf_rows` (a 2x2 HNF over Z x Z/12), r = modulus_base."""
+    """The discrete closure {0} u generator^Z * <zeta^root_step>.
 
-    modulus_base: float = 1.0
-    modulus_base_sq: Fraction = Fraction(1)
-    angle_order: int = 1
-    hnf_rows: Tuple[Tuple[int, int], ...] = ()
-    prime_exps: Tuple[Tuple[int, int], ...] = ()  # base of the modulus lattice
+    `generator` has modulus > 1 and generates the moduli of the group; when
+    its argument is a multiple of pi/12 it is reduced into [0, root_step*pi/6).
+    The argument may be irrational (a discrete spiral): membership of w goes
+    through the exponent vectors, |w|^2 = |generator|^(2m), and the test
+    w * generator^(-m) in <zeta^root_step>."""
+
+    generator: CycloScalar = None
+    root_step: int = 12
     shape: str = "RaysDiscrete"
     exact: bool = True
     includes_zero: bool = True
 
-    def _member_exact(self, w: CycloScalar) -> bool:
-        if w.is_zero():
-            return self.includes_zero
-        polar = w.polar_pi6()
-        if polar is None:
-            return False
-        c, rho = polar
-        rho_sq = rho * rho
-        if not rho_sq.is_rational():
-            return False
-        vec = _exponent_vector(rho_sq.p, [p for p, _ in self.prime_exps])
-        if vec is None:
-            return False
-        base = {p: e for p, e in self.prime_exps}
-        m = None
-        for p, e in vec.items():
-            b = base.get(p, 0)
-            if b == 0:
-                if e != 0:
-                    return False
-                continue
-            if e % b != 0:
-                return False
-            q = e // b
-            if m is None:
-                m = q
-            elif m != q:
-                return False
-        for p, b in base.items():
-            if b != 0 and vec.get(p, 0) == 0 and m not in (None, 0):
-                return False
+    @property
+    def modulus_base_sq(self) -> RealQuadratic:
+        return _abs_sq(self.generator)
+
+    @cached_property
+    def _modulus_basis(self):
+        return _exponent_basis(self.modulus_base_sq)
+
+    @property
+    def modulus_base(self) -> float:
+        return math.sqrt(self.modulus_base_sq.to_float())
+
+    @cached_property
+    def angle_log(self) -> Optional[int]:
+        """arg generator in units of pi/12, or None when it is irrational."""
+        return _angle_pi12(self.generator)
+
+    @property
+    def angle_order(self) -> Optional[int]:
+        if self.angle_log is None:
+            return None
+        return 24 // gcd(24, self.angle_log, 2 * self.root_step)
+
+    @property
+    def hnf_rows(self) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
+        """HNF over Z x Z/24 of the (modulus exponent, argument in pi/12)
+        pairs of the group, or None when the argument is irrational."""
+        if self.angle_log is None:
+            return None
+        return ((1, self.angle_log), (0, 2 * self.root_step))
+
+    def _member(self, w: CycloScalar) -> bool:
+        m = _modulus_multiple(w, self._modulus_basis)
         if m is None:
-            m = 0
-        (m1, c1), (_, g0) = self.hnf_rows
-        if m % m1 != 0:
             return False
-        n1 = m // m1
-        rem = (c - n1 * c1) % 12
-        return g0 != 0 and rem % g0 == 0
+        k = (w * self.generator ** (-m)).root_of_unity_log()
+        return k is not None and k % self.root_step == 0
 
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        if isinstance(w, Scalar) and w.is_exact:
-            return self._member_exact(w.exact_value)
-        if isinstance(w, CycloScalar):
-            return self._member_exact(w)
-        return self.distance(_as_complex(w)) <= eps
+    @cached_property
+    def _floats(self) -> Tuple[float, float, float]:
+        g = self.generator.to_complex()
+        return abs(g), math.atan2(g.imag, g.real), math.tau * self.root_step / 12
 
-    def distance(self, w: complex) -> float:
-        r = abs(w)
-        if r < 1e-300:
-            return 0.0 if self.includes_zero else math.inf
-        best = abs(w) if self.includes_zero else math.inf
-        (m1, c1), (_, g0) = self.hnf_rows
-        logr = math.log(r) / math.log(self.modulus_base) if self.modulus_base != 1 else 0.0
-        n1c = logr / m1
-        for n1 in {math.floor(n1c), math.ceil(n1c)}:
-            mod = self.modulus_base ** (m1 * n1)
-            for j in range(12 // g0 if g0 else 1):
-                ang = ((c1 * n1 + g0 * j) % 12) * math.pi / 6
-                best = min(best, abs(w - cmath.rect(mod, ang)))
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        """The nearest of 0 and the points on the circles |w| = rho^m.
+
+        The circles are scanned outward and inward from |w| while the
+        radial gap to the next one is below the best distance so far; inner
+        circles of radius below 1e-12 |w| are skipped, which can only move
+        a distance by that much."""
+        rho, theta, step = self._floats
+        r = np.hypot(xi.real, xi.imag)
+        best = r.copy()  # 0 is a member
+        phase = np.arctan2(xi.imag, xi.real)
+        live = r > 0
+        m0 = np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
+        for m, outward in ((m0 + 1, True), (m0, False)):
+            active = live
+            while True:
+                radius = rho ** m
+                gap = radius - r if outward else r - radius
+                active = active & (gap < best)
+                if not outward:
+                    active &= radius > 1e-12 * r
+                if not active.any():
+                    break
+                idx = np.nonzero(active)[0]
+                base = m[idx] * theta
+                ang = base + np.round((phase[idx] - base) / step) * step
+                d = np.hypot(
+                    xi.real[idx] - radius[idx] * np.cos(ang),
+                    xi.imag[idx] - radius[idx] * np.sin(ang),
+                )
+                best[idx] = np.minimum(best[idx], d)
+                m = m + 1 if outward else m - 1
         return best
 
     def to_report(self) -> dict:
         out = super().to_report()
-        out["angle_order"] = self.angle_order
         out["modulus_ratio"] = self.modulus_base
-        out["coupling_hnf"] = [list(r) for r in self.hnf_rows]
+        out["generator"] = format_scalar(Scalar(self.generator))
+        if self.angle_log is not None:
+            out["angle_order"] = self.angle_order
+            out["coupling_hnf"] = [list(r) for r in self.hnf_rows]
+        return out
+
+
+@dataclass(frozen=True)
+class Circles(MultClosure):
+    """Full circles |w| = rho^m, m in Z, and 0, with rho^2 = modulus_base_sq;
+    with no modulus_base_sq (every ratio of modulus 1) only the unit circle."""
+
+    modulus_base_sq: Optional[RealQuadratic] = None
+    shape: str = "Circles"
+    exact: bool = True
+    includes_zero: bool = True
+
+    @cached_property
+    def _modulus_basis(self):
+        return _exponent_basis(self.modulus_base_sq)
+
+    def _member(self, w: CycloScalar) -> bool:
+        if self.modulus_base_sq is None:
+            return _abs_sq(w) == RQ_ONE
+        return _modulus_multiple(w, self._modulus_basis) is not None
+
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        r = np.hypot(xi.real, xi.imag)
+        if self.modulus_base_sq is None:
+            return np.abs(r - 1.0)
+        rho = math.sqrt(self.modulus_base_sq.to_float())
+        live = r > 0
+        inner = rho ** np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
+        d = np.minimum(np.abs(r - inner), np.abs(rho * inner - r))
+        return np.where(live, d, 0.0)
+
+    def to_report(self) -> dict:
+        out = super().to_report()
+        if self.modulus_base_sq is not None:
+            out["modulus_ratio"] = math.sqrt(self.modulus_base_sq.to_float())
         return out
 
 
 @dataclass(frozen=True)
 class RaysDense(MultClosure):
-    """Union of full rays at the angle subgroup, each dense in modulus."""
+    """Union of full rays at the angles angle_step * j * pi/12, and 0."""
 
     angle_order: int = 1
-    angle_step: int = 0  # rays at angles (angle_step * j) * pi/6
+    angle_step: int = 24
     shape: str = "RaysDense"
     exact: bool = True
     includes_zero: bool = True
 
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        if isinstance(w, Scalar) and w.is_exact:
-            ww = w.exact_value
-            if ww.is_zero():
-                return True
-            polar = ww.polar_pi6()
-            if polar is None:
-                return False
-            c, _ = polar
-            step = self.angle_step or 12
-            return c % gcd(step, 12) == 0
-        return self.distance(_as_complex(w)) <= eps
+    def _member(self, w: CycloScalar) -> bool:
+        a = _angle_pi12(w)
+        return a is not None and a % self.angle_step == 0
 
-    def distance(self, w: complex) -> float:
-        best = abs(w)
-        step = self.angle_step or 12
-        g = gcd(step, 12)
-        for j in range(0, 12, g):
-            theta = j * math.pi / 6
-            u = cmath.rect(1.0, theta)
-            t = w.real * u.real + w.imag * u.imag
-            if t > 0:
-                best = min(best, abs(w - t * u))
-        return best
+    @cached_property
+    def _directions(self) -> np.ndarray:
+        angles = np.arange(0, 24, self.angle_step) * (math.pi / 12)
+        return np.cos(angles) + 1j * np.sin(angles)
+
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        u = self._directions[None, :]
+        w = xi[:, None]
+        t = w.real * u.real + w.imag * u.imag
+        perp = np.hypot(w.real - t * u.real, w.imag - t * u.imag)
+        r = np.hypot(xi.real, xi.imag)
+        return np.minimum(r, np.where(t > 0, perp, np.inf).min(axis=1))
 
     def to_report(self) -> dict:
         out = super().to_report()
         out["angle_order"] = self.angle_order
         return out
+
+
+@dataclass(frozen=True)
+class WholePlane(MultClosure):
+    """All of C.  With exact=False, shape "Unknown": a closure this
+    classifier does not decide, described by its superset C, so that no
+    orbit point is ever rejected."""
+
+    shape: str = "Plane"
+    exact: bool = True
+    includes_zero: bool = True
+
+    def _member(self, w: CycloScalar) -> bool:
+        return True
+
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        return np.zeros(xi.shape[0])
+
+    def is_whole_plane(self) -> Trilean:
+        return Trilean.YES if self.exact else Trilean.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -834,25 +920,34 @@ class HeuristicMult(MultClosure):
     exact: bool = False
     includes_zero: bool = False
 
-    def contains(self, w, eps: float = 1e-9) -> bool:
-        return self.distance(_as_complex(w)) <= eps
-
     @cached_property
     def _sample_array(self) -> np.ndarray:
         return np.array(self.samples, dtype=np.complex128)
 
-    def distance(self, w: complex) -> float:
-        best = abs(w) if self.includes_zero else math.inf
-        if self.samples:
-            # np.hypot, not np.abs: it is bit for bit the abs() of a complex
-            d = w - self._sample_array
-            best = min(best, float(np.hypot(d.real, d.imag).min()))
+    def distance_many(self, xi: np.ndarray) -> np.ndarray:
+        best = np.hypot(xi.real, xi.imag) if self.includes_zero else np.full(xi.shape, np.inf)
+        s = self._sample_array
+        if s.size:
+            # np.hypot, not np.abs: it is bit for bit the abs() of a complex;
+            # queries go in blocks of about 2^20 differences
+            block = max(1, 2**20 // s.size)
+            for i in range(0, xi.shape[0], block):
+                d = xi[i : i + block, None] - s[None, :]
+                best[i : i + block] = np.minimum(
+                    best[i : i + block], np.hypot(d.real, d.imag).min(axis=1)
+                )
         return best
 
     def is_whole_plane(self) -> Trilean:
         if self.shape == "HeuristicDiscrete":
             return Trilean.NO
         return Trilean.UNKNOWN
+
+
+# -- arithmetic of Q(sqrt3) and Z[sqrt3] ------------------------------------
+#
+# A prime of Z[sqrt3] is keyed (p, x, y): the prime x + y*sqrt3 > 0 above the
+# rational prime p.  2 and 3 ramify, p = +-1 mod 12 splits, other p are inert.
 
 
 def _factorize(n: int) -> Dict[int, int]:
@@ -869,89 +964,183 @@ def _factorize(n: int) -> Dict[int, int]:
     return out
 
 
-def _exponent_vector(q: Fraction, primes: Sequence[int]) -> Optional[Dict[int, int]]:
-    """Exponents of q over the given primes; None if q uses other primes."""
-    num = _factorize(q.numerator)
-    den = _factorize(q.denominator)
-    out: Dict[int, int] = {}
-    for p, e in num.items():
-        out[p] = out.get(p, 0) + e
-    for p, e in den.items():
-        out[p] = out.get(p, 0) - e
-    for p in out:
-        if out[p] != 0 and p not in primes:
-            return None
+def _primes_above(p: int) -> List[Tuple[int, int, int]]:
+    if p == 2:
+        return [(2, 1, 1)]
+    if p == 3:
+        return [(3, 0, 1)]
+    if p % 12 not in (1, 11):
+        return [(p, p, 0)]
+    y = 1
+    while True:  # x^2 - 3y^2 = +-p has a solution: Z[sqrt3] is a PID
+        for x2 in (p + 3 * y * y, 3 * y * y - p):
+            x = isqrt(max(x2, 0))
+            if x2 > 0 and x * x == x2:
+                # x + y*sqrt3 and its conjugate, each made positive
+                second = (p, x, -y) if x2 > 3 * y * y else (p, -x, y)
+                return sorted([(p, x, y), second])
+        y += 1
+
+
+def _integral_parts(v: RealQuadratic) -> Tuple[int, int, int]:
+    """(a, b, c) with v = (a + b*sqrt3) / c and c > 0."""
+    c = v.p.denominator * v.q.denominator // gcd(v.p.denominator, v.q.denominator)
+    return v.p.numerator * (c // v.p.denominator), v.q.numerator * (c // v.q.denominator), c
+
+
+def _divide_out(a: int, b: int, prime: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """(k, a', b') with a + b*sqrt3 = prime^k * (a' + b'*sqrt3), k maximal."""
+    _, x, y = prime
+    n = x * x - 3 * y * y
+    k = 0
+    while True:
+        # (a + b*sqrt3)(x - y*sqrt3) / n
+        s, t = a * x - 3 * b * y, b * x - a * y
+        if s % n or t % n:
+            return k, a, b
+        a, b, k = s // n, t // n, k + 1
+
+
+def _unit_log(a: int, b: int) -> Optional[int]:
+    """k with a + b*sqrt3 = (2 + sqrt3)^k, or None."""
+    if a <= 0 or a * a - 3 * b * b != 1:
+        return None
+    k = 0
+    while b:
+        if b > 0:
+            a, b, k = 2 * a - 3 * b, 2 * b - a, k + 1
+        else:
+            a, b, k = 2 * a + 3 * b, a + 2 * b, k - 1
+    return k
+
+
+def _exponents(v: RealQuadratic, primes: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
+    """Exponent vector of v > 0 over `primes` and then the unit 2+sqrt3;
+    None when v has a prime factor outside `primes`."""
+    a, b, c = _integral_parts(v)
+    e, f = c, 0
+    out = []
+    for prime in primes:
+        kn, a, b = _divide_out(a, b, prime)
+        kd, e, f = _divide_out(e, f, prime)
+        out.append(kn - kd)
+    # what is left, (a + b*sqrt3) / (e + f*sqrt3), must be a unit
+    n = e * e - 3 * f * f
+    s, t = a * e - 3 * b * f, b * e - a * f
+    if s % n or t % n:
+        return None
+    k = _unit_log(s // n, t // n)
+    return None if k is None else out + [k]
+
+
+def _prime_support(v: RealQuadratic) -> List[Tuple[int, int, int]]:
+    a, b, c = _integral_parts(v)
+    rational = set(_factorize(a * a - 3 * b * b)) | set(_factorize(c))
+    return [q for p in sorted(rational) for q in _primes_above(p)]
+
+
+def _abs_sq(w: CycloScalar) -> RealQuadratic:
+    return w.abs_sq().real_part()
+
+
+def _exponent_basis(base: RealQuadratic) -> Tuple[List[Tuple[int, int, int]], List[int]]:
+    """The primes dividing base != 1 and its exponent vector over them."""
+    primes = _prime_support(base)
+    return primes, _exponents(base, primes)
+
+
+def _modulus_multiple(w: CycloScalar, basis) -> Optional[int]:
+    """m with |w|^2 = base^m for the (primes, vector) basis of base, or None."""
+    primes, vector = basis
+    exps = _exponents(_abs_sq(w), primes)
+    if exps is None:
+        return None
+    lead = next(i for i, e in enumerate(vector) if e)
+    m, rem = divmod(exps[lead], vector[lead])
+    if rem or any(x != m * e for x, e in zip(exps, vector)):
+        return None
+    return m
+
+
+# arg(1 + zeta) = pi/12; powers of its conjugate rotate by -pi/12
+_ETA_BAR_POWERS = tuple((CYCLO_ONE + ZETA_POWERS[1]).conj() ** k for k in range(12))
+
+
+def _angle_pi12(w: CycloScalar) -> Optional[int]:
+    """a in [0, 24) with arg w = a*pi/12, or None when arg w / pi is irrational."""
+    wb = w.conj()
+    for k in range(12):
+        if w == ZETA_POWERS[k] * wb:
+            # arg w is k*pi/12 or k*pi/12 + pi: the sign of w * conj(1+zeta)^k
+            return k if (w * _ETA_BAR_POWERS[k]).real_part().sign() > 0 else k + 12
+    return None
+
+
+def _word(values: Sequence[CycloScalar], exponents: Sequence[int]) -> CycloScalar:
+    out = CYCLO_ONE
+    for v, e in zip(values, exponents):
+        if e:
+            out = out * v ** e
     return out
 
 
+_FOUR_EXPONENTIALS = (
+    "the moduli have rank >= 2, every modulus-1 word is a root of unity and "
+    "some argument is an irrational multiple of pi: whether the closure "
+    "fills the plane turns on linear relations between logarithms of moduli "
+    "and arguments (a four-exponentials question), which is not decided here"
+)
+
+
 def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
-    """Closure in C of the multiplicative group generated by the ratios.
+    """Closure in C of the multiplicative group Lambda generated by the ratios.
 
     Exact when every ratio is exact with argument a multiple of pi/6 and
-    rational squared modulus; otherwise a sampled heuristic with evidence.
+    rational squared modulus: the exponent vectors of the |lambda|^2 span a
+    lattice of rank r (an HNF of [vectors | identity]), whose kernel holds
+    the words of modulus 1, and r = 0, 1, >= 2 give FiniteCyclic,
+    RaysDiscrete and RaysDense.  Otherwise a sampled heuristic with evidence.
     """
-    polar: List[Tuple[int, Fraction]] = []
-    exact_ok = True
-    for r in ratios:
-        p = _exact_polar(r)
-        if p is None:
-            exact_ok = False
-            break
-        k, rho = p
-        rho_sq = rho * rho
-        if not rho_sq.is_rational():
-            exact_ok = False
-            break
-        polar.append((k, rho_sq.p))
-    if not exact_ok:
+    values = [_exact_cyclo(r) for r in ratios]
+    if any(v is None or v.polar_pi6() is None or not _abs_sq(v).is_rational() for v in values):
         return _classify_mult_heuristic(ratios)
-    polar = [(k, q) for k, q in polar if not (k == 0 and q == 1)]
-    if not polar:
-        return FiniteCyclic(order=1, generator_log=0)
-    primes = sorted(
-        {p for _, q in polar for p in (_factorize(q.numerator) | _factorize(q.denominator))}
+    values = [v for v in values if v != CYCLO_ONE]
+    moduli = [_abs_sq(v) for v in values]
+    primes = sorted({p for q in moduli for p in _prime_support(q)})
+    width = len(primes) + 1
+    rows = hnf(
+        [
+            _exponents(q, primes) + [int(i == j) for j in range(len(values))]
+            for i, q in enumerate(moduli)
+        ]
     )
-    exps = []
-    for _, q in polar:
-        vec = _exponent_vector(q, primes)
-        exps.append([vec.get(p, 0) for p in primes])
-    angle_g = gcd(12, *(k for k, _ in polar)) if polar else 12
-    angle_order = 12 // angle_g if angle_g else 1
-    mod_basis = hnf([e for e in exps if any(e)]) if primes else []
-    mod_rank = len(mod_basis)
-    if mod_rank == 0:
-        return FiniteCyclic(order=angle_order, generator_log=angle_g % 12)
-    if mod_rank >= 2:
-        return RaysDense(angle_order=angle_order, angle_step=angle_g % 12)
-    base_vec = mod_basis[0]
-    coeffs = []
-    for e in exps:
-        m = 0
-        for x, b in zip(e, base_vec):
-            if b != 0:
-                m = x // b
-                break
-        if [m * b for b in base_vec] != e:
-            raise AssertionError("rank-1 modulus lattice decomposition failed")
-        coeffs.append(m)
-    rows = [[m, k] for m, (k, _) in zip(coeffs, polar)] + [[0, 12]]
-    h = hnf(rows)
-    if len(h) == 1:
-        h = [h[0], [0, 12]]
-    (m1, c1), (z0, g0) = h[0], h[1]
-    if z0 != 0:
-        raise AssertionError("coupling HNF must be upper triangular")
-    base_sq = Fraction(1)
-    for p, e in zip(primes, base_vec):
-        base_sq *= Fraction(p) ** e
-    modulus_base = math.sqrt(float(base_sq))
-    return RaysDiscrete(
-        modulus_base=modulus_base,
-        modulus_base_sq=base_sq,
-        angle_order=angle_order,
-        hnf_rows=((m1, c1 % 12), (0, g0 % 12 if g0 % 12 else 12)),
-        prime_exps=tuple(zip(primes, base_vec)),
-    )
+    modulus_rows = [row for row in rows if any(row[:width])]
+    circle = [_word(values, row[width:]) for row in rows if not any(row[:width])]
+    logs = [u.root_of_unity_log() for u in circle]
+    rank = len(modulus_rows)
+    if rank >= 2:
+        if None in logs:
+            return WholePlane()
+        angles = [_angle_pi12(v) for v in values]
+        if None in angles:
+            return WholePlane(shape="Unknown", exact=False, evidence={"reason": _FOUR_EXPONENTIALS})
+        step = gcd(24, *angles)
+        return RaysDense(angle_order=24 // step, angle_step=step)
+    if rank == 0:
+        if None in logs:
+            return Circles(includes_zero=False)
+        g = gcd(12, *logs)
+        return FiniteCyclic(order=12 // g, generator_log=g % 12)
+    generator = _word(values, modulus_rows[0][width:])
+    if _abs_sq(generator) < 1:
+        generator = generator.inverse()
+    if None in logs:
+        return Circles(modulus_base_sq=_abs_sq(generator))
+    g = gcd(12, *logs)
+    a = _angle_pi12(generator)
+    if a is not None:
+        generator = generator * ZETA_POWERS[(-g * (a // (2 * g))) % 12]
+    return RaysDiscrete(generator=generator, root_step=g)
 
 
 def _classify_mult_heuristic(ratios: Sequence) -> MultClosure:

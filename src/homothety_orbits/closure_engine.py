@@ -267,9 +267,8 @@ class LambdaCone(ClosureDesc):
         xi = (t @ np.conj(tz)) / den
         res = t - xi[:, None] * tz
         rn = np.linalg.norm(res, axis=1)
-        tz_norm = math.sqrt(den)
-        dxi = np.array([self.lambda_closure.distance(complex(x)) for x in xi])
-        return np.sqrt(rn ** 2 + (dxi * tz_norm) ** 2)
+        dxi = self.lambda_closure.distance_many(xi)
+        return np.sqrt(rn ** 2 + (dxi * math.sqrt(den)) ** 2)
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         """Members built from short group data: apex + rho*(z-apex) + t with

@@ -431,7 +431,7 @@ class TestMultiplicativePinned:
         assert c.modulus_base == pytest.approx(2.0)
         assert c.modulus_base_sq == Fraction(4)
         assert c.angle_order == 4
-        assert c.hnf_rows == ((1, 3), (0, 12))
+        assert c.hnf_rows == ((1, 6), (0, 24))  # arguments in units of pi/12
         # powers are members, unlinked modulus/angle combinations are not
         assert c.contains(parse_scalar("-4"))  # (2i)^2
         assert c.contains(parse_scalar("-1/4"))  # (2i)^-2
@@ -447,7 +447,7 @@ class TestMultiplicativePinned:
         assert c.shape == "RaysDiscrete"
         assert c.angle_order == 6
         assert c.modulus_base == pytest.approx(2.0)
-        assert c.hnf_rows == ((1, 0), (0, 2))
+        assert c.hnf_rows == ((1, 0), (0, 4))  # arguments in units of pi/12
         assert c.includes_zero
         for member in ("4", "1/2", "zeta12^4", "2*zeta12^2"):
             assert c.contains(parse_scalar(member)), member
