@@ -7,11 +7,12 @@ form gives the abstract Z-rank, and Kronecker duality (the closure is the
 annihilator of the dual group D = {phi : phi.v in Z for all generators v})
 reduces the classification to integer kernels of small rational systems.
 
-Multiplicative side: subgroups of C* generated by ratios whose argument is
-a multiple of pi/6 and whose squared modulus is rational are classified
-exactly through the exponent vectors of the squared moduli over the primes
-and the unit of Z[sqrt(3)], with arguments in units of pi/12.  Everything
-else falls back to a numeric heuristic and is flagged.
+Multiplicative side: the closure of a subgroup of C* generated by exact
+ratios (elements of Q(zeta12)) is read through the log-polar map, from the
+exponent vectors of the squared moduli over the primes and the unit of
+Z[sqrt(3)] and the arguments in units of pi/12.  It is decided exactly
+except in one case of four-exponentials type, which is reported as such.
+Approximate ratios fall back to a numeric heuristic and are flagged.
 """
 
 from __future__ import annotations
@@ -1095,14 +1096,20 @@ _FOUR_EXPONENTIALS = (
 def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     """Closure in C of the multiplicative group Lambda generated by the ratios.
 
-    Exact when every ratio is exact with argument a multiple of pi/6 and
-    rational squared modulus: the exponent vectors of the |lambda|^2 span a
-    lattice of rank r (an HNF of [vectors | identity]), whose kernel holds
-    the words of modulus 1, and r = 0, 1, >= 2 give FiniteCyclic,
-    RaysDiscrete and RaysDense.  Otherwise a sampled heuristic with evidence.
+    Exact for every list of exact ratios.  The exponent vectors of the
+    |lambda|^2 span a lattice of rank r (an HNF of [vectors | identity]),
+    whose kernel K holds the words of modulus 1; K maps onto roots of unity
+    or onto a dense subgroup of the circle.
+      r = 0: FiniteCyclic, or the unit circle (Circles);
+      r = 1: RaysDiscrete when K is torsion, else Circles;
+      r >= 2: WholePlane when K is not torsion, RaysDense when every argument
+      is a multiple of pi/12, and otherwise shape "Unknown" with exact=False
+      and its reason: a four-exponentials question, described by the
+      superset C.
+    Approximate ratios go to a sampled heuristic with evidence.
     """
     values = [_exact_cyclo(r) for r in ratios]
-    if any(v is None or v.polar_pi6() is None or not _abs_sq(v).is_rational() for v in values):
+    if any(v is None for v in values):
         return _classify_mult_heuristic(ratios)
     values = [v for v in values if v != CYCLO_ONE]
     moduli = [_abs_sq(v) for v in values]

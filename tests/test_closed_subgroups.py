@@ -8,6 +8,7 @@ the tests, independently of the library code.
 import math
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from homothety_orbits.lattices import (
     hnf_solve,
     lattice_basis_from_rational_rows,
 )
+from homothety_orbits import closed_subgroups
 from homothety_orbits.closed_subgroups import (
     Lattice2,
     PlanarVector,
@@ -478,6 +480,170 @@ class TestMultiplicativePinned:
         for ratios in ([], [Scalar.integer(1)]):
             c = classify_multiplicative_closure(ratios)
             assert c.shape == "FiniteCyclic" and c.order == 1
+
+
+# ---------------------------------------------------------------------------
+# multiplicative closures: exact ratios off the pi/6 grid
+
+
+def mult(*names):
+    return classify_multiplicative_closure([parse_scalar(n) for n in names])
+
+
+def member(text):
+    return parse_scalar(text)
+
+
+class TestMultiplicativeLogPolar:
+    def test_gaussian_spiral_is_discrete(self):
+        c = mult("2+i")
+        assert (c.shape, c.exact) == ("RaysDiscrete", True)
+        assert c.angle_order is None and c.hnf_rows is None  # arg(2+i)/pi irrational
+        assert c.modulus_base_sq == 5
+        assert c.contains(member("3+4i"))  # (2+i)^2
+        assert c.contains(member("2/5-1/5i"))  # (2+i)^-1
+        assert c.contains(Scalar.integer(0))
+        for other in ("2-i", "1+2i", "-2-i", "5"):  # same modulus or ray, not a power
+            assert not c.contains(member(other)), other
+        assert c.distance(complex(3, 4)) == pytest.approx(0.0, abs=1e-12)
+        assert c.is_whole_plane() is Trilean.NO
+
+    def test_spiral_and_quarter_turn_give_eight_discrete_rays(self):
+        c = mult("1+i", "i")
+        assert (c.shape, c.exact) == ("RaysDiscrete", True)
+        assert c.angle_order == 8
+        assert c.hnf_rows == ((1, 3), (0, 6))  # arg(1+i) = 3 pi/12, roots <i>
+        for m in ("1-i", "2", "-1/2", "2+2i", "1/4i"):
+            assert c.contains(member(m)), m
+        for other in ("zeta12", "3", "4+2i", "1+2i"):
+            assert not c.contains(member(other)), other
+
+    def test_two_spirals_and_three_fill_eight_rays(self):
+        c = mult("1+i", "1-i", "3")
+        assert (c.shape, c.exact) == ("RaysDense", True)
+        assert c.angle_order == 8
+        assert c.contains(member("3/2")) and c.contains(member("5+5i"))
+        assert not c.contains(member("zeta12"))
+        ray = complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) * 0.7
+        assert c.distance(ray) == pytest.approx(0.0, abs=1e-12)
+        assert c.is_whole_plane() is Trilean.NO
+
+    @pytest.mark.parametrize("names", [("2+i",), ("1+i", "i"), ("1+zeta12",), ("11/10",)])
+    def test_spiral_distance_is_the_distance_to_the_nearest_point(self, names):
+        c = mult(*names)
+        rng = np.random.default_rng(5)
+        xi = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+        xi *= np.exp(rng.uniform(-2, 2, 200))
+        g = c.generator.to_complex()
+        roots = np.exp(1j * np.pi * c.root_step * np.arange(12 // c.root_step) / 6)
+        points = np.append((g ** np.arange(-300.0, 300.0)[:, None] * roots).ravel(), 0)
+        brute = np.abs(xi[:, None] - points[None, :]).min(axis=1)
+        assert np.allclose(c.distance_many(xi), brute, rtol=0, atol=1e-10)
+
+    def test_conjugate_spirals_give_full_circles(self):
+        c = mult("2+i", "2-i")
+        assert (c.shape, c.exact) == ("Circles", True)
+        assert c.includes_zero
+        # every modulus 5^(k/2) is a full circle
+        for m in ("3/5+4/5i", "zeta12", "5", "1+2i", "-1/5"):
+            assert c.contains(member(m)), m
+        for other in ("2", "1+i", "7"):
+            assert not c.contains(member(other)), other
+        assert c.distance(complex(0.0, 5 ** 0.5)) == pytest.approx(0.0, abs=1e-12)
+        assert c.distance(complex(1.5, 0.0)) == pytest.approx(0.5)
+
+    def test_unit_rotation_and_two_moduli_fill_the_plane(self):
+        c = mult("3/5+4/5i", "2", "3")
+        assert (c.shape, c.exact) == ("Plane", True)
+        assert c.is_whole_plane() is Trilean.YES
+        assert c.contains(member("7+zeta12")) and c.contains(Scalar.integer(0))
+        assert c.distance(complex(-0.3, 11.0)) == 0.0
+
+    def test_one_plus_zeta_has_a_unit_squared_modulus(self):
+        # |1+zeta12|^2 = 2+sqrt3, a unit of Z[sqrt3]: its exponent vector is
+        # the unit coordinate alone, and arg(1+zeta12) = pi/12
+        c = mult("1+zeta12")
+        assert (c.shape, c.exact) == ("RaysDiscrete", True)
+        assert c.modulus_base_sq == RealQuadratic(2, 1)
+        assert c.angle_order == 24
+        assert c.hnf_rows == ((1, 1), (0, 24))
+        w = parse_scalar("1+zeta12").exact_value
+        assert c.contains(Scalar(w ** 3)) and c.contains(Scalar(w ** -2))
+        assert not c.contains(Scalar(w * w.conj()))  # 2+sqrt3, on a ray of angle 0
+        assert not c.contains(Scalar(w * ZETA))
+
+    def test_four_exponentials_case_is_undecided(self):
+        c = mult("2+i", "3")
+        assert (c.shape, c.exact) == ("Unknown", False)
+        assert "four-exponentials" in c.evidence["reason"]
+        assert c.is_whole_plane() is Trilean.UNKNOWN
+        # described by its superset C: no point is rejected
+        assert c.contains(member("7")) and c.contains(member("6+3i"))
+        assert c.distance(complex(0.2, -5.0)) == 0.0
+
+    def test_unit_circle_without_zero(self):
+        c = mult("3/5+4/5i")
+        assert (c.shape, c.exact, c.includes_zero) == ("Circles", True, False)
+        assert c.contains(member("zeta12")) and not c.contains(Scalar.integer(0))
+        assert c.distance(complex(0.0, 3.0)) == pytest.approx(2.0)
+
+
+ZETA = parse_scalar("zeta12").exact_value
+
+# arguments in units of pi/12; None marks an irrational multiple of pi
+EXACT_POOL = {
+    "2+i": None,
+    "1+2i": None,
+    "3/5+4/5i": None,
+    "1+zeta12": 1,
+    "1+i": 3,
+    "zeta12": 2,
+    "zeta12^4": 8,
+    "-1": 12,
+    "2": 0,
+    "1/3": 0,
+}
+DISCRETE_MODULI = ("FiniteCyclic", "RaysDiscrete", "Circles")
+
+
+class TestMultiplicativeExactPool:
+    @given(
+        st.lists(st.sampled_from(sorted(EXACT_POOL)), min_size=1, max_size=3, unique=True),
+        st.data(),
+    )
+    def test_words_belong_and_foreign_factors_do_not(self, names, data):
+        heuristic = mock.patch.object(
+            closed_subgroups,
+            "_classify_mult_heuristic",
+            side_effect=AssertionError("exact input reached the heuristic"),
+        )
+        with heuristic:
+            c = mult(*names)
+        assert c.exact or c.shape == "Unknown"
+        values = [parse_scalar(n).exact_value for n in names]
+        words = []
+        for _ in range(3):
+            exps = data.draw(st.tuples(*[st.integers(-2, 2) for _ in values]))
+            w = ZETA ** 0
+            for v, e in zip(values, exps):
+                w = w * v ** e
+            words.append(w)
+            assert c.contains(Scalar(w)), f"{names} ^ {exps}"
+        d = c.distance_many(np.array([w.to_complex() for w in words]))
+        assert d.max() <= 1e-9
+        w = words[-1]
+        # 7 adds a prime to the modulus: outside every closure with
+        # discrete moduli, on the angle-0 ray of every dense one
+        seven = c.contains(Scalar(w * 7))
+        assert seven is (c.shape not in DISCRETE_MODULI)
+        if "1+zeta12" not in names:
+            # 2+sqrt3 is no product of the pool's rational |.|^2, and the
+            # angle pi/12 is reached by rays only when their step is pi/12
+            eta = parse_scalar("1+zeta12").exact_value
+            expect = c.shape not in DISCRETE_MODULI
+            if c.shape == "RaysDense":
+                expect = gcd(24, *(EXACT_POOL[n] for n in names)) == 1
+            assert c.contains(Scalar(w * eta)) is expect
 
 
 # ---------------------------------------------------------------------------
