@@ -546,8 +546,6 @@ def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
                 subspace=eg,
                 point=z,
             )
-        # no ratio closure classified today reports a whole plane, so this
-        # branch waits for one that can (Thm1.1(1)(ii))
         whole = (
             eg.dim == profile.spec.dim - 1
             and profile.lambda_closure.is_whole_plane() is Trilean.YES
@@ -696,8 +694,13 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
                 "ratio of modulus != 1 present: orbits off E are minimal and "
                 "pairwise homeomorphic (Cor1.2(1))"
             )
-        if not profile.exact:
+        if not profile.spec.is_exact:
             notes.append("approximate inputs: verdicts rest on resolved sign tests")
+        elif not profile.lambda_closure.exact:
+            notes.append(
+                "exact inputs, but the ratio closure is undecided: "
+                + profile.lambda_closure.evidence["reason"]
+            )
         return Verdicts(
             has_dense_orbit=dense,
             all_orbits_in_U_dense=in_u_dense,

@@ -125,6 +125,56 @@ class TestClassify:
         assert "undecidable" in capsys.readouterr().err
 
 
+    def test_hyperplane_E_and_a_plane_filling_ratio_group_give_whole_space(
+        self, tmp_path, capsys
+    ):
+        # E is the line z2 = 0, and 3/5+4/5i (modulus 1, not a root of
+        # unity) with 2 and 3 generate a dense subgroup of C*: every orbit
+        # off E is dense (Cor1.4(3)(ii))
+        path = write_doc(tmp_path, "hyperplane.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": "3/5+4/5i", "center": ["0", "0"]},
+                {"ratio": "2", "center": ["1", "0"]},
+                {"ratio": "3", "center": ["2", "0"]},
+            ],
+            "points": [["0", "1"]],
+        })
+        assert main(["classify", "--input", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["verdicts"]["has_dense_orbit"] == "yes"
+        assert report["profile"]["exact"] is True
+        assert report["profile"]["lambda_closure"]["shape"] == "Plane"
+        closure = report["closures"][0]
+        assert closure["kind"] == "WholeSpace"
+        assert closure["provenance"] == "Thm1.1(1)(ii)"
+        assert closure["exact"] is True
+
+    def test_undecided_ratio_closure_of_exact_inputs_gives_its_reason(
+        self, tmp_path, capsys
+    ):
+        # |2+i|^2 = 5 and 3 have independent moduli and arg(2+i) / pi is
+        # irrational: a four-exponentials case, not an approximate input
+        path = write_doc(tmp_path, "four_exp.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": "2+i", "center": ["0"]},
+                {"ratio": "3", "center": ["1"]},
+            ],
+            "points": [["1/2"]],
+        })
+        assert main(["classify", "--input", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        lam = report["profile"]["lambda_closure"]
+        assert (lam["shape"], lam["exact"]) == ("Unknown", False)
+        notes = report["verdicts"]["notes"]
+        assert not any("approximate inputs" in n for n in notes)
+        (note,) = [n for n in notes if "ratio closure is undecided" in n]
+        assert note.startswith("exact inputs")
+        assert "four-exponentials" in note
+
     def test_heuristic_grid_fill_is_a_fraction(self, tmp_path, capsys):
         # a sum on the upper edge of the fill window must land in the last
         # cell; binning it one past the grid pushed the fill to 625/576
