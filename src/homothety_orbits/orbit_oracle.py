@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from math import lcm
@@ -599,31 +601,134 @@ def _occupied_cells(
     return {k.tobytes() for k in _row_keys(idx)}
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a and b (one broadcasts).
+
+    Summed as a k-d tree query sums them for the Euclidean metric: four
+    running sums over the coordinates in blocks of four, added in order,
+    then the remaining coordinates one by one; so the square roots are
+    the distances such a query reports, bit for bit."""
+    d = a - b
+    d *= d
+    n = d.shape[-1]
+    head = n - n % 4
+    s = np.zeros(d.shape[:-1])
+    if head:
+        acc = [d[..., k] for k in range(4)]
+        for i in range(4, head):
+            acc[i % 4] = acc[i % 4] + d[..., i]
+        s = ((acc[0] + acc[1]) + acc[2]) + acc[3]
+    for i in range(head, n):
+        s = s + d[..., i]
+    return s
+
+
+# odd 64-bit multipliers: a cell's key is the wrapping dot product of its
+# integer coordinates with these, so a neighbouring cell's key is the key
+# plus a constant; distinct cells whose keys collide only add candidates
+_CELL_HASH = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
+    dtype=np.uint64,
+)
+_QUERY_BLOCK = 8192
+_PAIR_BLOCK = 1 << 20
+
+
+def _closest_sq(pts: np.ndarray, queries: np.ndarray, others: np.ndarray, bound_sq: float) -> float:
+    """Least squared distance from a point of `queries` to another point of
+    `others` (index arrays into pts; queries a subset of others), exact
+    whenever it is at most bound_sq, and otherwise some value above it.
+
+    Grid cells on the first (up to four) coordinates are a little over
+    twice sqrt(bound_sq) wide, so a point closer than that to a query lies
+    in the query's cell or in the next cell on the side of each coordinate
+    nearer the query: 2^k cells per query.  At most 2^40 cells span the
+    extent, so cell positions round by at most 2^-12 of a cell, far inside
+    the 2^-7 margin."""
+    k = min(pts.shape[1], 4)
+    sub = pts[others, :k]
+    low = sub.min(axis=0)
+    side = max(2.0 * math.sqrt(bound_sq) * (1 + 2.0**-6), float((sub.max(axis=0) - low).max()) * 2.0**-40)
+    mult = _CELL_HASH[:k]
+
+    def cells(rows):
+        pos = (pts[rows, :k] - low) / side
+        cell = np.floor(pos)
+        return cell.astype(np.int64).astype(np.uint64), pos - cell
+
+    cell, _ = cells(others)
+    okeys = (cell * mult).sum(axis=1)
+    order = np.argsort(okeys, kind="stable")
+    okeys, others = okeys[order], others[order]
+    first = np.flatnonzero(np.r_[True, okeys[1:] != okeys[:-1]])
+    ukeys = okeys[first]
+    ucount = np.diff(np.r_[first, okeys.shape[0]])
+    best = math.inf
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        q = queries[start : start + _QUERY_BLOCK]
+        cell, frac = cells(q)
+        qkeys = (cell * mult).sum(axis=1)
+        # the key step to the neighbour on the nearer side, per coordinate
+        step = np.where(frac < 0.5, -mult.astype(np.int64), mult.astype(np.int64)).astype(np.uint64)
+        for pattern in itertools.product((False, True), repeat=k):
+            target = qkeys + step[:, list(pattern)].sum(axis=1, dtype=np.uint64)
+            at = np.minimum(np.searchsorted(ukeys, target), ukeys.shape[0] - 1)
+            counts = np.where(ukeys[at] == target, ucount[at], 0)
+            ends = np.cumsum(counts)
+            # pairs go in pieces of about _PAIR_BLOCK, so that a crowded
+            # cell costs time but not memory
+            a = 0
+            while a < q.shape[0] and ends[-1]:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _PAIR_BLOCK, "right")))
+                c = counts[a:b]
+                total = int(c.sum())
+                if total:
+                    i = np.repeat(q[a:b], c)
+                    j = others[np.repeat(first[at[a:b]] - (np.cumsum(c) - c), c) + np.arange(total)]
+                    keep = i != j
+                    if keep.any():
+                        best = min(best, float(_sq_dists(pts[i[keep]], pts[j[keep]]).min()))
+                a = b
+    return best
+
+
 def _min_gap_history(
     real_pts: np.ndarray, gens: np.ndarray
 ) -> Tuple[float, List[Tuple[int, float]], int]:
-    from scipy.spatial import cKDTree
+    """Closest-pair distance of the points of word length <= g, for each g.
 
+    A pair that lowers the gap at word length g holds a point of length g,
+    so each step searches only from the new points, within the smaller of
+    the gap so far and the least distance between new points adjacent in
+    their first coordinate (a crowd of new points shrinks the cells)."""
     if real_pts.shape[0] > MIN_GAP_POINT_CAP:
         real_pts = real_pts[:MIN_GAP_POINT_CAP]
         gens = gens[:MIN_GAP_POINT_CAP]
     used = int(real_pts.shape[0])
     history: List[Tuple[int, float]] = []
-    best = float("inf")
     if used < 2:
         return float("inf"), history, used
-    max_gen = int(gens.max())
-    for g in range(max_gen + 1):
-        mask = gens <= g
-        pts = real_pts[mask]
-        if pts.shape[0] < 2:
+    index = np.arange(used)
+    best_sq = math.inf
+    for g in range(int(gens.max()) + 1):
+        prefix = index[gens <= g]
+        if prefix.shape[0] < 2:
             continue
-        tree = cKDTree(pts)
-        d, _ = tree.query(pts, k=2)
-        gap = float(d[:, 1].min())
-        best = min(best, gap)
-        history.append((g, best))
-    return best, history, used
+        new = prefix if best_sq == math.inf else index[gens == g]
+        if best_sq > 0 and new.shape[0] > 1:
+            rows = real_pts[new][np.argsort(real_pts[new, 0], kind="stable")]
+            best_sq = min(best_sq, float(_sq_dists(rows[1:], rows[:-1]).min()))
+        if best_sq > 0 and new.shape[0]:
+            best_sq = min(best_sq, _closest_sq(real_pts, new, prefix, best_sq))
+        history.append((g, math.sqrt(best_sq)))
+    return history[-1][1], history, used
+
+
+def _nearest_sq(pts: np.ndarray, target: np.ndarray) -> float:
+    """Least squared distance from target to a row of pts, by blocks."""
+    return min(
+        float(_sq_dists(pts[i : i + 2**16], target).min()) for i in range(0, pts.shape[0], 2**16)
+    )
 
 
 def verify(
@@ -686,8 +791,6 @@ def verify(
     # --- approach (completeness) evidence --------------------------------
     approach_max = None
     approach_points = 0
-    from scipy.spatial import cKDTree
-
     rng = random.Random(20260817)
     t_rows = []
     for p in closure.sample(rng, APPROACH_COUNT, approach_translations):
@@ -696,9 +799,7 @@ def verify(
         if all(abs(r - c) <= half for r, c in zip(row, center)):
             t_rows.append(row)
     if t_rows:
-        tree = cKDTree(real_pts)
-        d, _ = tree.query(np.array(t_rows), k=1)
-        approach_max = float(np.max(d))
+        approach_max = math.sqrt(max(_nearest_sq(real_pts, np.array(t)) for t in t_rows))
         approach_points = len(t_rows)
 
     return EvidenceReport(

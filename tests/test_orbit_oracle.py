@@ -3,7 +3,10 @@ reports that score a predicted closure against an enumerated orbit."""
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -423,6 +426,74 @@ class TestVerify:
         )
         with pytest.raises(ValueError):
             oracle.verify(orbit_closure(quarter_profile(), P(0)), empty)
+
+
+# ---------------------------------------------------------------------------
+# neighbour search: the k-d tree of scipy is the reference
+
+
+def kd_tree_gap_history(real_pts, gens):
+    """min_gap_history with one k-d tree query per word length."""
+    from scipy.spatial import cKDTree
+
+    history, best = [], float("inf")
+    for g in range(int(gens.max()) + 1):
+        pts = real_pts[gens <= g]
+        if pts.shape[0] < 2:
+            continue
+        d, _ = cKDTree(pts).query(pts, k=2)
+        best = min(best, float(d[:, 1].min()))
+        history.append((g, best))
+    return best, history
+
+
+def point_clouds(rng, dim):
+    n = int(rng.integers(2, 3000))
+    yield rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
+    yield rng.integers(-5, 5, size=(n, dim)) * 0.37 + 1e-3 * rng.integers(0, 3, size=(n, dim))
+    yield np.repeat(rng.normal(size=(n // 2 + 1, dim)), 2, axis=0)[:n]  # duplicates
+    yield np.exp(rng.uniform(-12, 12, size=(n, 1))) * rng.normal(size=(n, dim))
+    # a far pair, then a contracted crowd of new points
+    yield np.vstack([np.eye(2, dim) * 10.0, rng.normal(size=(n, dim)) * 1e-3 + 3.0])
+
+
+class TestNeighbourSearch:
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_gap_history_matches_a_kd_tree_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for trial in range(4):
+            for pts in point_clouds(rng, dim):
+                gens = np.sort(rng.integers(0, 8, size=pts.shape[0]))
+                if trial == 3:
+                    gens = np.r_[0, 1, np.full(pts.shape[0] - 2, 2)]
+                best, history, used = oracle._min_gap_history(pts, gens)
+                assert used == pts.shape[0]
+                assert (best, history) == kd_tree_gap_history(pts, gens)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_nearest_distance_matches_a_kd_tree_bit_for_bit(self, dim):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(10 + dim)
+        for pts in point_clouds(rng, dim):
+            targets = rng.normal(size=(6, dim))
+            d, _ = cKDTree(pts).query(targets, k=1)
+            assert [math.sqrt(oracle._nearest_sq(pts, t)) for t in targets] == list(d)
+
+    def test_verify_imports_no_scipy(self, tmp_path):
+        # the CLI's verify runs on numpy alone
+        doc = tmp_path / "quarter.json"
+        doc.write_text('{"dim": 1, "generators": [{"ratio": "i", "center": ["0"]}, '
+                       '{"ratio": "i", "center": ["1"]}], "points": [["1/2"]]}')
+        code = (
+            "import sys, contextlib, io\n"
+            "from homothety_orbits import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['verify', '--input', {str(doc)!r}, '--word-cap', '8']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 # ---------------------------------------------------------------------------
