@@ -632,6 +632,7 @@ _CELL_HASH = np.array(
 )
 _QUERY_BLOCK = 8192
 _PAIR_BLOCK = 1 << 20
+_SMALL_PREFIX = 128
 
 
 def _closest_sq(pts: np.ndarray, queries: np.ndarray, others: np.ndarray, bound_sq: float) -> float:
@@ -663,6 +664,8 @@ def _closest_sq(pts: np.ndarray, queries: np.ndarray, others: np.ndarray, bound_
     first = np.flatnonzero(np.r_[True, okeys[1:] != okeys[:-1]])
     ukeys = okeys[first]
     ucount = np.diff(np.r_[first, okeys.shape[0]])
+    # every subset of the coordinates, as 0/1 rows: which ones step over
+    patterns = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint64)
     best = math.inf
     for start in range(0, queries.shape[0], _QUERY_BLOCK):
         q = queries[start : start + _QUERY_BLOCK]
@@ -670,25 +673,25 @@ def _closest_sq(pts: np.ndarray, queries: np.ndarray, others: np.ndarray, bound_
         qkeys = (cell * mult).sum(axis=1)
         # the key step to the neighbour on the nearer side, per coordinate
         step = np.where(frac < 0.5, -mult.astype(np.int64), mult.astype(np.int64)).astype(np.uint64)
-        for pattern in itertools.product((False, True), repeat=k):
-            target = qkeys + step[:, list(pattern)].sum(axis=1, dtype=np.uint64)
-            at = np.minimum(np.searchsorted(ukeys, target), ukeys.shape[0] - 1)
-            counts = np.where(ukeys[at] == target, ucount[at], 0)
-            ends = np.cumsum(counts)
-            # pairs go in pieces of about _PAIR_BLOCK, so that a crowded
-            # cell costs time but not memory
-            a = 0
-            while a < q.shape[0] and ends[-1]:
-                b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _PAIR_BLOCK, "right")))
-                c = counts[a:b]
-                total = int(c.sum())
-                if total:
-                    i = np.repeat(q[a:b], c)
-                    j = others[np.repeat(first[at[a:b]] - (np.cumsum(c) - c), c) + np.arange(total)]
-                    keep = i != j
-                    if keep.any():
-                        best = min(best, float(_sq_dists(pts[i[keep]], pts[j[keep]]).min()))
-                a = b
+        target = (qkeys[:, None] + step @ patterns.T).ravel()
+        at = np.minimum(np.searchsorted(ukeys, target), ukeys.shape[0] - 1)
+        counts = np.where(ukeys[at] == target, ucount[at], 0)
+        source = np.repeat(q, patterns.shape[0])
+        ends = np.cumsum(counts)
+        # pairs go in pieces of about _PAIR_BLOCK, so that a crowded cell
+        # costs time but not memory
+        a = 0
+        while a < target.shape[0] and ends[-1]:
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _PAIR_BLOCK, "right")))
+            c = counts[a:b]
+            total = int(c.sum())
+            if total:
+                i = np.repeat(source[a:b], c)
+                j = others[np.repeat(first[at[a:b]] - (np.cumsum(c) - c), c) + np.arange(total)]
+                keep = i != j
+                if keep.any():
+                    best = min(best, float(_sq_dists(pts[i[keep]], pts[j[keep]]).min()))
+            a = b
     return best
 
 
@@ -697,10 +700,13 @@ def _min_gap_history(
 ) -> Tuple[float, List[Tuple[int, float]], int]:
     """Closest-pair distance of the points of word length <= g, for each g.
 
-    A pair that lowers the gap at word length g holds a point of length g,
-    so each step searches only from the new points, within the smaller of
-    the gap so far and the least distance between new points adjacent in
-    their first coordinate (a crowd of new points shrinks the cells)."""
+    Points are ordered by word length, so that each g has a leading range.
+    While that range holds at most _SMALL_PREFIX points, every pair is
+    measured at once.  Past it, a pair that lowers the gap at length g holds
+    a point of length g, so the grid search starts only from those points,
+    within the smaller of the gap so far and the least distance between new
+    points adjacent in their first coordinate (a crowd of new points
+    shrinks the cells)."""
     if real_pts.shape[0] > MIN_GAP_POINT_CAP:
         real_pts = real_pts[:MIN_GAP_POINT_CAP]
         gens = gens[:MIN_GAP_POINT_CAP]
@@ -708,19 +714,29 @@ def _min_gap_history(
     history: List[Tuple[int, float]] = []
     if used < 2:
         return float("inf"), history, used
-    index = np.arange(used)
+    order = np.argsort(gens, kind="stable")
+    pts = real_pts[order]
+    ends = np.searchsorted(gens[order], np.arange(int(gens.max()) + 1), "right")
+    small = int(ends[ends <= _SMALL_PREFIX].max(initial=0))
+    d = _sq_dists(pts[:small, None], pts[None, :small])
+    d[np.triu_indices(small)] = math.inf
+    nearest_before = d.min(axis=1, initial=math.inf)  # over the earlier points
     best_sq = math.inf
-    for g in range(int(gens.max()) + 1):
-        prefix = index[gens <= g]
-        if prefix.shape[0] < 2:
-            continue
-        new = prefix if best_sq == math.inf else index[gens == g]
-        if best_sq > 0 and new.shape[0] > 1:
-            rows = real_pts[new][np.argsort(real_pts[new, 0], kind="stable")]
-            best_sq = min(best_sq, float(_sq_dists(rows[1:], rows[:-1]).min()))
-        if best_sq > 0 and new.shape[0]:
-            best_sq = min(best_sq, _closest_sq(real_pts, new, prefix, best_sq))
-        history.append((g, math.sqrt(best_sq)))
+    start = 0
+    for g in range(ends.shape[0]):
+        end = int(ends[g])
+        if end <= small:
+            best_sq = min(best_sq, float(nearest_before[start:end].min(initial=math.inf)))
+        elif best_sq > 0:
+            new = np.arange(start, end)
+            if new.shape[0] > 1:
+                rows = pts[new][np.argsort(pts[new, 0], kind="stable")]
+                best_sq = min(best_sq, float(_sq_dists(rows[1:], rows[:-1]).min()))
+            if best_sq > 0:
+                best_sq = min(best_sq, _closest_sq(pts, new, np.arange(end), best_sq))
+        if end >= 2:
+            history.append((g, math.sqrt(best_sq)))
+        start = end
     return history[-1][1], history, used
 
 
