@@ -54,7 +54,7 @@ def combo(values, coeffs):
     return acc
 
 
-def _fraction_member(c, p: PlanarVector) -> bool:
+def _fraction_parse_scalar(c, p: PlanarVector) -> bool:
     """Membership of an exact vector computed on RealQuadratic fractions."""
     if c.shape == "Plane":
         return True
@@ -146,8 +146,8 @@ class TestAdditivePinned:
         assert skew.shape == "LineDense"
         on = pv(RealQuadratic(Fraction(1, 3), 2), RealQuadratic(6, Fraction(1, 3)))
         off = pv(RealQuadratic(Fraction(1, 3), 2), RealQuadratic(6, Fraction(1, 2)))
-        assert skew.contains(on) and _fraction_member(skew, on)
-        assert not skew.contains(off) and not _fraction_member(skew, off)
+        assert skew.contains(on) and _fraction_parse_scalar(skew, on)
+        assert not skew.contains(off) and not _fraction_parse_scalar(skew, off)
 
     def test_dense_line_plus_transversal_steps(self):
         c = classify_additive_closure([pv(1, 0), pv(SQRT3, 0), pv(0, 1)])
@@ -382,7 +382,7 @@ class TestAdditiveInvariants:
         vals = [g.exact_value for g in gens]
         probes = [combo(vals[:2], pair) * scale for pair in pairs] + [extra.exact_value]
         for probe in probes:
-            assert c.contains(probe) == _fraction_member(c, PlanarVector.from_cyclo(probe))
+            assert c.contains(probe) == _fraction_parse_scalar(c, PlanarVector.from_cyclo(probe))
 
     @given(
         st.lists(exact_scalars(), min_size=1, max_size=4),
@@ -490,21 +490,17 @@ def mult(*names):
     return classify_multiplicative_closure([parse_scalar(n) for n in names])
 
 
-def member(text):
-    return parse_scalar(text)
-
-
 class TestMultiplicativeLogPolar:
     def test_gaussian_spiral_is_discrete(self):
         c = mult("2+i")
         assert (c.shape, c.exact) == ("RaysDiscrete", True)
         assert c.angle_order is None and c.hnf_rows is None  # arg(2+i)/pi irrational
         assert c.modulus_base_sq == 5
-        assert c.contains(member("3+4i"))  # (2+i)^2
-        assert c.contains(member("2/5-1/5i"))  # (2+i)^-1
+        assert c.contains(parse_scalar("3+4i"))  # (2+i)^2
+        assert c.contains(parse_scalar("2/5-1/5i"))  # (2+i)^-1
         assert c.contains(Scalar.integer(0))
         for other in ("2-i", "1+2i", "-2-i", "5"):  # same modulus or ray, not a power
-            assert not c.contains(member(other)), other
+            assert not c.contains(parse_scalar(other)), other
         assert c.distance(complex(3, 4)) == pytest.approx(0.0, abs=1e-12)
         assert c.is_whole_plane() is Trilean.NO
 
@@ -514,16 +510,16 @@ class TestMultiplicativeLogPolar:
         assert c.angle_order == 8
         assert c.hnf_rows == ((1, 3), (0, 6))  # arg(1+i) = 3 pi/12, roots <i>
         for m in ("1-i", "2", "-1/2", "2+2i", "1/4i"):
-            assert c.contains(member(m)), m
+            assert c.contains(parse_scalar(m)), m
         for other in ("zeta12", "3", "4+2i", "1+2i"):
-            assert not c.contains(member(other)), other
+            assert not c.contains(parse_scalar(other)), other
 
     def test_two_spirals_and_three_fill_eight_rays(self):
         c = mult("1+i", "1-i", "3")
         assert (c.shape, c.exact) == ("RaysDense", True)
         assert c.angle_order == 8
-        assert c.contains(member("3/2")) and c.contains(member("5+5i"))
-        assert not c.contains(member("zeta12"))
+        assert c.contains(parse_scalar("3/2")) and c.contains(parse_scalar("5+5i"))
+        assert not c.contains(parse_scalar("zeta12"))
         ray = complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) * 0.7
         assert c.distance(ray) == pytest.approx(0.0, abs=1e-12)
         assert c.is_whole_plane() is Trilean.NO
@@ -546,9 +542,9 @@ class TestMultiplicativeLogPolar:
         assert c.includes_zero
         # every modulus 5^(k/2) is a full circle
         for m in ("3/5+4/5i", "zeta12", "5", "1+2i", "-1/5"):
-            assert c.contains(member(m)), m
+            assert c.contains(parse_scalar(m)), m
         for other in ("2", "1+i", "7"):
-            assert not c.contains(member(other)), other
+            assert not c.contains(parse_scalar(other)), other
         assert c.distance(complex(0.0, 5 ** 0.5)) == pytest.approx(0.0, abs=1e-12)
         assert c.distance(complex(1.5, 0.0)) == pytest.approx(0.5)
 
@@ -556,7 +552,7 @@ class TestMultiplicativeLogPolar:
         c = mult("3/5+4/5i", "2", "3")
         assert (c.shape, c.exact) == ("Plane", True)
         assert c.is_whole_plane() is Trilean.YES
-        assert c.contains(member("7+zeta12")) and c.contains(Scalar.integer(0))
+        assert c.contains(parse_scalar("7+zeta12")) and c.contains(Scalar.integer(0))
         assert c.distance(complex(-0.3, 11.0)) == 0.0
 
     def test_one_plus_zeta_has_a_unit_squared_modulus(self):
@@ -578,13 +574,13 @@ class TestMultiplicativeLogPolar:
         assert "four-exponentials" in c.evidence["reason"]
         assert c.is_whole_plane() is Trilean.UNKNOWN
         # described by its superset C: no point is rejected
-        assert c.contains(member("7")) and c.contains(member("6+3i"))
+        assert c.contains(parse_scalar("7")) and c.contains(parse_scalar("6+3i"))
         assert c.distance(complex(0.2, -5.0)) == 0.0
 
     def test_unit_circle_without_zero(self):
         c = mult("3/5+4/5i")
         assert (c.shape, c.exact, c.includes_zero) == ("Circles", True, False)
-        assert c.contains(member("zeta12")) and not c.contains(Scalar.integer(0))
+        assert c.contains(parse_scalar("zeta12")) and not c.contains(Scalar.integer(0))
         assert c.distance(complex(0.0, 3.0)) == pytest.approx(2.0)
 
 
