@@ -9,7 +9,10 @@ exit code and stdout in order.  The `verify-c2` line runs
 one above the closure trace's cell cap (40^4 cells) and one below it
 (8^4), with the first generator's centre as an extra point: so it covers
 the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
-both sides of the cap.  Two checkouts print the same digests
+both sides of the cap.  The `numeric` line runs `classify` and
+`verify --word-cap 8` on fixed dimension-1 documents with decimal data,
+which take the heuristic closures, and `classify` on one such document in
+C^2.  Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
 
@@ -38,6 +41,21 @@ SEEDS = (1, 2, 3, 4, 5)
 ROUNDS = 2
 C2_SEEDS = (1, 2, 3)
 C2_GRIDS = (40, 8)
+# (name, dim, generators as (ratio, centre) or ("1", translation), point)
+NUMERIC_DOCS = (
+    ("additive", 1, (("i", ("0",)), ("i", ("1",)), ("-1", ("0.3",))), ("0.25",)),
+    ("spiral", 1, (("1.5+0.5i", ("0",)), ("i", ("1",))), ("0.5",)),
+    ("translation", 1, (("1", ("1",)), ("exp(i*1)", ("0",))), ("0",)),
+)
+NUMERIC_C2_DOC = ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1"))
+
+
+def numeric_doc(dim, gens, point) -> dict:
+    generators = [
+        {"ratio": r, "translation": list(c)} if r == "1" else {"ratio": r, "center": list(c)}
+        for r, c in gens
+    ]
+    return {"dim": dim, "generators": generators, "points": [list(point)]}
 
 
 def run_cli(cli, argv):
@@ -94,6 +112,15 @@ def main() -> int:
                     h.update(out.encode())
                     count += 1
         print(f"{'verify-c2':<16} {count:>4} docs  {h.hexdigest()}", flush=True)
+        h = hashlib.sha256()
+        runs = [(d, ["classify"]) for d in NUMERIC_DOCS + (NUMERIC_C2_DOC,)]
+        runs += [(d, ["verify", "--word-cap", "8"]) for d in NUMERIC_DOCS]
+        for count, ((family, dim, gens, point), argv) in enumerate(runs):
+            path = write_doc(tmp, numeric_doc(dim, gens, point))
+            code, out = run_cli(cli, argv + ["--input", path])
+            h.update(f"{count}:{family}:{argv[0]}:{code}\n".encode())
+            h.update(out.encode())
+        print(f"{'numeric':<16} {len(runs):>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)
