@@ -22,115 +22,72 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lattices import (
-    clear_denominators,
     field_nullspace,
     field_rank,
     field_solve,
     hnf,
     hnf_solve,
     integer_kernel,
-    lattice_basis_from_rational_rows,
 )
 from .exact_algebra import (
+    CYCLO_I,
     CYCLO_ONE,
+    CYCLO_ZERO,
     ZETA_POWERS,
     CycloScalar,
-    RealQuadratic,
     Scalar,
     Trilean,
     format_scalar,
 )
 
-RQ_ZERO = RealQuadratic(0, 0)
-RQ_ONE = RealQuadratic(1, 0)
+
+def _planar_rank(vectors: Sequence[CycloScalar]) -> int:
+    """Rank over Q(sqrt3) of the vectors (re v, im v), the same as over Q(zeta)."""
+    rows = [[v.real_part(), v.imag_part()] for v in vectors]
+    return field_rank(rows, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
 
 
-def _rq_is_zero(x: RealQuadratic) -> bool:
-    return x.is_zero()
+def _lift_rows(values: Sequence[CycloScalar]) -> Tuple[List[List[int]], int]:
+    """Planar lifts of exact values as integer rows over their least common
+    denominator."""
+    lifts = [v.planar_lift() for v in values]
+    den = lcm(*(d for _, d in lifts))
+    rows = [[x * (den // d) for x in nums] for nums, d in lifts]
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
 
 
-def _rq_rank(rows):
-    return field_rank(rows, _rq_is_zero, RQ_ZERO, RQ_ONE)
+def _lattice_basis(values: Sequence[CycloScalar]) -> List[CycloScalar]:
+    """Z-basis (the HNF of the planar lifts) of the group the values generate."""
+    rows, den = _lift_rows(values)
+    return [CycloScalar.from_planar_lift(row, den) for row in hnf(rows)]
 
 
-def _rq_nullspace(rows):
-    return field_nullspace(rows, _rq_is_zero, RQ_ZERO, RQ_ONE)
+def _fmt_rq(a: int, b: int, den: int) -> str:
+    p, q = Fraction(a, den), Fraction(b, den)
+    return str(p) if q == 0 else f"{p}+{q}*sqrt3"
 
 
-def _rq_solve(cols, target):
-    return field_solve(cols, target, _rq_is_zero, RQ_ZERO, RQ_ONE)
-
-
-@dataclass(frozen=True)
-class PlanarVector:
-    """Exact vector of R^2 with coordinates in Q(sqrt(3))."""
-
-    x: RealQuadratic
-    y: RealQuadratic
-
-    @staticmethod
-    def from_cyclo(z: CycloScalar) -> "PlanarVector":
-        return PlanarVector(z.real_part(), z.imag_part())
-
-    @staticmethod
-    def of(x, y) -> "PlanarVector":
-        def conv(v):
-            if isinstance(v, RealQuadratic):
-                return v
-            return RealQuadratic(v, 0)
-
-        return PlanarVector(conv(x), conv(y))
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero()
-
-    def lift(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x.p, self.x.q, self.y.p, self.y.q)
-
-    @staticmethod
-    def unlift(row: Sequence[Fraction]) -> "PlanarVector":
-        return PlanarVector(RealQuadratic(row[0], row[1]), RealQuadratic(row[2], row[3]))
-
-    def dot(self, other: "PlanarVector") -> RealQuadratic:
-        return self.x * other.x + self.y * other.y
-
-    def planar_lift(self) -> Tuple[Tuple[int, int, int, int], int]:
-        """lift() as integer numerators over one common denominator."""
-        rows, den = clear_denominators([self.lift()])
-        return tuple(rows[0]), den
-
-    def to_complex(self) -> complex:
-        return complex(self.x.to_float(), self.y.to_float())
-
-    def __str__(self):
-        return f"({self.x.p}+{self.x.q}r3, {self.y.p}+{self.y.q}r3)"
-
-
-def _fmt_rq(x: RealQuadratic) -> str:
-    if x.q == 0:
-        return str(x.p)
-    return f"{x.p}+{x.q}*sqrt3"
-
-
-def _fmt_planar(v: PlanarVector) -> str:
-    return f"[{_fmt_rq(v.x)}, {_fmt_rq(v.y)}]"
+def _fmt_planar(v: CycloScalar) -> str:
+    (x0, x1, y0, y1), den = v.planar_lift()
+    return f"[{_fmt_rq(x0, x1, den)}, {_fmt_rq(y0, y1, den)}]"
 
 
 # ---------------------------------------------------------------------------
 # additive closures
 #
-# Exact membership reads a vector through its planar lift to Q^4 as integer
-# numerators over one denominator, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den
-# (`planar_lift` of CycloScalar and PlanarVector), against integer data of
-# the closure computed once per closure object.  `distance` takes a complex
-# number or an array of them; it is real arithmetic with np.hypot for
-# lengths, so an array entry equals the scalar value bit for bit.
+# A planar vector x + iy is an exact CycloScalar.  Exact membership reads a
+# vector through its planar lift to Q^4 as integer numerators over one
+# denominator, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, against integer
+# data of the closure computed once per closure object.  `distance_many`
+# takes a 1-d complex array and `distance` is its one-point case; it is real
+# arithmetic with np.hypot for lengths, so both give the same floats.
 
 
 @dataclass(frozen=True)
@@ -140,24 +97,21 @@ class AdditiveClosure:
     evidence: Optional[dict] = None
 
     def contains(self, v, eps: float = 1e-9) -> bool:
-        lift = _exact_lift(v) if self.exact else None
-        if lift is not None:
-            return self.contains_lift(*lift)
-        return self.distance(_as_complex(v)) <= eps
+        x = _exact_cyclo(v) if self.exact else None
+        if x is not None:
+            return self.contains_lift(*x.planar_lift())
+        return self.distance(v) <= eps
 
     def contains_lift(self, nums: Sequence[int], den: int) -> bool:
         """Exact membership of (nums[0] + nums[1]*sqrt3, nums[2] + nums[3]*sqrt3) / den."""
         raise NotImplementedError
 
-    def distance(self, v):
-        """Distance to the closure from a complex number (a float), or
-        elementwise from an array of complex numbers (an array)."""
-        arr = np.asarray(v, dtype=np.complex128)
-        d = self._distances(arr.reshape(-1))
-        return float(d[0]) if arr.ndim == 0 else d.reshape(arr.shape)
-
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
+        """Distances to the closure from a 1-d array of complex numbers."""
         raise NotImplementedError
+
+    def distance(self, v) -> float:
+        return float(self.distance_many(np.array([_as_complex(v)], dtype=np.complex128))[0])
 
     def is_discrete(self) -> Trilean:
         if not self.exact:
@@ -176,32 +130,14 @@ class AdditiveClosure:
         return out
 
 
-def _as_planar(v) -> Optional[PlanarVector]:
-    if isinstance(v, PlanarVector):
-        return v
-    if isinstance(v, CycloScalar):
-        return PlanarVector.from_cyclo(v)
-    if isinstance(v, Scalar) and v.is_exact:
-        return PlanarVector.from_cyclo(v.exact_value)
-    return None
-
-
-def _exact_lift(v) -> Optional[Tuple[Tuple[int, int, int, int], int]]:
+def _exact_cyclo(v) -> Optional[CycloScalar]:
     if isinstance(v, Scalar):
-        if not v.is_exact:
-            return None
-        v = v.exact_value
-    if isinstance(v, (CycloScalar, PlanarVector)):
-        return v.planar_lift()
-    return None
+        return v.exact_value if v.is_exact else None
+    return v if isinstance(v, CycloScalar) else None
 
 
 def _as_complex(v) -> complex:
-    if isinstance(v, PlanarVector):
-        return v.to_complex()
-    if isinstance(v, Scalar):
-        return v.to_complex()
-    if isinstance(v, CycloScalar):
+    if isinstance(v, (Scalar, CycloScalar)):
         return v.to_complex()
     return complex(v)
 
@@ -214,7 +150,7 @@ class ZeroGroup(AdditiveClosure):
     def contains_lift(self, nums: Sequence[int], den: int) -> bool:
         return not any(nums)
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         return np.hypot(v.real, v.imag)
 
 
@@ -222,17 +158,14 @@ class _LatticeClosure(AdditiveClosure):
     """Lattice1 and Lattice2: exact membership solves against the integer
     HNF of the lifted basis."""
 
-    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
         raise NotImplementedError
 
     @cached_property
     def _hnf(self) -> Tuple[List[List[int]], int]:
-        rows, den = clear_denominators([b.lift() for b in self._basis_vectors()])
-        return hnf(rows), den
-
-    def _int_basis(self) -> Tuple[List[List[int]], int]:
         """(rows, D): the lifted lattice is the Z-span of rows / D."""
-        return self._hnf
+        rows, den = _lift_rows(self._basis_vectors())
+        return hnf(rows), den
 
     def contains_lift(self, nums: Sequence[int], den: int) -> bool:
         rows, scale = self._hnf
@@ -247,11 +180,11 @@ class _LatticeClosure(AdditiveClosure):
 
 @dataclass(frozen=True)
 class Lattice1(_LatticeClosure):
-    generator: PlanarVector = None
+    generator: CycloScalar = None
     shape: str = "Lattice1"
     exact: bool = True
 
-    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
         return (self.generator,)
 
     @cached_property
@@ -259,7 +192,7 @@ class Lattice1(_LatticeClosure):
         g = self.generator.to_complex()
         return g, abs(g) ** 2
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         g, norm_sq = self._floats
         n = np.round((v.real * g.real + v.imag * g.imag) / norm_sq)
         return np.hypot(v.real - n * g.real, v.imag - n * g.imag)
@@ -273,11 +206,11 @@ class Lattice1(_LatticeClosure):
 
 @dataclass(frozen=True)
 class Lattice2(_LatticeClosure):
-    basis: Tuple[PlanarVector, PlanarVector] = None
+    basis: Tuple[CycloScalar, CycloScalar] = None
     shape: str = "Lattice2"
     exact: bool = True
 
-    def _basis_vectors(self) -> Tuple[PlanarVector, ...]:
+    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
         return self.basis
 
     @cached_property
@@ -287,18 +220,19 @@ class Lattice2(_LatticeClosure):
         basis is an HNF and can be long and thin; for a reduced basis the
         nearest lattice point to v is a corner of the basis cell holding v."""
         b1, b2 = self.basis
-        if b1.dot(b1) > b2.dot(b2):
+        if (b1.abs_sq() - b2.abs_sq()).sign() > 0:
             b1, b2 = b2, b1
         while True:
-            m = round(b1.dot(b2).to_float() / b1.dot(b1).to_float())
-            b2 = PlanarVector(b2.x - m * b1.x, b2.y - m * b1.y)
-            if b2.dot(b2) >= b1.dot(b1):
+            # the pairing b1.b2 is re(b1 * conj b2)
+            m = round((b1 * b2.conj()).to_complex().real / b1.abs_sq().to_complex().real)
+            b2 = b2 - m * b1
+            if (b2.abs_sq() - b1.abs_sq()).sign() >= 0:
                 break
             b1, b2 = b2, b1
         c1, c2 = b1.to_complex(), b2.to_complex()
         return c1, c2, c1.real * c2.imag - c1.imag * c2.real
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         b1, b2, det = self._floats
         s = (v.real * b2.imag - v.imag * b2.real) / det
         t = (b1.real * v.imag - b1.imag * v.real) / det
@@ -323,7 +257,7 @@ class Lattice2(_LatticeClosure):
 
 @dataclass(frozen=True)
 class LineDense(AdditiveClosure):
-    direction: PlanarVector = None
+    direction: CycloScalar = None
     shape: str = "LineDense"
     exact: bool = True
 
@@ -342,7 +276,7 @@ class LineDense(AdditiveClosure):
         p, q, r, s = self._direction_lift
         return a * r + 3 * b * s == c * p + 3 * e * q and a * s + b * r == c * q + e * p
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         u = self._unit
         t = v.real * u.real + v.imag * u.imag
         return np.hypot(v.real - t * u.real, v.imag - t * u.imag)
@@ -359,9 +293,9 @@ class LineLattice(AdditiveClosure):
     """All x with dual.x in Z: a line of direction `direction` plus integer
     steps of `transversal`."""
 
-    direction: PlanarVector = None
-    transversal: PlanarVector = None
-    dual: PlanarVector = None
+    direction: CycloScalar = None
+    transversal: CycloScalar = None
+    dual: CycloScalar = None
     shape: str = "LineLattice"
     exact: bool = True
 
@@ -382,7 +316,7 @@ class LineLattice(AdditiveClosure):
             return False
         return (a * p + 3 * b * q + c * r + 3 * e * s) % (den * scale) == 0
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         d, norm = self._dual_floats
         pairing = v.real * d.real + v.imag * d.imag
         return np.abs(pairing - np.round(pairing)) / norm
@@ -404,7 +338,7 @@ class PlaneGroup(AdditiveClosure):
     def contains_lift(self, nums: Sequence[int], den: int) -> bool:
         return True
 
-    def _distances(self, v: np.ndarray) -> np.ndarray:
+    def distance_many(self, v: np.ndarray) -> np.ndarray:
         return np.zeros(v.shape)
 
 
@@ -418,44 +352,29 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     Exact when every vector has coordinates in Q(sqrt(3)); otherwise a
     numeric heuristic runs and the result carries exact=False.
     """
-    planar: List[PlanarVector] = []
-    exact = True
-    for v in vectors:
-        p = _as_planar(v)
-        if p is None:
-            exact = False
-            break
-        planar.append(p)
-    if not exact:
+    planar = [_exact_cyclo(v) for v in vectors]
+    if None in planar:
         return _classify_additive_heuristic([_as_complex(v) for v in vectors])
     gens = [p for p in planar if not p.is_zero()]
     if not gens:
         return ZeroGroup()
-    d = _rq_rank([[g.x, g.y] for g in gens])
-    lift_rows = [list(g.lift()) for g in gens]
-    basis = lattice_basis_from_rational_rows(lift_rows)
+    d = _planar_rank(gens)
+    basis = _lattice_basis(gens)
     t = len(basis)
     if t == d:
-        vecs = [PlanarVector.unlift(row) for row in basis]
         if d == 1:
-            return Lattice1(generator=vecs[0])
-        return Lattice2(basis=(vecs[0], vecs[1]))
+            return Lattice1(generator=basis[0])
+        return Lattice2(basis=(basis[0], basis[1]))
     if d == 1:
-        g0 = gens[0]
-        if not g0.x.is_zero():
-            direction = PlanarVector(RQ_ONE, g0.y / g0.x)
-        else:
-            direction = PlanarVector(RQ_ZERO, RQ_ONE)
-        return LineDense(direction=direction)
+        re = gens[0].real_part()
+        return LineDense(direction=CYCLO_I if re.is_zero() else gens[0] / re)
     # d == 2 with extra abstract rank: compute the dual group D
-    lifted = [PlanarVector.unlift(row) for row in basis]
-    a_rows = [[w.x, w.y] for w in lifted]  # t x 2 over Q(sqrt3)
-    left_kernel = _rq_nullspace([[a_rows[i][j] for i in range(t)] for j in range(2)])
-    constraints: List[List[Fraction]] = []
+    cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]  # 2 x t over Q(sqrt3)
+    left_kernel = field_nullspace(cols, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+    int_rows: List[List[int]] = []
     for c in left_kernel:
-        constraints.append([x.p for x in c])
-        constraints.append([x.q for x in c])
-    int_rows, _ = clear_denominators(constraints) if constraints else ([], 1)
+        lifts, _ = _lift_rows(c)
+        int_rows += [[x[0] for x in lifts], [x[1] for x in lifts]]
     int_rows = [r for r in int_rows if any(r)]
     if int_rows:
         m_basis = integer_kernel(int_rows)
@@ -464,29 +383,27 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     m_basis = [row for row in m_basis if any(row)]
     if not m_basis:
         return PlaneGroup()
-    cols = [[a_rows[i][0] for i in range(t)], [a_rows[i][1] for i in range(t)]]
-    duals: List[PlanarVector] = []
+    duals: List[CycloScalar] = []
     for k in m_basis:
-        target = [RealQuadratic(x, 0) for x in k]
-        phi = _rq_solve(cols, target)
+        target = [CycloScalar.from_int(x) for x in k]
+        phi = field_solve(cols, target, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
         if phi is None:
             raise AssertionError("dual system inconsistent")
-        duals.append(PlanarVector(phi[0], phi[1]))
-    dual_basis = lattice_basis_from_rational_rows([list(p.lift()) for p in duals])
-    rank_d = _rq_rank([[p.x, p.y] for p in duals])
+        duals.append(phi[0] + CYCLO_I * phi[1])
+    dual_basis = _lattice_basis(duals)
+    rank_d = _planar_rank(duals)
     if len(dual_basis) != rank_d:
         raise AssertionError("dual group of a closed subgroup must be discrete")
     if rank_d == 0:
         return PlaneGroup()
     if rank_d == 2:
         raise AssertionError("rank-2 dual with dense directions is impossible")
-    g = PlanarVector.unlift(dual_basis[0])
-    norm = g.dot(g)
-    transversal = PlanarVector(g.x / norm, g.y / norm)
-    direction = PlanarVector(-g.y, g.x)
-    lead = direction.x if not direction.x.is_zero() else direction.y
-    if lead.sign() < 0:
-        direction = PlanarVector(-direction.x, -direction.y)
+    g = dual_basis[0]
+    transversal = g / g.abs_sq()
+    direction = CYCLO_I * g  # g turned by a quarter
+    re = direction.real_part()
+    if (direction.imag_part() if re.is_zero() else re).sign() < 0:
+        direction = -direction
     return LineLattice(direction=direction, transversal=transversal, dual=g)
 
 
@@ -599,10 +516,10 @@ def _reduce_basis_2d(vals: List[complex]) -> Tuple[List[complex], bool]:
     return basis, True
 
 
-def _planar_float(z: complex) -> PlanarVector:
-    return PlanarVector(
-        RealQuadratic(Fraction(z.real).limit_denominator(10**12), 0),
-        RealQuadratic(Fraction(z.imag).limit_denominator(10**12), 0),
+def _planar_float(z: complex) -> CycloScalar:
+    return CycloScalar.gauss(
+        Fraction(z.real).limit_denominator(10**12),
+        Fraction(z.imag).limit_denominator(10**12),
     )
 
 
@@ -680,12 +597,6 @@ class MultClosure:
         return out
 
 
-def _exact_cyclo(w) -> Optional[CycloScalar]:
-    if isinstance(w, Scalar):
-        return w.exact_value if w.is_exact else None
-    return w if isinstance(w, CycloScalar) else None
-
-
 @dataclass(frozen=True)
 class FiniteCyclic(MultClosure):
     order: int = 1
@@ -736,8 +647,8 @@ class RaysDiscrete(MultClosure):
     includes_zero: bool = True
 
     @property
-    def modulus_base_sq(self) -> RealQuadratic:
-        return _abs_sq(self.generator)
+    def modulus_base_sq(self) -> CycloScalar:
+        return self.generator.abs_sq()
 
     @cached_property
     def _modulus_basis(self):
@@ -745,7 +656,7 @@ class RaysDiscrete(MultClosure):
 
     @property
     def modulus_base(self) -> float:
-        return math.sqrt(self.modulus_base_sq.to_float())
+        return math.sqrt(self.modulus_base_sq.to_complex().real)
 
     @cached_property
     def angle_log(self) -> Optional[int]:
@@ -827,7 +738,7 @@ class Circles(MultClosure):
     """Full circles |w| = rho^m, m in Z, and 0, with rho^2 = modulus_base_sq;
     with no modulus_base_sq (every ratio of modulus 1) only the unit circle."""
 
-    modulus_base_sq: Optional[RealQuadratic] = None
+    modulus_base_sq: Optional[CycloScalar] = None
     shape: str = "Circles"
     exact: bool = True
     includes_zero: bool = True
@@ -838,14 +749,14 @@ class Circles(MultClosure):
 
     def _member(self, w: CycloScalar) -> bool:
         if self.modulus_base_sq is None:
-            return _abs_sq(w) == RQ_ONE
+            return w.abs_sq() == CYCLO_ONE
         return _modulus_multiple(w, self._modulus_basis) is not None
 
     def distance_many(self, xi: np.ndarray) -> np.ndarray:
         r = np.hypot(xi.real, xi.imag)
         if self.modulus_base_sq is None:
             return np.abs(r - 1.0)
-        rho = math.sqrt(self.modulus_base_sq.to_float())
+        rho = math.sqrt(self.modulus_base_sq.to_complex().real)
         live = r > 0
         inner = rho ** np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
         d = np.minimum(np.abs(r - inner), np.abs(rho * inner - r))
@@ -854,7 +765,7 @@ class Circles(MultClosure):
     def to_report(self) -> dict:
         out = super().to_report()
         if self.modulus_base_sq is not None:
-            out["modulus_ratio"] = math.sqrt(self.modulus_base_sq.to_float())
+            out["modulus_ratio"] = math.sqrt(self.modulus_base_sq.to_complex().real)
         return out
 
 
@@ -947,8 +858,9 @@ class HeuristicMult(MultClosure):
 
 # -- arithmetic of Q(sqrt3) and Z[sqrt3] ------------------------------------
 #
-# A prime of Z[sqrt3] is keyed (p, x, y): the prime x + y*sqrt3 > 0 above the
-# rational prime p.  2 and 3 ramify, p = +-1 mod 12 splits, other p are inert.
+# An element of Q(sqrt3) is a real CycloScalar.  A prime of Z[sqrt3] is keyed
+# (p, x, y): the prime x + y*sqrt3 > 0 above the rational prime p.  2 and 3
+# ramify, p = +-1 mod 12 splits, other p are inert.
 
 
 def _factorize(n: int) -> Dict[int, int]:
@@ -983,10 +895,11 @@ def _primes_above(p: int) -> List[Tuple[int, int, int]]:
         y += 1
 
 
-def _integral_parts(v: RealQuadratic) -> Tuple[int, int, int]:
-    """(a, b, c) with v = (a + b*sqrt3) / c and c > 0."""
-    c = v.p.denominator * v.q.denominator // gcd(v.p.denominator, v.q.denominator)
-    return v.p.numerator * (c // v.p.denominator), v.q.numerator * (c // v.q.denominator), c
+def _integral_parts(v: CycloScalar) -> Tuple[int, int, int]:
+    """(a, b, c) in lowest terms with real v = (a + b*sqrt3) / c and c > 0."""
+    (a, b, _, _), c = v.planar_lift()
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
 def _divide_out(a: int, b: int, prime: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -1015,7 +928,7 @@ def _unit_log(a: int, b: int) -> Optional[int]:
     return k
 
 
-def _exponents(v: RealQuadratic, primes: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
+def _exponents(v: CycloScalar, primes: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
     """Exponent vector of v > 0 over `primes` and then the unit 2+sqrt3;
     None when v has a prime factor outside `primes`."""
     a, b, c = _integral_parts(v)
@@ -1034,17 +947,13 @@ def _exponents(v: RealQuadratic, primes: Sequence[Tuple[int, int, int]]) -> Opti
     return None if k is None else out + [k]
 
 
-def _prime_support(v: RealQuadratic) -> List[Tuple[int, int, int]]:
+def _prime_support(v: CycloScalar) -> List[Tuple[int, int, int]]:
     a, b, c = _integral_parts(v)
     rational = set(_factorize(a * a - 3 * b * b)) | set(_factorize(c))
     return [q for p in sorted(rational) for q in _primes_above(p)]
 
 
-def _abs_sq(w: CycloScalar) -> RealQuadratic:
-    return w.abs_sq().real_part()
-
-
-def _exponent_basis(base: RealQuadratic) -> Tuple[List[Tuple[int, int, int]], List[int]]:
+def _exponent_basis(base: CycloScalar) -> Tuple[List[Tuple[int, int, int]], List[int]]:
     """The primes dividing base != 1 and its exponent vector over them."""
     primes = _prime_support(base)
     return primes, _exponents(base, primes)
@@ -1053,7 +962,7 @@ def _exponent_basis(base: RealQuadratic) -> Tuple[List[Tuple[int, int, int]], Li
 def _modulus_multiple(w: CycloScalar, basis) -> Optional[int]:
     """m with |w|^2 = base^m for the (primes, vector) basis of base, or None."""
     primes, vector = basis
-    exps = _exponents(_abs_sq(w), primes)
+    exps = _exponents(w.abs_sq(), primes)
     if exps is None:
         return None
     lead = next(i for i, e in enumerate(vector) if e)
@@ -1073,7 +982,7 @@ def _angle_pi12(w: CycloScalar) -> Optional[int]:
     for k in range(12):
         if w == ZETA_POWERS[k] * wb:
             # arg w is k*pi/12 or k*pi/12 + pi: the sign of w * conj(1+zeta)^k
-            return k if (w * _ETA_BAR_POWERS[k]).real_part().sign() > 0 else k + 12
+            return k if (w * _ETA_BAR_POWERS[k]).sign() > 0 else k + 12
     return None
 
 
@@ -1112,7 +1021,7 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     if any(v is None for v in values):
         return _classify_mult_heuristic(ratios)
     values = [v for v in values if v != CYCLO_ONE]
-    moduli = [_abs_sq(v) for v in values]
+    moduli = [v.abs_sq() for v in values]
     primes = sorted({p for q in moduli for p in _prime_support(q)})
     width = len(primes) + 1
     rows = hnf(
@@ -1139,10 +1048,10 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
         g = gcd(12, *logs)
         return FiniteCyclic(order=12 // g, generator_log=g % 12)
     generator = _word(values, modulus_rows[0][width:])
-    if _abs_sq(generator) < 1:
+    if (generator.abs_sq() - 1).sign() < 0:
         generator = generator.inverse()
     if None in logs:
-        return Circles(modulus_base_sq=_abs_sq(generator))
+        return Circles(modulus_base_sq=generator.abs_sq())
     g = gcd(12, *logs)
     a = _angle_pi12(generator)
     if a is not None:

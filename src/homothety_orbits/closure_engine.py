@@ -49,7 +49,6 @@ from .group_profile import (
     GroupSpec,
     crystallographic_test,
     CrystalVerdict,
-    _to_planar_or_complex,
     schreier_generators,
 )
 
@@ -402,7 +401,7 @@ class RotationCoset(ClosureDesc):
         if self.dim == 1 and self.translation_closure is not None:
             for rho in rotations:
                 v = wa[:, 0] - rho * za[0]
-                out = np.minimum(out, self.translation_closure.distance(v))
+                out = np.minimum(out, self.translation_closure.distance_many(v))
             return out
         proj = self._span_projector
         for rho in rotations:
@@ -829,7 +828,7 @@ def _exact_center(c) -> Point:
     coords = list(c) if isinstance(c, (tuple, list)) else [c]
     if len(coords) == 2:
         a, b = (_exact_coord(x) for x in coords)
-        if not (a.exact_value.imag_part().is_zero() and b.exact_value.imag_part().is_zero()):
+        if not (a.exact_value.is_real() and b.exact_value.is_real()):
             raise ValueError(
                 "a planar center must be one complex number or a pair of reals"
             )
@@ -895,9 +894,7 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
             Homothety.with_center(r2, c2p),
         ),
     )
-    lattice = classify_additive_closure(
-        [_to_planar_or_complex(t[0]) for t in schreier_generators(spec).shifts]
-    )
+    lattice = classify_additive_closure([t[0] for t in schreier_generators(spec).shifts])
     if lattice.is_discrete() is Trilean.YES:
         return RotationPairVerdict(
             kind="AllClosedDiscrete",

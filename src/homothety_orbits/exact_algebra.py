@@ -4,6 +4,8 @@ Exact values live in the degree-4 cyclotomic field Q(zeta) with
 zeta = exp(i*pi/6), minimal polynomial x^4 - x^2 + 1.  The field contains
 i = zeta^3, sqrt(3) = 2*zeta - zeta^3, and every 4th and 6th root of unity,
 which is all the algebraic structure the closure classification consumes.
+A planar vector x + iy is one CycloScalar, and an element of the real
+subfield Q(sqrt(3)) is a real one.
 Values outside the field are carried as floats with a conservative error
 radius, and every predicate on them is three-valued.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 SQRT3 = math.sqrt(3.0)
 _MACH_EPS = 2.220446049250313e-16
@@ -46,13 +48,6 @@ class Trilean(Enum):
             return Trilean.YES
         return Trilean.UNKNOWN
 
-    def either(self, other: "Trilean") -> "Trilean":
-        if self is Trilean.YES or other is Trilean.YES:
-            return Trilean.YES
-        if self is Trilean.NO and other is Trilean.NO:
-            return Trilean.NO
-        return Trilean.UNKNOWN
-
     @property
     def definite(self) -> bool:
         return self is not Trilean.UNKNOWN
@@ -64,120 +59,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class RealQuadratic:
-    """p + q*sqrt(3) with rational p, q: the real subfield of Q(zeta)."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p=0, q=0):
-        self.p = _as_fraction(p)
-        self.q = _as_fraction(q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RealQuadratic(self.p + other.p, self.q + other.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RealQuadratic(-self.p, -self.q)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RealQuadratic(
-            self.p * other.p + 3 * self.q * other.q,
-            self.p * other.q + self.q * other.p,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RealQuadratic":
-        n = self.p * self.p - 3 * self.q * self.q
-        if n == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero")
-            raise AssertionError("norm of a nonzero element vanished")
-        return RealQuadratic(self.p / n, -self.q / n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RealQuadratic):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RealQuadratic(x, 0)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def sign(self) -> int:
-        if self.q == 0:
-            return -1 if self.p < 0 else (1 if self.p > 0 else 0)
-        if self.p == 0:
-            return -1 if self.q < 0 else 1
-        if self.p > 0 and self.q > 0:
-            return 1
-        if self.p < 0 and self.q < 0:
-            return -1
-        # mixed signs: compare p^2 with 3 q^2 (equality impossible, sqrt(3) irrational)
-        if self.p * self.p > 3 * self.q * self.q:
-            return 1 if self.p > 0 else -1
-        return 1 if self.q > 0 else -1
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() >= 0
-
-    def to_float(self) -> float:
-        return float(self.p) + float(self.q) * SQRT3
-
-    def __repr__(self):
-        return f"RealQuadratic({self.p!r}, {self.q!r})"
 
 
 # Galois coefficient maps on the basis (1, zeta, zeta^2, zeta^3); the group
@@ -248,9 +129,11 @@ class CycloScalar:
         return ZETA_POWERS[k % 12]
 
     @classmethod
-    def from_real_quadratic(cls, x: RealQuadratic) -> "CycloScalar":
-        # sqrt(3) = 2*zeta - zeta^3
-        return cls.from_fractions(x.p, 2 * x.q, 0, -x.q)
+    def from_planar_lift(cls, nums: Sequence[int], den: int) -> "CycloScalar":
+        """The inverse of `planar_lift`: (x0 + x1*sqrt3 + i*(y0 + y1*sqrt3)) / den."""
+        x0, x1, y0, y1 = nums
+        # sqrt(3) = 2*zeta - zeta^3 and i = zeta^3
+        return cls._raw((x0 - y1, 2 * x1, 2 * y1, y0 - x1), den)
 
     @property
     def coeffs(self):
@@ -385,17 +268,27 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return self._n[1] == 0 and self._n[2] == 0 and self._n[3] == 0
 
-    def real_part(self) -> RealQuadratic:
-        c0, c1, c2, _ = self.coeffs
-        return RealQuadratic(c0 + c2 / 2, c1 / 2)
+    def real_part(self) -> "CycloScalar":
+        (x0, x1, _, _), den = self.planar_lift()
+        return CycloScalar.from_planar_lift((x0, x1, 0, 0), den)
 
-    def imag_part(self) -> RealQuadratic:
-        _, c1, c2, c3 = self.coeffs
-        return RealQuadratic(c1 / 2 + c3, c2 / 2)
+    def imag_part(self) -> "CycloScalar":
+        (_, _, y0, y1), den = self.planar_lift()
+        return CycloScalar.from_planar_lift((y0, y1, 0, 0), den)
 
     def is_real(self) -> bool:
         n = self._n
         return n[2] == 0 and n[1] == -2 * n[3]
+
+    def sign(self) -> int:
+        """-1, 0 or 1 for a real value (a + b*sqrt3) / D, D > 0."""
+        if not self.is_real():
+            raise ValueError("sign of a non-real value")
+        (a, b, _, _), _ = self.planar_lift()
+        # a^2 == 3 b^2 only for a = b = 0, as sqrt3 is irrational
+        if a * a > 3 * b * b:
+            return (a > 0) - (a < 0)
+        return (b > 0) - (b < 0)
 
     def abs_sq(self) -> "CycloScalar":
         return self * self.conj()
@@ -408,8 +301,8 @@ class CycloScalar:
         return (2 * n0 + n2, n1, n1 + 2 * n3, n2), 2 * self._d
 
     def to_complex(self) -> complex:
-        # int / int is correctly rounded, as Fraction.__float__ is, so this
-        # equals the RealQuadratic route bit for bit without any Fraction
+        # int / int is correctly rounded, as Fraction.__float__ is, so each
+        # part equals float(p) + float(q)*SQRT3 of its reduced fractions
         (x0, x1, y0, y1), den = self.planar_lift()
         return complex(x0 / den + (x1 / den) * SQRT3, y0 / den + (y1 / den) * SQRT3)
 
@@ -426,27 +319,15 @@ class CycloScalar:
             return None
         return 12 // gcd(k, 12)
 
-    def in_f2(self) -> bool:
-        """Fourth root of unity (ratio of a rotation with angle in H_2)."""
-        k = self.root_of_unity_log()
-        return k is not None and k % 3 == 0
-
-    def in_f3(self) -> bool:
-        """Sixth root of unity (ratio of a rotation with angle in H_3)."""
-        k = self.root_of_unity_log()
-        return k is not None and k % 2 == 0
-
     def polar_pi6(self):
-        """(k, rho) with self == rho * zeta^k, rho a positive element of the
-        real subfield, when the argument is a multiple of pi/6; else None."""
+        """(k, rho) with self == rho * zeta^k, rho a positive real value,
+        when the argument is a multiple of pi/6; else None."""
         if self.is_zero():
             return None
         for k in range(12):
             y = self * ZETA_POWERS[(-k) % 12]
-            if y.is_real():
-                r = y.real_part()
-                if r.sign() > 0:
-                    return k, r
+            if y.is_real() and y.sign() > 0:
+                return k, y
         return None
 
     def __repr__(self):
@@ -915,7 +796,7 @@ def format_scalar(s: Scalar) -> str:
     polar = x.polar_pi6()
     if polar is not None and polar[1].is_rational():
         k, rho = polar
-        head = "" if rho.p == 1 else f"{_format_fraction(rho.p)}*"
+        head = "" if rho == 1 else f"{_format_fraction(rho.coeffs[0])}*"
         return f"{head}zeta12^{k}" if k != 1 else f"{head}zeta12"
     parts = []
     for power, c in enumerate((c0, c1, c2, c3)):

@@ -32,7 +32,6 @@ from .closed_subgroups import (
     LineDense,
     MultClosure,
     PlaneGroup,
-    PlanarVector,
     _planar_float,
     classify_additive_closure,
     classify_multiplicative_closure,
@@ -315,8 +314,7 @@ def crystallographic_test(ratio: Scalar) -> str:
     if m is Trilean.NO:
         return CrystalVerdict.NOT_ROTATION
     if ratio.is_exact:
-        c = ratio.exact_value.real_part()
-        if c.is_rational() and c.p * 2 in (-2, -1, 0, 1, 2):
+        if 2 * ratio.exact_value.real_part() in (-2, -1, 0, 1, 2):
             return CrystalVerdict.COMPATIBLE_DISCRETE
         return CrystalVerdict.FORCES_DENSE
     # approximate ratio numerically consistent with the unit circle: the
@@ -400,9 +398,7 @@ def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosur
     c = next(v for v in vectors if v.eq_zero() is Trilean.NO)
     if nonreal or any((v * c.conj()).is_real() is Trilean.NO for v in vectors):
         return PlaneGroup(exact=spec.is_exact)
-    direction = _to_planar_or_complex(c)
-    if not c.is_exact:
-        direction = _planar_float(direction)
+    direction = c.exact_value if c.is_exact else _planar_float(c.to_complex())
     return LineDense(direction=direction, exact=spec.is_exact)
 
 
@@ -441,11 +437,9 @@ def g1_lattice_bounds(spec: GroupSpec) -> Tuple[List[Scalar], List[Scalar], List
     # the bracketing statement is about the group the pair generates; other
     # generators may legitimately contribute translations beyond it
     shifts = [t[0] for t in schreier_generators(GroupSpec(1, (f, g))).shifts]
-    outer_closure = classify_additive_closure(
-        [_to_planar_or_complex(s) for s in outer]
-    )
+    outer_closure = classify_additive_closure(outer)
     for s in shifts:
-        if not outer_closure.contains(_to_planar_or_complex(s), eps=spec.eps):
+        if not outer_closure.contains(s, eps=spec.eps):
             raise AssertionError(f"Schreier shift {s!r} escapes the outer lattice")
     return inner, outer, shifts
 
@@ -468,12 +462,6 @@ def _sandwich_pair(spec: GroupSpec) -> Optional[Tuple[Homothety, Homothety]]:
             if v_is_zero(v_sub(f.center(), g.center())) is Trilean.NO:
                 return f, g
     return None
-
-
-def _to_planar_or_complex(s: Scalar):
-    if s.is_exact:
-        return PlanarVector.from_cyclo(s.exact_value)
-    return s.to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +526,12 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
         if schreier is None:
             g1_closure = _infinite_ratio_g1_closure(spec, flags.has_nonreal_ratio)
         else:
-            g1_closure = classify_additive_closure(
-                [_to_planar_or_complex(t[0]) for t in schreier.shifts]
-            )
+            g1_closure = classify_additive_closure([t[0] for t in schreier.shifts])
         try:
             inner, outer, _ = g1_lattice_bounds(spec)
             g1_inner = tuple(inner)
             g1_outer = tuple(outer)
-            inner_closure = classify_additive_closure(
-                [_to_planar_or_complex(s) for s in inner]
-            )
-            outer_closure = classify_additive_closure(
-                [_to_planar_or_complex(s) for s in outer]
-            )
-            g1_pinned = inner_closure == outer_closure
+            g1_pinned = classify_additive_closure(inner) == classify_additive_closure(outer)
         except ValueError:
             pass
     exact = spec.is_exact and eg.exact and lam.exact

@@ -9,6 +9,7 @@ matters more than shrinking.
 import os
 import random
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -86,6 +87,14 @@ def homotheties(draw, dim):
     return Homothety(ratio, shift)
 
 
+def planar_fractions(x: CycloScalar) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(a, b, c, e) with x = (a + b*sqrt3) + i*(c + e*sqrt3), read off the
+    zeta coefficients alone (zeta = sqrt3/2 + i/2, zeta^2 = 1/2 + i*sqrt3/2,
+    zeta^3 = i): a reference for the planar lift that shares no library code."""
+    c0, c1, c2, c3 = x.coeffs
+    return c0 + c2 / 2, c1 / 2, c1 / 2 + c3, c2 / 2
+
+
 # ---------------------------------------------------------------------------
 # seeded-loop helpers (plain randomness, deterministic across runs)
 
@@ -104,9 +113,7 @@ RATIO_POOL_EXACT = [
     Scalar.rational(Fraction(1, 2)),
 ]
 
-NONREAL_RATIOS = [
-    r for r in RATIO_POOL_EXACT if r.exact_value.imag_part().sign() != 0
-]
+NONREAL_RATIOS = [r for r in RATIO_POOL_EXACT if not r.exact_value.is_real()]
 
 
 def random_fraction(rng: random.Random, span: int = 4, den: int = 6) -> Fraction:

@@ -17,16 +17,21 @@ import pytest
 from homothety_orbits import orbit_oracle as oracle
 from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
 from homothety_orbits.cli import main
-from homothety_orbits.closed_subgroups import (
-    PlanarVector,
-    classify_additive_closure,
-)
+from homothety_orbits.closed_subgroups import classify_additive_closure
 from homothety_orbits.closure_engine import (
     global_verdicts,
     orbit_closure,
     rotation_pair_classify,
 )
-from homothety_orbits.exact_algebra import RealQuadratic, Scalar, Trilean, parse_scalar
+from homothety_orbits.exact_algebra import (
+    CYCLO_I,
+    CYCLO_ONE,
+    CYCLO_ZERO,
+    CycloScalar,
+    Scalar,
+    Trilean,
+    parse_scalar,
+)
 from homothety_orbits.group_profile import GroupSpec, compute_EG, compute_profile
 
 I = parse_scalar("i")
@@ -485,39 +490,26 @@ def _suite_self_maps(rng) -> int:
     return bad
 
 
-SQ3 = RealQuadratic(0, 1)
-
-
-def _pv_scale(v: PlanarVector, s: RealQuadratic) -> PlanarVector:
-    return PlanarVector(v.x * s, v.y * s)
-
-
-def _pv_perp(v: PlanarVector) -> PlanarVector:
-    return PlanarVector(RealQuadratic(0, 0) - v.y, v.x)
+SQ3 = CycloScalar(0, 2, 0, -1)  # sqrt3 = 2*zeta - zeta^3; planar vectors are x + iy
 
 
 def annihilator_generators(C):
     """Generators of {w : <w, v> in Z for all v in C}, shape by shape."""
     if C.shape == "Zero":
-        e1, e2 = PlanarVector.of(1, 0), PlanarVector.of(0, 1)
-        return [e1, _pv_scale(e1, SQ3), e2, _pv_scale(e2, SQ3)]
+        return [CYCLO_ONE, SQ3, CYCLO_I, CYCLO_I * SQ3]
     if C.shape == "Plane":
-        return [PlanarVector.of(0, 0)]
+        return [CYCLO_ZERO]
     if C.shape == "Lattice1":
         g = C.generator
-        n = g.dot(g)
-        t = PlanarVector(g.x / n, g.y / n)
-        u = _pv_perp(g)
-        return [t, u, _pv_scale(u, SQ3)]
+        u = CYCLO_I * g  # g turned by a quarter
+        return [g / g.abs_sq(), u, u * SQ3]
     if C.shape == "Lattice2":
         b1, b2 = C.basis
-        det = b1.x * b2.y - b1.y * b2.x
-        d1 = PlanarVector(b2.y / det, RealQuadratic(0, 0) - b2.x / det)
-        d2 = PlanarVector(RealQuadratic(0, 0) - b1.y / det, b1.x / det)
-        return [d1, d2]
+        det = (b1.conj() * b2).imag_part()
+        return [-CYCLO_I * b2 / det, CYCLO_I * b1 / det]
     if C.shape == "LineDense":
-        u = _pv_perp(C.direction)
-        return [u, _pv_scale(u, SQ3)]
+        u = CYCLO_I * C.direction
+        return [u, u * SQ3]
     if C.shape == "LineLattice":
         return [C.dual]
     raise AssertionError(f"inexact shape {C.shape}")
@@ -527,26 +519,26 @@ def canonical_generators(C):
     if C.shape == "Zero":
         return []
     if C.shape == "Plane":
-        e1, e2 = PlanarVector.of(1, 0), PlanarVector.of(0, 1)
-        return [e1, e2, _pv_scale(e1, SQ3)]
+        return [CYCLO_ONE, CYCLO_I, SQ3]
     if C.shape == "Lattice1":
         return [C.generator]
     if C.shape == "Lattice2":
         return list(C.basis)
     if C.shape == "LineDense":
-        return [C.direction, _pv_scale(C.direction, SQ3)]
+        return [C.direction, C.direction * SQ3]
     if C.shape == "LineLattice":
-        return [C.transversal, C.direction, _pv_scale(C.direction, SQ3)]
+        return [C.transversal, C.direction, C.direction * SQ3]
     raise AssertionError(f"inexact shape {C.shape}")
 
 
-def rand_planar(rng) -> PlanarVector:
+def rand_planar(rng) -> CycloScalar:
     def coord():
         p = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
         q = Fraction(rng.randint(-1, 1)) if rng.random() < 0.4 else Fraction(0)
-        return RealQuadratic(p, q)
+        return p + q * SQ3
 
-    return PlanarVector(coord(), coord())
+    x = coord()
+    return x + CYCLO_I * coord()
 
 
 def _suite_duality(rng) -> int:

@@ -30,7 +30,7 @@ from homothety_orbits.closure_engine import (
     orbit_closure,
     rotation_pair_classify,
 )
-from conftest import exact_scalars, homotheties
+from conftest import exact_scalars, homotheties, planar_fractions
 
 I = parse_scalar("i")
 
@@ -272,9 +272,8 @@ GAUSS_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def _fraction_lift(x: Scalar):
-    """Q^4 lift of an exact scalar through RealQuadratic fractions."""
-    re, im = x.exact_value.real_part(), x.exact_value.imag_part()
-    return [re.p, re.q, im.p, im.q]
+    """Q^4 lift of an exact scalar through Fraction pairs p + q*sqrt3."""
+    return list(planar_fractions(x.exact_value))
 
 
 def _in_span(basis, v) -> bool:
@@ -339,7 +338,7 @@ class TestExactRotationCosetMembership:
 
         # the array distance is the scalar distance, entry by entry
         values = sample.array[:, 0] - complex(w[0].to_complex())
-        many = closure.distance(values)
+        many = closure.distance_many(values)
         assert many.shape == values.shape
         assert list(many) == [closure.distance(complex(v)) for v in values]
 

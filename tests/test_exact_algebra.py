@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from homothety_orbits import (
     CycloScalar,
-    RealQuadratic,
     Scalar,
     Trilean,
     UncertainZero,
@@ -18,10 +17,11 @@ from homothety_orbits import (
 )
 from homothety_orbits.exact_algebra import ScalarParseError
 
-from conftest import cyclo_scalars, nonzero_cyclo_scalars
+from conftest import cyclo_scalars, nonzero_cyclo_scalars, planar_fractions
 
 I = CycloScalar.zeta_power(3)
 ONE = CycloScalar.from_int(1)
+SQRT3 = CycloScalar.zeta_power(1) * 2 - I
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,9 @@ def test_minimal_polynomial():
 
 
 def test_root_membership_tables():
-    assert CycloScalar.gauss(0, 1).in_f2()
-    assert CycloScalar.zeta_power(2).in_f3()
-    assert not CycloScalar.zeta_power(2).in_f2()
+    assert Scalar.gauss(0, 1).in_f2() is Trilean.YES
+    assert Scalar.zeta_power(2).in_f3() is Trilean.YES
+    assert Scalar.zeta_power(2).in_f2() is Trilean.NO
     assert CycloScalar.from_int(2).root_of_unity_order() is None
     # every 12th root is caught, with the right order
     assert CycloScalar.zeta_power(1).root_of_unity_order() == 12
@@ -68,16 +68,25 @@ def test_sqrt3_lives_in_the_field():
 
 def test_real_and_imag_parts_in_real_subfield():
     z = CycloScalar.zeta_power(1)  # e^{i pi/6} = sqrt3/2 + i/2
-    assert z.real_part() == RealQuadratic(0, Fraction(1, 2))
-    assert z.imag_part() == RealQuadratic(Fraction(1, 2), 0)
+    assert z.real_part() == SQRT3 / 2
+    assert z.imag_part() == Fraction(1, 2)
+
+
+@given(cyclo_scalars())
+def test_real_and_imag_parts_recompose(x):
+    re, im = x.real_part(), x.imag_part()
+    assert re.is_real() and im.is_real()
+    assert re + I * im == x
+    assert re.to_complex().real == x.to_complex().real
+    assert re.to_complex().imag == 0.0
 
 
 def test_polar_decomposition_at_pi6_angles():
     w = CycloScalar.zeta_power(5) * 3
     k, rho = w.polar_pi6()
     assert k == 5
-    assert rho == RealQuadratic(3, 0)
-    assert CycloScalar.zeta_power(k) * CycloScalar.from_real_quadratic(rho) == w
+    assert rho == 3
+    assert CycloScalar.zeta_power(k) * rho == w
 
 
 def test_exact_inverse_of_zero_raises():
@@ -127,24 +136,32 @@ wide_numerators = st.integers(-(2**80), 2**80) | st.integers(-50, 50)
 )
 def test_to_complex_is_bit_identical_to_the_real_quadratic_route(nums, d):
     x = CycloScalar(*nums, d)
-    via_fractions = complex(x.real_part().to_float(), x.imag_part().to_float())
+    a, b, c, e = planar_fractions(x)
+    via_fractions = complex(
+        float(a) + float(b) * math.sqrt(3.0), float(c) + float(e) * math.sqrt(3.0)
+    )
     assert repr(x.to_complex()) == repr(via_fractions)
+    assert repr(x.real_part().to_complex().real) == repr(via_fractions.real)
+    assert repr(x.imag_part().to_complex().real) == repr(via_fractions.imag)
 
 
 @given(cyclo_scalars())
 def test_planar_lift_matches_real_and_imaginary_parts(x):
     (x0, x1, y0, y1), den = x.planar_lift()
-    re, im = x.real_part(), x.imag_part()
-    assert (re.p, re.q, im.p, im.q) == tuple(Fraction(n, den) for n in (x0, x1, y0, y1))
+    a, b, c, e = (Fraction(n, den) for n in (x0, x1, y0, y1))
+    assert planar_fractions(x) == (a, b, c, e)
+    assert CycloScalar.from_planar_lift((x0, x1, y0, y1), den) == x
+    assert planar_fractions(x.real_part()) == (a, b, 0, 0)
+    assert planar_fractions(x.imag_part()) == (c, e, 0, 0)
 
 
 @given(st.integers(0, 11), st.integers(0, 11))
 def test_f2_f3_multiplicatively_closed(j, k):
-    x, y = CycloScalar.zeta_power(j), CycloScalar.zeta_power(k)
-    if x.in_f2() and y.in_f2():
-        assert (x * y).in_f2()
-    if x.in_f3() and y.in_f3():
-        assert (x * y).in_f3()
+    x, y = Scalar.zeta_power(j), Scalar.zeta_power(k)
+    if x.in_f2() is Trilean.YES and y.in_f2() is Trilean.YES:
+        assert (x * y).in_f2() is Trilean.YES
+    if x.in_f3() is Trilean.YES and y.in_f3() is Trilean.YES:
+        assert (x * y).in_f3() is Trilean.YES
 
 
 @given(cyclo_scalars(), cyclo_scalars())
@@ -158,15 +175,27 @@ def test_conjugation_is_a_ring_map(x, y):
 
 
 def test_real_quadratic_sign_and_order():
-    assert RealQuadratic(1, -1).sign() < 0  # 1 - sqrt3 < 0
-    assert RealQuadratic(2, -1).sign() > 0  # 2 - sqrt3 > 0
-    assert RealQuadratic(0, 0).sign() == 0
-    assert RealQuadratic(1, 1) > RealQuadratic(2, 0)  # 1+sqrt3 > 2
+    assert (1 - SQRT3).sign() < 0
+    assert (2 - SQRT3).sign() > 0
+    assert CycloScalar.from_int(0).sign() == 0
+    assert (1 + SQRT3 - 2).sign() > 0  # 1+sqrt3 > 2
+    with pytest.raises(ValueError):
+        I.sign()
+
+
+@given(cyclo_scalars())
+def test_sign_of_a_real_value_matches_its_float(x):
+    # real: twice the real part; with small coefficients a nonzero value is
+    # far from 0 against the float's rounding error
+    r = x + x.conj()
+    f = r.to_complex().real
+    assert r.sign() == (0 if r.is_zero() else (1 if f > 0 else -1))
 
 
 def test_real_quadratic_inverse():
-    x = RealQuadratic(1, 1)
-    assert x * x.inverse() == RealQuadratic(1, 0)
+    x = 1 + SQRT3
+    assert x * x.inverse() == ONE
+    assert x.inverse().is_real()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from homothety_orbits.group_profile import (
     schreier_generators,
 )
 from homothety_orbits.closed_subgroups import classify_additive_closure
-from homothety_orbits.group_profile import _to_planar_or_complex
 from homothety_orbits.orbit_oracle import harvest_translations
 from conftest import exact_scalars, homotheties
 
@@ -309,19 +308,15 @@ class TestTranslationSandwich:
         for ratio in (I, Z2):
             spec = pair_spec(ratio)
             inner, outer, _ = g1_lattice_bounds(spec)
-            outer_closure = classify_additive_closure(
-                [_to_planar_or_complex(s) for s in outer]
-            )
-            inner_closure = classify_additive_closure(
-                [_to_planar_or_complex(s) for s in inner]
-            )
+            outer_closure = classify_additive_closure(outer)
+            assert classify_additive_closure(inner).is_discrete() is Trilean.YES
             for s in outer:
                 assert outer_closure.contains(
-                    _to_planar_or_complex(ratio * s)
+                    ratio * s
                 ), "ratio action must preserve the outer lattice"
             for s in inner:
                 assert outer_closure.contains(
-                    _to_planar_or_complex(s)
+                    s
                 ), "inner generators must sit inside the outer lattice"
 
     def test_requires_a_matching_rotation_pair(self):
@@ -381,9 +376,7 @@ class TestSchreierGenerators:
         assert gens.step == 3
         assert gens.witness.ratio == I
         # T is the outer lattice Z(1+i) + Z(1-i) of the sandwich
-        closure = classify_additive_closure(
-            [_to_planar_or_complex(s[0]) for s in gens.shifts]
-        )
+        closure = classify_additive_closure([s[0] for s in gens.shifts])
         assert closure == classify_additive_closure(
             [parse_scalar("1+i"), parse_scalar("1-i")]
         )
@@ -429,12 +422,10 @@ class TestSchreierGenerators:
         spec = GroupSpec(
             1, (Homothety.with_center(r1, [c1]), Homothety.with_center(r2, [c2]))
         )
-        closure = classify_additive_closure(
-            [_to_planar_or_complex(t[0]) for t in schreier_generators(spec).shifts]
-        )
+        closure = classify_additive_closure([t[0] for t in schreier_generators(spec).shifts])
         assert closure.exact
         for t in harvest_translations(spec, 6):
-            assert closure.contains(_to_planar_or_complex(t[0])), t
+            assert closure.contains(t[0]), t
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from homothety_orbits import orbit_oracle as oracle
 from homothety_orbits.orbit_oracle import BudgetExceeded, OrbitSample
 
 import oracle_reference as reference
+from conftest import planar_fractions
 
 I = parse_scalar("i")
 
@@ -41,12 +42,12 @@ def exact_key(p):
 def in_even_gaussian_lattice(c) -> bool:
     """Membership in Z(1+i) + Z(1-i) = {x + iy : x, y in Z, x + y even},
     checked on the exact coordinates, independent of the lattice classifier."""
-    re, im = c.real_part(), c.imag_part()
-    if not (re.is_rational() and im.is_rational()):
+    re_p, re_q, im_p, im_q = planar_fractions(c)
+    if re_q or im_q:
         return False
-    if re.p.denominator != 1 or im.p.denominator != 1:
+    if re_p.denominator != 1 or im_p.denominator != 1:
         return False
-    return (re.p.numerator + im.p.numerator) % 2 == 0
+    return (re_p.numerator + im_p.numerator) % 2 == 0
 
 
 @functools.lru_cache(maxsize=None)
