@@ -119,9 +119,6 @@ class Homothety:
     def is_translation(self) -> Trilean:
         return self.ratio.eq(SCALAR_ONE)
 
-    def is_identity(self) -> Trilean:
-        return self.is_translation().both(v_is_zero(self.shift))
-
     def center(self) -> Point:
         """Fixed point; defined only when ratio != 1."""
         t = self.is_translation()
@@ -141,12 +138,6 @@ class Homothety:
 
     def commutes(self, other: "Homothety") -> Trilean:
         return v_is_zero(self.commutator(other))
-
-
-def commutator_chain(f: Homothety, g: Homothety) -> Homothety:
-    """f o g o f^-1 o g^-1 computed the long way (used to cross-check the
-    closed form in tests and harvesting)."""
-    return f.compose(g).compose(f.inverse()).compose(g.inverse())
 
 
 # ---------------------------------------------------------------------------

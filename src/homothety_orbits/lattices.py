@@ -204,15 +204,3 @@ def field_nullspace(rows: List[List], is_zero, zero, one) -> List[List]:
             vec[c] = zero - rref[r][f]
         basis.append(vec)
     return basis
-
-
-def fraction_rref(rows):
-    return field_rref(rows, lambda x: x == 0, Fraction(0), Fraction(1))
-
-
-def fraction_solve(cols, target):
-    return field_solve(cols, target, lambda x: x == 0, Fraction(0), Fraction(1))
-
-
-def fraction_nullspace(rows):
-    return field_nullspace(rows, lambda x: x == 0, Fraction(0), Fraction(1))

@@ -108,10 +108,6 @@ class OrbitSample:
             w.writerow([repr(float(x)) for x in row] + [int(g)])
         return buf.getvalue()
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
-
     def to_report(self) -> dict:
         return {
             "n_points": len(self),

@@ -7,14 +7,17 @@ from hypothesis import given, strategies as st
 
 from homothety_orbits.lattices import (
     clear_denominators,
-    fraction_nullspace,
-    fraction_rref,
-    fraction_solve,
+    field_nullspace,
+    field_rref,
+    field_solve,
     hnf,
     hnf_solve,
     integer_kernel,
     lattice_basis_from_rational_rows,
 )
+
+# the field_* eliminations over Q: is_zero, zero, one
+FRACTIONS = (lambda x: x == 0, Fraction(0), Fraction(1))
 
 small_int_rows = st.lists(
     st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -94,10 +97,10 @@ def test_lattice_basis_from_rational_rows():
 
 def test_fraction_solve_and_nullspace():
     cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    sol = fraction_solve(cols, [Fraction(3), Fraction(2)])
+    sol = field_solve(cols, [Fraction(3), Fraction(2)], *FRACTIONS)
     assert sol == [Fraction(1), Fraction(2)]
-    assert fraction_solve([[Fraction(1), Fraction(2)]], [Fraction(1), Fraction(1)]) is None
-    null = fraction_nullspace([[Fraction(1), Fraction(2)]])
+    assert field_solve([[Fraction(1), Fraction(2)]], [Fraction(1), Fraction(1)], *FRACTIONS) is None
+    null = field_nullspace([[Fraction(1), Fraction(2)]], *FRACTIONS)
     assert len(null) == 1
     x = null[0]
     assert x[0] + 2 * x[1] == 0
@@ -112,13 +115,13 @@ def test_fraction_solve_and_nullspace():
     )
 )
 def test_rref_reproduces_row_space(rows):
-    rref, pivots = fraction_rref(rows)
+    rref, pivots = field_rref(rows, *FRACTIONS)
     assert len(rref) == len(pivots)
     # every original row is a combination of the rref rows
     for r in rows:
         if all(v == 0 for v in r):
             continue
-        assert fraction_solve([list(x) for x in rref], list(r)) is not None
+        assert field_solve([list(x) for x in rref], list(r), *FRACTIONS) is not None
     # pivot columns are strictly increasing
     assert pivots == sorted(pivots)
 

@@ -277,10 +277,19 @@ class TestCsv:
         b = oracle.enumerate(quarter_spec(), P(0), 5).csv_text()
         assert a == b
 
-    def test_round_trip_to_file(self, tmp_path):
-        s = oracle.enumerate(translation_spec(), P(0), 2)
+    def test_round_trip_to_file(self, tmp_path, capsys):
+        from homothety_orbits.cli import main
+
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            '{"dim": 1, "generators": [{"ratio": "1", "translation": ["1"]},'
+            ' {"ratio": "1", "translation": ["i"]}]}'
+        )
+        code = main(["orbit", "--input", str(doc), "--word-cap", "2", "--out", str(tmp_path)])
+        assert code == 0
         out = tmp_path / "orbit.csv"
-        s.to_csv(str(out))
+        assert capsys.readouterr().out.strip() == str(out)
+        s = oracle.enumerate(translation_spec(), P(0), 2)
         assert out.read_text() == s.csv_text()
 
 
