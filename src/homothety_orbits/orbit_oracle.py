@@ -390,19 +390,18 @@ def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSamp
 
 
 def _map_key(h: Homothety, cell: float = 1e-12):
-    # approximate groups still hold exact maps (the identity, words in exact
-    # generators); they stay apart from float maps near them
-    if h.is_exact:
-        return ("e", h.ratio, *h.shift)
+    # every map of an approximate group, exact ones (the identity, words in
+    # exact generators) included, is keyed on the same grid, so a float word
+    # equal to an exact one is not a second state
     r = h.ratio.to_complex()
     parts: List[float] = [round(r.real / cell), round(r.imag / cell)]
     for c in v_to_complex(h.shift):
         parts += [round(c.real / cell), round(c.imag / cell)]
-    return ("a", *parts)
+    return tuple(parts)
 
 
-def _vector_key(v: Point, cell: float = 1e-12):
-    if v_exact(v):
+def _vector_key(v: Point, exact: bool, cell: float = 1e-12):
+    if exact:
         return v
     return tuple((round(c.real / cell), round(c.imag / cell)) for c in v_to_complex(v))
 
@@ -433,7 +432,7 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     vectors: List[Point] = []
     known: Set = set()
     for v in found:
-        key = _vector_key(v)
+        key = _vector_key(v, spec.is_exact)
         if key not in known:
             known.add(key)
             vectors.append(v)

@@ -321,6 +321,15 @@ class TestHarvestTranslations:
         for v in oracle.harvest_translations(quarter_spec(), 8):
             assert in_even_gaussian_lattice(v[0].exact_value)
 
+    def test_approximate_harvest_has_no_near_duplicates(self):
+        # an eighth-turn pair is approximate; a float word equal to an exact
+        # one (r o r^-1 beside the identity) must not add a second vector
+        r = parse_scalar("exp(i*pi*1/4)")
+        spec = GroupSpec(1, (Homothety.with_center(r, P(0)), Homothety.with_center(r, P(1))))
+        vs = np.array([v_to_complex(v)[0] for v in oracle.harvest_translations(spec, 8)])
+        gaps = np.abs(vs[:, None] - vs[None, :])
+        assert len(vs) > 1 and np.where(np.eye(len(vs), dtype=bool), np.inf, gaps).min() > 1e-12
+
 
 # ---------------------------------------------------------------------------
 # evidence measurement
