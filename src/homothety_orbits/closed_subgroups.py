@@ -368,8 +368,9 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     if d == 1:
         re = gens[0].real_part()
         return LineDense(direction=CYCLO_I if re.is_zero() else gens[0] / re)
-    # d == 2 with extra abstract rank: compute the dual group D
-    cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]  # 2 x t over Q(sqrt3)
+    # d == 2 with extra abstract rank: compute the dual group D from the
+    # 2 x t matrix of the basis coordinates, over Q(sqrt3)
+    cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]
     left_kernel = field_nullspace(cols, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
     int_rows: List[List[int]] = []
     for c in left_kernel:
