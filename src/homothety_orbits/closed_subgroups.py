@@ -47,10 +47,13 @@ from .exact_algebra import (
 )
 
 
+# the field_* eliminations over Q(zeta): is_zero, zero, one
+_CYCLO_FIELD = (CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+
+
 def _planar_rank(vectors: Sequence[CycloScalar]) -> int:
     """Rank over Q(sqrt3) of the vectors (re v, im v), the same as over Q(zeta)."""
-    rows = [[v.real_part(), v.imag_part()] for v in vectors]
-    return field_rank(rows, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+    return field_rank([[v.real_part(), v.imag_part()] for v in vectors], *_CYCLO_FIELD)
 
 
 def _lift_rows(values: Sequence[CycloScalar]) -> Tuple[List[List[int]], int]:
@@ -371,7 +374,7 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     # d == 2 with extra abstract rank: compute the dual group D from the
     # 2 x t matrix of the basis coordinates, over Q(sqrt3)
     cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]
-    left_kernel = field_nullspace(cols, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+    left_kernel = field_nullspace(cols, *_CYCLO_FIELD)
     int_rows: List[List[int]] = []
     for c in left_kernel:
         lifts, _ = _lift_rows(c)
@@ -387,7 +390,7 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     duals: List[CycloScalar] = []
     for k in m_basis:
         target = [CycloScalar.from_int(x) for x in k]
-        phi = field_solve(cols, target, CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+        phi = field_solve(cols, target, *_CYCLO_FIELD)
         if phi is None:
             raise AssertionError("dual system inconsistent")
         duals.append(phi[0] + CYCLO_I * phi[1])

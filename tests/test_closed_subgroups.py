@@ -179,6 +179,8 @@ class TestAdditivePinned:
         assert _pairing(c.dual, c.direction) == (0, 0)
         assert _pairing(c.dual, c.transversal) == (1, 0)
         assert c.direction.is_real()
+        # the direction is reported with a positive leading coordinate
+        assert c.to_report()["direction"] == "[1, 0]"
         # membership is exactly "integer dual pairing"
         assert c.contains(pv(rq(Fraction(1, 2), Fraction(3, 4)), 2))
         assert not c.contains(pv(0, Fraction(1, 2)))
