@@ -4,14 +4,22 @@ A homothety is stored in linear form z -> ratio * z + shift.  The center
 form (a, ratio) with fixed point a satisfies shift = (1 - ratio) * a and is
 derived on demand.  Maps with ratio 1 are translations; the identity counts
 as a translation.
+
+An exact point of C^k is also one integer row of 4k + 1 entries: the
+numerators of every coordinate in the basis 1, zeta, zeta^2, zeta^3, then
+one positive common denominator, with no common factor left, so equal
+points have equal rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .exact_algebra import SCALAR_ONE, SCALAR_ZERO, Scalar, Trilean
+import numpy as np
+
+from .exact_algebra import SCALAR_ONE, SCALAR_ZERO, CycloScalar, Scalar, Trilean
 
 Point = Tuple[Scalar, ...]
 
@@ -52,6 +60,26 @@ def v_exact(u: Point) -> bool:
 
 def v_to_complex(u: Point) -> Tuple[complex, ...]:
     return tuple(a.to_complex() for a in u)
+
+
+def point_row(p: Point) -> List[int]:
+    """The reduced row of an exact point (a common denominator of
+    lowest-terms coordinates leaves no common factor)."""
+    coords = [c.exact_value.numerators for c in p]
+    den = lcm(*(d for _, d in coords))
+    row: List[int] = []
+    for nums, d in coords:
+        row += [x * (den // d) for x in nums]
+    return row + [den]
+
+
+def rows_to_points(rows: np.ndarray, k: int) -> List[Point]:
+    """The exact points of (N, 4k + 1) rows, int64 or Python ints."""
+    out: List[Point] = []
+    for r in rows.tolist():
+        d = r[-1]
+        out.append(tuple(Scalar(CycloScalar(*r[4 * j: 4 * j + 4], d)) for j in range(k)))
+    return out
 
 
 def hermitian_dot(u: Point, v: Point) -> Scalar:

@@ -32,7 +32,6 @@ from .lattices import (
     field_rank,
     field_solve,
     hnf,
-    hnf_solve,
     integer_kernel,
 )
 from .exact_algebra import (
@@ -44,6 +43,7 @@ from .exact_algebra import (
     Scalar,
     Trilean,
     format_scalar,
+    widen,
 )
 
 
@@ -85,12 +85,16 @@ def _fmt_planar(v: CycloScalar) -> str:
 # ---------------------------------------------------------------------------
 # additive closures
 #
-# A planar vector x + iy is an exact CycloScalar.  Exact membership reads a
-# vector through its planar lift to Q^4 as integer numerators over one
-# denominator, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, against integer
-# data of the closure computed once per closure object.  `distance_many`
-# takes a 1-d complex array and `distance` is its one-point case; it is real
-# arithmetic with np.hypot for lengths, so both give the same floats.
+# A planar vector x + iy is an exact CycloScalar.  Exact membership reads
+# vectors through their planar lifts to Q^4 as integer numerators over one
+# denominator each, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, against
+# integer data of the closure computed once per closure object:
+# `contains_lifts` tests an (N, 4) numerator array and an (N,) denominator
+# array at once, and `contains` of an exact value is its one-row case.  The
+# arrays are int64 or Python ints; int64 ones widen first (`widen`) when a
+# bound on every product of the test reaches INT64_SAFE.  `distance_many`
+# takes a 1-d complex array and `distance` is its one-point case; it is
+# real arithmetic with np.hypot for lengths, so both give the same floats.
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,15 @@ class AdditiveClosure:
     def contains(self, v, eps: float = 1e-9) -> bool:
         x = _exact_cyclo(v) if self.exact else None
         if x is not None:
-            return self.contains_lift(*x.planar_lift())
+            nums, den = x.planar_lift()
+            one = self.contains_lifts(np.array([nums], dtype=object), np.array([den], dtype=object))
+            return bool(one[0])
         return self.distance(v) <= eps
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
-        """Exact membership of (nums[0] + nums[1]*sqrt3, nums[2] + nums[3]*sqrt3) / den."""
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Exact membership, row by row, of the vectors
+        (x0 + x1*sqrt3, y0 + y1*sqrt3) / den with (x0, x1, y0, y1) a row of
+        the (N, 4) integer array `nums` and den > 0 an entry of `den`."""
         raise NotImplementedError
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
@@ -150,8 +158,8 @@ class ZeroGroup(AdditiveClosure):
     shape: str = "Zero"
     exact: bool = True
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
-        return not any(nums)
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.all(nums == 0, axis=1)
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         return np.hypot(v.real, v.imag)
@@ -170,15 +178,22 @@ class _LatticeClosure(AdditiveClosure):
         rows, den = _lift_rows(self._basis_vectors())
         return hnf(rows), den
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
         rows, scale = self._hnf
-        target = []
-        for x in nums:
-            q, r = divmod(x * scale, den)
-            if r:
-                return False
-            target.append(q)
-        return hnf_solve(rows, target) is not None
+        # each elimination grows the target's entries by a factor of at
+        # most 1 + the largest HNF entry
+        growth = 1 + max(abs(x) for row in rows for x in row)
+        nums, den = widen(scale * growth ** len(rows), nums, den)
+        # the target, the lift over the basis denominator, must be integral
+        t = nums * scale
+        member = np.all(t % den[:, None] == 0, axis=1)
+        t //= den[:, None]
+        # back substitution against the HNF, all rows at once
+        for row in rows:
+            c = next(i for i, x in enumerate(row) if x)
+            member &= t[:, c] % row[c] == 0
+            t -= (t[:, c] // row[c])[:, None] * np.array(row, dtype=t.dtype)
+        return member & np.all(t == 0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -273,11 +288,12 @@ class LineDense(AdditiveClosure):
         u = self.direction.to_complex()
         return u / abs(u)
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
         # v parallel to the direction: v.x * dir.y == v.y * dir.x in Q(sqrt3)
-        a, b, c, e = nums
         p, q, r, s = self._direction_lift
-        return a * r + 3 * b * s == c * p + 3 * e * q and a * s + b * r == c * q + e * p
+        nums, den = widen(4 * max(map(abs, self._direction_lift)), nums, den)
+        a, b, c, e = nums.T
+        return (a * r + 3 * b * s == c * p + 3 * e * q) & (a * s + b * r == c * q + e * p)
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         u = self._unit
@@ -311,13 +327,14 @@ class LineLattice(AdditiveClosure):
         d = self.dual.to_complex()
         return d, abs(d)
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
         # the pairing v.dual lies in Z: no sqrt3 part, integral rational part
-        a, b, c, e = nums
         (p, q, r, s), scale = self._dual_lift
-        if a * q + b * p + c * s + e * r:
-            return False
-        return (a * p + 3 * b * q + c * r + 3 * e * s) % (den * scale) == 0
+        nums, den = widen(max(8 * max(map(abs, (p, q, r, s))), scale), nums, den)
+        a, b, c, e = nums.T
+        return (a * q + b * p + c * s + e * r == 0) & (
+            (a * p + 3 * b * q + c * r + 3 * e * s) % (den * scale) == 0
+        )
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         d, norm = self._dual_floats
@@ -338,8 +355,8 @@ class PlaneGroup(AdditiveClosure):
     shape: str = "Plane"
     exact: bool = True
 
-    def contains_lift(self, nums: Sequence[int], den: int) -> bool:
-        return True
+    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.ones(nums.shape[0], dtype=bool)
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         return np.zeros(v.shape)

@@ -25,6 +25,8 @@ from .affine_maps import (
     Point,
     as_point,
     hermitian_dot,
+    point_row,
+    rows_to_points,
     v_add,
     v_is_zero,
     v_scale,
@@ -42,6 +44,8 @@ from .exact_algebra import (
     Trilean,
     UndecidableAtPrecision,
     format_scalar,
+    planar_lifts,
+    widen,
 )
 from .group_profile import (
     AffineSubspace,
@@ -98,14 +102,23 @@ def _complex_projector(basis: Sequence[Point], n: int) -> np.ndarray:
 class ClosureDesc:
     """Base description: subclasses implement the geometry.
 
-    The oracle reads a description through `contains`, `distance_many`
-    (with `distance` its one-point case), `trace_points` and `sample`."""
+    The oracle reads a description through `contains_rows` (with
+    `contains` for a single point), `distance_many` (with `distance` its
+    one-point case), `trace_points` and `sample`."""
 
     provenance: str
     exact: bool
 
     def contains(self, z, eps: float = 1e-9) -> bool:
         raise NotImplementedError
+
+    def contains_rows(self, rows: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+        """Membership of the exact points of (N, 4n + 1) integer rows (see
+        `affine_maps.point_row`), int64 or Python ints, as a bool array.
+        Here `contains` point by point; a description with an integer test
+        of its own overrides this."""
+        points = rows_to_points(rows, (rows.shape[1] - 1) // 4)
+        return np.array([self.contains(p, eps) for p in points], dtype=bool)
 
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
         """Distances to the closure of the rows of an (N, n) complex array."""
@@ -146,6 +159,9 @@ class WholeSpace(ClosureDesc):
 
     def contains(self, z, eps: float = 1e-9) -> bool:
         return len(as_point(z)) == self.dim
+
+    def contains_rows(self, rows: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+        return np.full(rows.shape[0], rows.shape[1] == 4 * self.dim + 1)
 
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
         return np.zeros(arr.shape[0])
@@ -384,15 +400,26 @@ class RotationCoset(ClosureDesc):
 
     def contains(self, w, eps: float = 1e-9) -> bool:
         w = as_point(w)
-        lifts = self._offset_lifts
-        if lifts is not None and w[0].is_exact:
-            # w - offset = (lw * d - lo * dw) / (dw * d), tested in the lift
-            lw, dw = w[0].exact_value.planar_lift()
-            member = self.translation_closure.contains_lift
-            return any(
-                member([x * d - y * dw for x, y in zip(lw, lo)], dw * d) for lo, d in lifts
-            )
+        if self._offset_lifts is not None and w[0].is_exact:
+            return bool(self.contains_rows(np.array([point_row(w)], dtype=object), eps)[0])
         return self.distance(w) <= eps
+
+    def contains_rows(self, rows: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+        lifts = self._offset_lifts
+        if lifts is None:
+            return super().contains_rows(rows, eps)
+        # lifted rows have entries up to 3 * max|row| over 2 * max|row|, and
+        # w - offset = (lw * d - lo * dw) / (dw * d) is tested in the lift
+        rows = widen(max(3 * d + 2 * max(map(abs, lo)) for lo, d in lifts), rows)[0]
+        lw, dw = planar_lifts(rows[:, :4], rows[:, 4])
+        member = np.zeros(rows.shape[0], dtype=bool)
+        for lo, d in lifts:
+            todo = np.flatnonzero(~member)
+            if not todo.size:
+                break
+            nums = lw[todo] * d - np.array(lo, dtype=rows.dtype) * dw[todo, None]
+            member[todo] = self.translation_closure.contains_lifts(nums, dw[todo] * d)
+        return member
 
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
         apex, za, rotations = self._float_data

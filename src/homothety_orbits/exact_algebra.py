@@ -8,6 +8,10 @@ A planar vector x + iy is one CycloScalar, and an element of the real
 subfield Q(sqrt(3)) is a real one.
 Values outside the field are carried as floats with a conservative error
 radius, and every predicate on them is three-valued.
+
+Arrays of exact values are integer numerator arrays, int64 while a bound
+on every product the caller will form stays below INT64_SAFE and Python
+ints (object arrays) past it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 SQRT3 = math.sqrt(3.0)
 _MACH_EPS = 2.220446049250313e-16
+INT64_SAFE = 2 ** 62  # int64 numerator arrays widen to Python ints before products reach this
 
 
 class UncertainZero(ArithmeticError):
@@ -345,6 +352,30 @@ ZETA_POWERS = tuple(
 CYCLO_ZERO = CycloScalar.from_int(0)
 CYCLO_ONE = CycloScalar.from_int(1)
 CYCLO_I = ZETA_POWERS[3]
+
+
+def max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, as a Python int."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def widen(factor: int, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The integer arrays, as Python-int (object) arrays when `factor` times
+    their largest entry, the caller's bound on every product it will form
+    from them, reaches INT64_SAFE."""
+    if all(a.dtype == object for a in arrays):
+        return arrays
+    if factor * max(map(max_abs, arrays)) >= INT64_SAFE:
+        return tuple(a.astype(object) for a in arrays)
+    return arrays
+
+
+def planar_lifts(nums: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`CycloScalar.planar_lift` entry by entry: numerators (..., 4) over
+    denominators `den` give lifted numerators (..., 4) over 2 * den.  Their
+    entries are at most 3 times the largest input entry."""
+    n0, n1, n2, n3 = (nums[..., j] for j in range(4))
+    return np.stack([2 * n0 + n2, n1, n1 + 2 * n3, n2], axis=-1), 2 * den
 
 
 @dataclass(frozen=True)

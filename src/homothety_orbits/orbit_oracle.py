@@ -26,13 +26,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .affine_maps import Homothety, Point, as_point, v_exact, v_to_complex
-from .exact_algebra import SQRT3, CycloScalar, Scalar, Trilean
+from .affine_maps import Homothety, Point, as_point, point_row, rows_to_points, v_to_complex
+from .exact_algebra import (
+    INT64_SAFE,
+    SQRT3,
+    CycloScalar,
+    Scalar,
+    Trilean,
+    max_abs,
+    planar_lifts,
+)
 from .group_profile import GroupSpec
 
 DEFAULT_BUDGET = 2_000_000
@@ -40,7 +47,6 @@ HARVEST_BUDGET = 200_000
 GRID_DEDUP_EPS = 1e-7
 MIN_GAP_POINT_CAP = 200_000
 APPROACH_COUNT = 24  # closure points tested for approach by the orbit
-_INT64_SAFE = 2 ** 62  # integer rows widen to Python ints before products reach this
 _FLOAT_SAFE = 2 ** 51  # below this, lifted numerators and 2 * den are exact in float64
 
 
@@ -60,8 +66,9 @@ class OrbitSample:
     """Deduplicated orbit points with first-appearance word lengths.
 
     `array` always holds float coordinates (rows of complex numbers, one
-    column per ambient dimension); `exact_points` is populated only in
-    exact-dedup mode and is parallel to `array`.
+    column per ambient dimension); `rows` is set only in exact-dedup mode
+    and is parallel to `array`: the search kernel's reduced integer rows
+    (see `affine_maps.point_row`), int64 or Python ints.
     """
 
     base: Point
@@ -70,7 +77,7 @@ class OrbitSample:
     word_cap: int
     dedup: str  # "exact" | "grid"
     grid_eps: float
-    exact_points: Optional[List[Point]] = None
+    rows: Optional[np.ndarray] = None  # (N, 4n + 1) integers
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -79,6 +86,11 @@ class OrbitSample:
     @property
     def dim(self) -> int:
         return int(self.array.shape[1])
+
+    @property
+    def exact_points(self) -> Optional[List[Point]]:
+        """The exact points of `rows`, built on each access; None in grid mode."""
+        return None if self.rows is None else rows_to_points(self.rows, self.dim)
 
     def real_array(self) -> np.ndarray:
         """(N, 2n) float64 view: re(z1), im(z1), ..., re(zn), im(zn)."""
@@ -158,25 +170,10 @@ def enumerate(
 # ---------------------------------------------------------------------------
 # breadth-first search on integer rows (exact mode)
 #
-# A point of Q(zeta)^k is one row of 4k + 1 integers: the numerators of
-# every coordinate in the basis 1, zeta, zeta^2, zeta^3, then one positive
-# common denominator, with the gcd of the whole row divided out, so equal
-# points have equal rows.  A letter z -> lam * z + s acts on rows as one
+# A point of Q(zeta)^k is its reduced row of 4k + 1 integers (see
+# `affine_maps.point_row`).  A letter z -> lam * z + s acts on rows as one
 # integer matrix (homogeneous coordinates), and a generation is one matrix
 # product of the frontier with every letter.
-
-
-def _point_row(coords: Sequence[CycloScalar]) -> List[int]:
-    """The reduced row of a point (a common denominator of lowest-terms
-    coordinates leaves no common factor)."""
-    den = 1
-    for c in coords:
-        den = lcm(den, c.numerators[1])
-    row: List[int] = []
-    for c in coords:
-        nums, d = c.numerators
-        row += [x * (den // d) for x in nums]
-    return row + [den]
 
 
 def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
@@ -191,7 +188,7 @@ def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
     mul = np.array(
         [(num * CycloScalar.zeta_power(j)).numerators[0] for j in range(4)], dtype=object
     ).T  # column j: Lam * zeta^j
-    shift = _point_row([c.exact_value for c in h.shift])
+    shift = point_row(h.shift)
     b = shift[-1]
     first = 4 if ratio_coord else 0
     size = first + len(shift)
@@ -201,10 +198,6 @@ def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
     out[first:-1, -1] = [a * s for s in shift[:-1]]
     out[-1, -1] = a * b
     return out
-
-
-def _max_abs(rows: np.ndarray) -> int:
-    return int(np.abs(rows).max()) if rows.size else 0
 
 
 def _row_keys(q: np.ndarray) -> np.ndarray:
@@ -255,9 +248,9 @@ def _row_bfs(
     size = len(start)
     wide = np.concatenate([t.T for t in letters], axis=1)  # (K, letters * K)
     growth = max(int(np.abs(t).sum(axis=1).max()) for t in letters)
-    wide64 = wide.astype(np.int64) if growth < _INT64_SAFE else None
+    wide64 = wide.astype(np.int64) if growth < INT64_SAFE else None
     frontier = np.array([start], dtype=object)
-    if _max_abs(frontier) * growth < _INT64_SAFE:
+    if max_abs(frontier) * growth < INT64_SAFE:
         frontier = frontier.astype(np.int64)
     seen = _SeenRows(_row_keys(frontier))
     chunks = [frontier]
@@ -267,7 +260,7 @@ def _row_bfs(
     for level in range(1, L + 1):
         if frontier.shape[0] == 0:
             break
-        if frontier.dtype != object and _max_abs(frontier) * growth >= _INT64_SAFE:
+        if frontier.dtype != object and max_abs(frontier) * growth >= INT64_SAFE:
             chunks = [c.astype(object) for c in chunks]
             frontier = chunks[-1]
             seen = _SeenRows(_row_keys(np.concatenate(chunks)))
@@ -288,30 +281,18 @@ def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
     `CycloScalar.to_complex`: both divide the same rationals, correctly
     rounded (int64 only while numerators and denominators are exact in
     float64, Python ints otherwise)."""
-    if rows.dtype != object and _max_abs(rows) >= _FLOAT_SAFE:
+    if rows.dtype != object and max_abs(rows) >= _FLOAT_SAFE:
         rows = rows.astype(object)
-    nums = rows[:, :-1].reshape(rows.shape[0], k, 4)
-    den = 2 * rows[:, -1:]
-    n0, n1, n2, n3 = (nums[:, :, j] for j in range(4))
+    lift, den = planar_lifts(rows[:, :-1].reshape(rows.shape[0], k, 4), rows[:, -1:])
     out = np.empty((rows.shape[0], k), dtype=np.complex128)
-    # the planar lift of CycloScalar.planar_lift
-    out.real = (2 * n0 + n2) / den + (n1 / den) * SQRT3
-    out.imag = (n1 + 2 * n3) / den + (n2 / den) * SQRT3
-    return out
-
-
-def _rows_to_points(rows: np.ndarray, k: int) -> List[Point]:
-    out: List[Point] = []
-    for r in rows.tolist():
-        d = r[-1]
-        out.append(tuple(Scalar(CycloScalar(*r[4 * j: 4 * j + 4], d)) for j in range(k)))
+    out.real = lift[..., 0] / den + (lift[..., 1] / den) * SQRT3
+    out.imag = lift[..., 2] / den + (lift[..., 3] / den) * SQRT3
     return out
 
 
 def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
     letters = [_letter_matrix(h, False) for h in _letters(spec)]
-    start = _point_row([c.exact_value for c in z])
-    rows, gens, truncated = _row_bfs(start, letters, L, budget + 1)
+    rows, gens, truncated = _row_bfs(point_row(z), letters, L, budget + 1)
     sample = OrbitSample(
         base=z,
         array=_rows_to_complex(rows, spec.dim),
@@ -319,7 +300,7 @@ def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSam
         word_cap=L,
         dedup="exact",
         grid_eps=0.0,
-        exact_points=_rows_to_points(rows, spec.dim),
+        rows=rows,
         truncated=truncated,
     )
     if truncated:
@@ -377,7 +358,6 @@ def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSamp
         word_cap=L,
         dedup="grid",
         grid_eps=cell,
-        exact_points=None,
         truncated=truncated,
     )
     if truncated:
@@ -445,7 +425,7 @@ def _harvest_exact(spec: GroupSpec, L: int) -> List[Point]:
     rows, _, _ = _row_bfs(identity, letters, L, HARVEST_BUDGET)
     # distinct maps of ratio one have distinct shifts
     ratio_one = (rows[:, 0] == rows[:, -1]) & np.all(rows[:, 1:4] == 0, axis=1)
-    return _rows_to_points(rows[ratio_one][:, 4:], spec.dim)
+    return rows_to_points(rows[ratio_one][:, 4:], spec.dim)
 
 
 def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
@@ -753,10 +733,11 @@ def verify(
     """Measure a predicted closure against an enumerated orbit.
 
     `closure` is a description from `closure_engine.orbit_closure` (any but
-    `Unsupported`), read through its contract: contains(point, eps) for
-    exact membership when `closure.exact` and the sample has exact points,
-    distance_many(array) otherwise and for the size of a failed exact test
-    (through `distance`), trace_points(center, half, res) for the cells of
+    `Unsupported`), read through its contract: contains_rows(rows, eps),
+    one call over the sample's integer rows, for exact membership when
+    `closure.exact` and the sample is exact, distance_many(array) otherwise
+    and for the size of a failed exact test (through `distance`, on the
+    failing points alone), trace_points(center, half, res) for the cells of
     the window on the closure, and sample(rng, count, translations) for
     approach evidence.  Failures are report fields, never exceptions.
     """
@@ -767,15 +748,13 @@ def verify(
     real_pts = sample.real_array()
 
     # --- soundness -----------------------------------------------------
-    exact_membership = closure.exact and sample.exact_points is not None
+    exact_membership = closure.exact and sample.rows is not None
     max_violation = 0.0
     if exact_membership:
         checked = len(sample)
-        bad: List[Point] = [
-            p for p in sample.exact_points if not closure.contains(p, eps)
-        ]
-        if bad:
-            max_violation = max(closure.distance(p) for p in bad)
+        bad = sample.rows[~closure.contains_rows(sample.rows, eps)]
+        if bad.shape[0]:
+            max_violation = max(closure.distance(p) for p in rows_to_points(bad, dim))
             if max_violation == 0.0:
                 max_violation = float(eps)  # a failed exact test is a failure
     else:

@@ -33,7 +33,7 @@ from homothety_orbits.closed_subgroups import (
     classify_additive_closure,
     classify_multiplicative_closure,
 )
-from conftest import exact_scalars, planar_fractions, random_exact_scalar
+from conftest import exact_scalars, planar_fractions, random_cyclo, random_exact_scalar
 
 SQRT3 = CycloScalar(0, 2, 0, -1)  # 2*zeta - zeta^3
 
@@ -428,6 +428,42 @@ class TestAdditiveInvariants:
             for _ in range(6):
                 coeffs = [rng.randint(-3, 3) for _ in vals]
                 assert c.contains(combo(vals, coeffs))
+
+
+# one generator list per exact additive shape, off the axes where it can be
+_U = CYCLO_I * 2 + 1
+SHAPE_GENERATORS = {
+    "Zero": [CycloScalar.from_int(0)],
+    "Lattice1": [_U / 3],
+    "Lattice2": [CycloScalar.from_int(1), CYCLO_I / 2 + Fraction(1, 3)],
+    "LineDense": [_U, _U * SQRT3],
+    "LineLattice": [_U, _U * SQRT3, CYCLO_I * _U / 2],
+    "Plane": [CycloScalar.from_int(1), SQRT3, CYCLO_I, CYCLO_I * SQRT3],
+}
+
+
+class TestArrayMembership:
+    @pytest.mark.parametrize("shape", sorted(SHAPE_GENERATORS))
+    def test_contains_lifts_matches_the_fraction_reference(self, shape, rng):
+        gens = SHAPE_GENERATORS[shape]
+        c = classify_additive_closure(gens)
+        assert c.shape == shape and c.exact
+        probes = []
+        for _ in range(40):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            scale = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+            probes += [combo(gens, coeffs) * scale, random_cyclo(rng)]
+        expected = [_fraction_parse_scalar(c, p) for p in probes]
+        assert any(expected) and (shape == "Plane" or not all(expected))
+        nums = np.array([p.planar_lift()[0] for p in probes], dtype=object)
+        den = np.array([p.planar_lift()[1] for p in probes], dtype=object)
+        # the same vectors over scaled denominators: small int64 arrays,
+        # int64 arrays close enough to 2^63 that the test must widen them,
+        # and Python-int arrays past int64
+        for k, dtype in ((1, np.int64), (2 ** 52, np.int64), (2 ** 70, object)):
+            assert max(map(abs, nums.ravel())) * k < 2 ** 63 or dtype is object
+            got = c.contains_lifts((nums * k).astype(dtype), (den * k).astype(dtype))
+            assert got.dtype == bool and got.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

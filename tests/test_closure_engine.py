@@ -343,6 +343,45 @@ class TestExactRotationCosetMembership:
         assert list(many) == [closure.distance(complex(v)) for v in values]
 
 
+class TestRotationCosetRows:
+    """`contains_rows` ORs the translation closure's array test over the
+    coset offsets; a Fraction-lift reference decides the same points."""
+
+    @pytest.mark.parametrize("cap, dtype", [(6, np.int64), (8, object)])
+    def test_offset_union_matches_a_fraction_reference(self, cap, dtype):
+        third, seventh = (Scalar.rational(Fraction(1, k)) for k in (3, 7))
+        z = P(Scalar.rational(Fraction(2, 7)))
+        spec = GroupSpec(1, (Homothety.with_center(I, P(third)),
+                             Homothety.with_center(I, P(seventh))))
+        desc = orbit_closure(compute_profile(spec), z)
+        assert desc.kind() == "RotationCoset" and desc.exact
+        assert desc.translation_closure.shape == "Lattice2"  # so the closure of T is T
+        basis = lattice_basis_from_rational_rows(
+            [_fraction_lift(t[0]) for t in desc.translation_generators]
+        )
+        offsets = [
+            desc.apex[0] + Scalar.zeta_power(desc.step * k) * (z[0] - desc.apex[0])
+            for k in range(desc.order)
+        ]
+
+        def member(w) -> bool:
+            return any(_in_span(basis, _fraction_lift(w[0] - o)) for o in offsets)
+
+        # the orbit of the ratio-1000 group of test_wide_numerators: its int64
+        # rows pass 2^51 at word length 6, and its rows are Python ints at 8
+        wide = GroupSpec(1, (Homothety.with_center(S(1000), P(0)),
+                             Homothety.with_center(I, P(third))))
+        sample = orbit_oracle.enumerate(wide, z, cap)
+        assert sample.rows.dtype == dtype
+        expected = [member(p) for p in sample.exact_points]
+        assert any(expected) and not all(expected)
+        got = desc.contains_rows(sample.rows)
+        assert got.dtype == bool and got.tolist() == expected
+        # the coset's own orbit belongs to it, row by row
+        own = orbit_oracle.enumerate(spec, z, cap).rows
+        assert desc.contains_rows(own).all()
+
+
 class TestClosureInvariants:
     def test_descriptions_agree_along_one_orbit(self):
         # y in closure(z) implies closure(y) = closure(z): check by mutual
@@ -526,3 +565,4 @@ class TestRotationPairClassifier:
     def test_angle_too_close_to_zero_is_undecidable(self):
         with pytest.raises(UndecidableAtPrecision):
             rotation_pair_classify(1e-6, math.pi / 2, 0.0, 1.0)
+
