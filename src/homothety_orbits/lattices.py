@@ -8,9 +8,7 @@ attempt at pivots-size control.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 def hnf(rows: List[List[int]]) -> List[List[int]]:
@@ -63,26 +61,6 @@ def hnf(rows: List[List[int]]) -> List[List[int]]:
     return basis
 
 
-def hnf_solve(basis: List[List[int]], target: List[int]) -> Optional[List[int]]:
-    """Integer coordinates of ``target`` in an HNF basis, or None."""
-    coords = []
-    t = list(target)
-    for row in basis:
-        c = next((i for i, x in enumerate(row) if x != 0), None)
-        if c is None:
-            coords.append(0)
-            continue
-        if t[c] % row[c] != 0:
-            return None
-        q = t[c] // row[c]
-        coords.append(q)
-        for k in range(len(t)):
-            t[k] -= q * row[k]
-    if any(t):
-        return None
-    return coords
-
-
 def integer_kernel(rows: List[List[int]]) -> List[List[int]]:
     """Basis of { x in Z^n : M x = 0 } for the matrix with the given rows."""
     if not rows:
@@ -98,27 +76,6 @@ def integer_kernel(rows: List[List[int]]) -> List[List[int]]:
         if all(x == 0 for x in row[:m]):
             kernel.append(row[m:])
     return kernel
-
-
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
-    den = 1
-    for r in rows:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    out = [[int(x * den) for x in r] for r in rows]
-    return out, den
-
-
-def lattice_basis_from_rational_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> List[List[Fraction]]:
-    """Z-basis (canonical HNF shape) of the subgroup of Q^n generated by rows."""
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return []
-    ints, den = clear_denominators(rows)
-    basis = hnf(ints)
-    return [[Fraction(x, den) for x in row] for row in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ matters more than shrinking.
 import os
 import random
 from fractions import Fraction
-from typing import Tuple
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from homothety_orbits import CycloScalar, Homothety, Scalar
+from homothety_orbits.lattices import hnf
 
 settings.register_profile(
     "dev",
@@ -93,6 +95,52 @@ def planar_fractions(x: CycloScalar) -> Tuple[Fraction, Fraction, Fraction, Frac
     zeta^3 = i): a reference for the planar lift that shares no library code."""
     c0, c1, c2, c3 = x.coeffs
     return c0 + c2 / 2, c1 / 2, c1 / 2 + c3, c2 / 2
+
+
+# ---------------------------------------------------------------------------
+# lattice membership references: one integer target at a time, on Fraction
+# rows, independent of the closures' array tests
+
+
+def hnf_solve(basis: List[List[int]], target: List[int]) -> Optional[List[int]]:
+    """Integer coordinates of ``target`` in an HNF basis, or None."""
+    coords = []
+    t = list(target)
+    for row in basis:
+        c = next((i for i, x in enumerate(row) if x != 0), None)
+        if c is None:
+            coords.append(0)
+            continue
+        if t[c] % row[c] != 0:
+            return None
+        q = t[c] // row[c]
+        coords.append(q)
+        for k in range(len(t)):
+            t[k] -= q * row[k]
+    if any(t):
+        return None
+    return coords
+
+
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
+    den = 1
+    for r in rows:
+        for x in r:
+            den = den * x.denominator // gcd(den, x.denominator)
+    out = [[int(x * den) for x in r] for r in rows]
+    return out, den
+
+
+def lattice_basis_from_rational_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> List[List[Fraction]]:
+    """Z-basis (canonical HNF shape) of the subgroup of Q^n generated by rows."""
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        return []
+    ints, den = clear_denominators(rows)
+    basis = hnf(ints)
+    return [[Fraction(x, den) for x in row] for row in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,22 @@ from homothety_orbits.exact_algebra import (
     Trilean,
     parse_scalar,
 )
-from homothety_orbits.lattices import (
-    clear_denominators,
-    hnf,
-    hnf_solve,
-    lattice_basis_from_rational_rows,
-)
+from homothety_orbits.lattices import hnf
 from homothety_orbits import closed_subgroups
 from homothety_orbits.closed_subgroups import (
     Lattice2,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
-from conftest import exact_scalars, planar_fractions, random_cyclo, random_exact_scalar
+from conftest import (
+    clear_denominators,
+    exact_scalars,
+    hnf_solve,
+    lattice_basis_from_rational_rows,
+    planar_fractions,
+    random_cyclo,
+    random_exact_scalar,
+)
 
 SQRT3 = CycloScalar(0, 2, 0, -1)  # 2*zeta - zeta^3
 

@@ -19,18 +19,20 @@ from homothety_orbits.exact_algebra import (
     parse_scalar,
 )
 from homothety_orbits.group_profile import GroupSpec, compute_profile
-from homothety_orbits.lattices import (
-    clear_denominators,
-    hnf,
-    hnf_solve,
-    lattice_basis_from_rational_rows,
-)
+from homothety_orbits.lattices import hnf
 from homothety_orbits.closure_engine import (
     global_verdicts,
     orbit_closure,
     rotation_pair_classify,
 )
-from conftest import exact_scalars, homotheties, planar_fractions
+from conftest import (
+    clear_denominators,
+    exact_scalars,
+    hnf_solve,
+    homotheties,
+    lattice_basis_from_rational_rows,
+    planar_fractions,
+)
 
 I = parse_scalar("i")
 

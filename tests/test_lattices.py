@@ -6,15 +6,13 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from homothety_orbits.lattices import (
-    clear_denominators,
     field_nullspace,
     field_rref,
     field_solve,
     hnf,
-    hnf_solve,
     integer_kernel,
-    lattice_basis_from_rational_rows,
 )
+from conftest import clear_denominators, hnf_solve, lattice_basis_from_rational_rows
 
 # the field_* eliminations over Q: is_zero, zero, one
 FRACTIONS = (lambda x: x == 0, Fraction(0), Fraction(1))
