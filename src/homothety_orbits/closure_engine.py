@@ -168,8 +168,7 @@ class WholeSpace(ClosureDesc):
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         out: List[Point] = [self.point]
-        for t in translations:
-            out.append(v_add(self.point, t))
+        out += [v_add(self.point, t) for t in translations[: max(0, count - 1)]]
         while len(out) < count:
             out.append(
                 as_point(
