@@ -15,6 +15,7 @@ symbolic verdict (the loud failure mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -493,7 +494,9 @@ def cmd_paper_examples(config: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="homothety-orbits",
         description=(

@@ -72,6 +72,19 @@ class TestClassify:
         assert ["1/2"] in report["points"]
         assert report["options"]["window"] == {"center": ["0"], "half": 1.5}
 
+    def test_parser_state_does_not_leak_between_calls(self, tmp_path, capsys):
+        # one parser serves every call in a process: the --point list of one
+        # call must not reach the next, and a bad option still exits 2
+        path = quarter_doc(tmp_path, points=[["1/2"]])
+        assert main(["classify", "--input", path, "--point", "1/3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == [["1/2"], ["1/3"]]
+        assert main(["classify", "--input", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == [["1/2"]]
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", path, "--no-such-option"])
+        assert exc.value.code == 2
+        assert "--no-such-option" in capsys.readouterr().err
+
     def test_values_with_a_leading_minus_sign(self, tmp_path, capsys):
         # a separate value "-1/2" is not read as an option: the spaced form
         # and the --point= form give the same report
