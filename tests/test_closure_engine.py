@@ -1,8 +1,10 @@
 """Orbit-closure descriptions and global verdicts: the branch table keyed
 on ratio flags and point position, plus the planar two-rotation classifier."""
 
+import ast
 import functools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from conftest import (
 )
 
 I = parse_scalar("i")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def S(x) -> Scalar:
@@ -568,3 +571,47 @@ class TestRotationPairClassifier:
         with pytest.raises(UndecidableAtPrecision):
             rotation_pair_classify(1e-6, math.pi / 2, 0.0, 1.0)
 
+
+# ---------------------------------------------------------------------------
+# independence of the symbolic engine from the oracle
+
+
+def _imported_modules(path) -> set:
+    """Every module a source file imports, function-local imports included,
+    with relative imports resolved inside the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "homothety_orbits" if node.level else ""
+            module = ".".join(p for p in (base, node.module or "") if p)
+            names.add(module)
+            # `from . import x` and `from package import x` import module x
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+ORACLE = "homothety_orbits.orbit_oracle"
+
+
+def _imports_oracle(path) -> bool:
+    return any(n == ORACLE or n.startswith(ORACLE + ".") for n in _imported_modules(path))
+
+
+@pytest.mark.parametrize("module", ["closure_engine", "group_profile"])
+def test_the_engine_does_not_import_the_oracle(module):
+    path = SRC / "homothety_orbits" / f"{module}.py"
+    assert not _imports_oracle(path), sorted(_imported_modules(path))
+
+
+@pytest.mark.parametrize("source", [
+    "from . import orbit_oracle",
+    "from .orbit_oracle import verify",
+    "def f():\n    from homothety_orbits import orbit_oracle",
+    "import homothety_orbits.orbit_oracle as oracle",
+])
+def test_the_import_scan_sees_every_form(tmp_path, source):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert _imports_oracle(path)
