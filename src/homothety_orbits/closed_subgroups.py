@@ -188,10 +188,10 @@ class _LatticeClosure(AdditiveClosure):
         t = nums * scale
         member = np.all(t % den[:, None] == 0, axis=1)
         t //= den[:, None]
-        # back substitution against the HNF, all rows at once
+        # back substitution against the HNF, all rows at once: later rows
+        # are zero in a row's pivot column, so a remainder left there stays
         for row in rows:
             c = next(i for i, x in enumerate(row) if x)
-            member &= t[:, c] % row[c] == 0
             t -= (t[:, c] // row[c])[:, None] * np.array(row, dtype=t.dtype)
         return member & np.all(t == 0, axis=1)
 

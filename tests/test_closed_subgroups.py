@@ -460,13 +460,25 @@ class TestArrayMembership:
         assert any(expected) and (shape == "Plane" or not all(expected))
         nums = np.array([p.planar_lift()[0] for p in probes], dtype=object)
         den = np.array([p.planar_lift()[1] for p in probes], dtype=object)
-        # the same vectors over scaled denominators: small int64 arrays,
-        # int64 arrays close enough to 2^63 that the test must widen them,
-        # and Python-int arrays past int64
-        for k, dtype in ((1, np.int64), (2 ** 52, np.int64), (2 ** 70, object)):
-            assert max(map(abs, nums.ravel())) * k < 2 ** 63 or dtype is object
-            got = c.contains_lifts((nums * k).astype(dtype), (den * k).astype(dtype))
-            assert got.dtype == bool and got.tolist() == expected
+        # int64 rows whose largest entry is near 2^62, so that the test must
+        # take its products on Python ints: each row scaled by an odd
+        # factor, and 2^62 along each axis of the lift, where a wrapped
+        # product would read as zero
+        k = np.array([2 ** 62 // max(map(abs, [*n, d])) | 1 for n, d in zip(nums, den)])
+        axes = np.eye(4, dtype=object) * 2 ** 62
+        wide = (
+            np.concatenate([nums * k[:, None], axes]),
+            np.concatenate([den * k, np.ones(4, dtype=object)]),
+            expected + [_fraction_parse_scalar(c, CycloScalar.from_planar_lift(a, 1)) for a in axes],
+        )
+        # small int64 rows, wide int64 rows, and Python-int rows past int64
+        for n, d, want, dtype in (
+            (nums, den, expected, np.int64),
+            (*wide, np.int64),
+            (wide[0] * 2 ** 70, wide[1] * 2 ** 70, wide[2], object),
+        ):
+            got = c.contains_lifts(n.astype(dtype), d.astype(dtype))
+            assert got.dtype == bool and got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
