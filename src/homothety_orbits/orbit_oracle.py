@@ -7,32 +7,36 @@ predicted closure description.  Nothing here is clever on purpose: the
 point of the module is to be an independent check on the symbolic engine,
 and it reads nothing of the engine but the generator list.
 
-With exact input both searches run on one kernel over integer rows: a
-point of Q(zeta)^n is its 4n numerators and one common denominator,
-reduced, so equal points have equal rows; each letter is an integer
-matrix, and a generation is one matrix product over the whole frontier,
-deduplicated by sorting row keys.  The harvest runs the same kernel on
-map states [ratio | shift].  Rows are int64 while a bound on the next
-products stays below 2^62 and Python ints past it.  Approximate input
-runs the same breadth-first order in floats, deduplicated on an epsilon
-grid.
+All four searches (points or maps, exact or approximate) run one
+breadth-first loop over arrays of rows: a generation expands the whole
+frontier at once and keeps the rows whose keys have not been seen, found
+by sorting.  Exact input uses integer rows: a point of Q(zeta)^n is its 4n
+numerators and one common denominator, reduced, so equal points have
+equal rows, and each letter is an integer matrix; the harvest runs the
+same kernel on map states [ratio | shift].  Rows are int64 while a bound
+on the next products stays below 2^62 and Python ints past it.
+Approximate input uses complex rows keyed on a grid: points on a 1e-7
+grid, letter-major; maps, frontier-major like the exact searches, on a
+1e-12 grid, with the net generator exponents carried along.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .affine_maps import Homothety, Point, as_point, point_row, rows_to_points, v_to_complex
 from .exact_algebra import (
     INT64_SAFE,
+    SCALAR_ONE,
     SQRT3,
     CycloScalar,
     Scalar,
@@ -154,7 +158,9 @@ def enumerate(
     epsilon-grid (a completeness device, not a soundness one: distinct cells
     are genuinely distinct points, merged cells may hide near-duplicates).
     Output order is deterministic: by generation, then by the order in
-    which the fixed generator alphabet produces new points.
+    which the fixed generator alphabet produces new points, frontier-major
+    (each point under every letter in turn) in exact mode and letter-major
+    (each letter over the whole frontier) on the grid.
     """
     if L < 0:
         raise ValueError("word cap must be nonnegative")
@@ -163,12 +169,105 @@ def enumerate(
         raise ValueError("point dimension does not match the group")
     exact_mode = spec.is_exact and all(c.is_exact for c in z) and not force_grid
     if exact_mode:
-        return _enumerate_exact(spec, z, L, budget)
-    return _enumerate_grid(spec, z, L, budget)
+        letters = [_letter_matrix(h, False) for h in _letters(spec)]
+        rows, gens, truncated = _row_bfs(point_row(z), letters, L, budget + 1)
+        array, cell = _rows_to_complex(rows, spec.dim), 0.0
+    else:
+        rows, cell = None, GRID_DEDUP_EPS
+        array, gens, truncated = _grid_bfs(spec, z, L, budget + 1)
+    sample = OrbitSample(base=z, array=array, generations=gens, word_cap=L, grid_eps=cell,
+                         dedup="exact" if exact_mode else "grid", rows=rows, truncated=truncated)
+    if truncated:
+        raise BudgetExceeded(sample)
+    return sample
 
 
 # ---------------------------------------------------------------------------
-# breadth-first search on integer rows (exact mode)
+# the breadth-first loop of every search
+#
+# A search state is one row of an array, a generation is one step on the
+# whole frontier, and dedup sorts one key per row.
+
+
+def _row_keys(q: np.ndarray) -> np.ndarray:
+    """One comparable key per row: the row's bytes (numbers), else a tuple."""
+    if q.dtype == object:
+        return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
+    q = np.ascontiguousarray(q)
+    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1)
+
+
+class _SeenRows:
+    """Sorted keys of every row found so far: the dedup step of the
+    breadth-first loop."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = np.sort(keys)
+
+    def admit(self, keys: np.ndarray, room: int) -> Tuple[np.ndarray, bool]:
+        """Indices, in candidate order, of the first occurrence of each key
+        not seen before, which become seen.  When there are `room` or more
+        the first max(room, 1) are kept and `full` is True (a search stops
+        right after the row that reaches its cap)."""
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        cand = keys[first]
+        pos = np.searchsorted(self.keys, cand)
+        hit = pos < self.keys.shape[0]
+        hit[hit] = self.keys[pos[hit]] == cand[hit]
+        new = first[~hit]
+        full = new.shape[0] > 0 and new.shape[0] >= room
+        if full:
+            new = new[: max(room, 1)]
+        add = np.sort(keys[new])
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, add), add)
+        return new, full
+
+
+def _bfs(
+    start: np.ndarray,
+    expand: Callable[[np.ndarray], np.ndarray],
+    keys: Callable[[np.ndarray], np.ndarray],
+    L: int,
+    cap: int,
+    prepare: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, generations, stopped): breadth-first closure of the one-row
+    array `start` up to word length L, stopping right after the row count
+    reaches `cap`.
+
+    `expand` maps a frontier to its candidate rows and `keys` gives one
+    comparable key per row; the new candidates, those whose key has not
+    been seen, keep candidate order.  `prepare`, when given, runs on each
+    frontier before it is expanded; when it returns another dtype, every
+    earlier row is converted too and keyed again."""
+    frontier = start
+    seen = _SeenRows(keys(frontier))
+    chunks = [frontier]
+    gens = [np.zeros(1, dtype=np.int32)]
+    total = 1
+    stopped = False
+    for level in range(1, L + 1):
+        if frontier.shape[0] == 0:
+            break
+        if prepare is not None:
+            frontier = prepare(frontier)
+            if frontier.dtype != chunks[-1].dtype:
+                chunks = [c.astype(frontier.dtype) for c in chunks]
+                seen = _SeenRows(keys(np.concatenate(chunks)))
+        cand = expand(frontier)
+        new, stopped = seen.admit(keys(cand), cap - total)
+        frontier = cand[new]
+        chunks.append(frontier)
+        gens.append(np.full(new.shape[0], level, dtype=np.int32))
+        total += new.shape[0]
+        if stopped:
+            break
+    return np.concatenate(chunks), np.concatenate(gens), stopped
+
+
+# ---------------------------------------------------------------------------
+# integer rows (exact mode)
 #
 # A point of Q(zeta)^k is its reduced row of 4k + 1 integers (see
 # `affine_maps.point_row`).  A letter z -> lam * z + s acts on rows as one
@@ -200,47 +299,10 @@ def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
     return out
 
 
-def _row_keys(q: np.ndarray) -> np.ndarray:
-    """One comparable key per row: the row's bytes (int64), else a tuple."""
-    if q.dtype == object:
-        return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
-    q = np.ascontiguousarray(q)
-    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1)
-
-
-class _SeenRows:
-    """Sorted keys of every row found so far: the dedup step of both
-    breadth-first searches."""
-
-    def __init__(self, keys: np.ndarray):
-        self.keys = np.sort(keys)
-
-    def admit(self, keys: np.ndarray, room: int) -> Tuple[np.ndarray, bool]:
-        """Indices, in candidate order, of the first occurrence of each key
-        not seen before, which become seen.  When there are `room` or more
-        the first max(room, 1) are kept and `full` is True (a search stops
-        right after the row that reaches its cap)."""
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        cand = keys[first]
-        pos = np.searchsorted(self.keys, cand)
-        hit = pos < self.keys.shape[0]
-        hit[hit] = self.keys[pos[hit]] == cand[hit]
-        new = first[~hit]
-        full = new.shape[0] > 0 and new.shape[0] >= room
-        if full:
-            new = new[: max(room, 1)]
-        add = np.sort(keys[new])
-        self.keys = np.insert(self.keys, np.searchsorted(self.keys, add), add)
-        return new, full
-
-
 def _row_bfs(
     start: List[int], letters: Sequence[np.ndarray], L: int, cap: int
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """(rows, generations, stopped): breadth-first closure of `start` under
-    the letter matrices up to word length L, new rows in frontier-major
-    letter order, stopping right after the row count reaches `cap`.
+    """`_bfs` on integer rows under the letter matrices, frontier-major.
 
     Rows are int64 while every product provably stays below 2^62, checked
     in Python ints before each generation; past that the same search runs
@@ -249,31 +311,21 @@ def _row_bfs(
     wide = np.concatenate([t.T for t in letters], axis=1)  # (K, letters * K)
     growth = max(int(np.abs(t).sum(axis=1).max()) for t in letters)
     wide64 = wide.astype(np.int64) if growth < INT64_SAFE else None
-    frontier = np.array([start], dtype=object)
-    if max_abs(frontier) * growth < INT64_SAFE:
-        frontier = frontier.astype(np.int64)
-    seen = _SeenRows(_row_keys(frontier))
-    chunks = [frontier]
-    gens = [np.zeros(1, dtype=np.int32)]
-    total = 1
-    stopped = False
-    for level in range(1, L + 1):
-        if frontier.shape[0] == 0:
-            break
-        if frontier.dtype != object and max_abs(frontier) * growth >= INT64_SAFE:
-            chunks = [c.astype(object) for c in chunks]
-            frontier = chunks[-1]
-            seen = _SeenRows(_row_keys(np.concatenate(chunks)))
-        cand = (frontier @ (wide if frontier.dtype == object else wide64)).reshape(-1, size)
+
+    def prepare(rows: np.ndarray) -> np.ndarray:
+        if rows.dtype != object and max_abs(rows) * growth >= INT64_SAFE:
+            return rows.astype(object)
+        return rows
+
+    def expand(rows: np.ndarray) -> np.ndarray:
+        cand = (rows @ (wide if rows.dtype == object else wide64)).reshape(-1, size)
         cand //= np.gcd.reduce(cand, axis=1)[:, None]
-        new, stopped = seen.admit(_row_keys(cand), cap - total)
-        frontier = cand[new]
-        chunks.append(frontier)
-        gens.append(np.full(new.shape[0], level, dtype=np.int32))
-        total += new.shape[0]
-        if stopped:
-            break
-    return np.concatenate(chunks), np.concatenate(gens), stopped
+        return cand
+
+    first = np.array([start], dtype=object)
+    if max_abs(first) * growth < INT64_SAFE:
+        first = first.astype(np.int64)
+    return _bfs(first, expand, _row_keys, L, cap, prepare)
 
 
 def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
@@ -290,94 +342,32 @@ def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
-    letters = [_letter_matrix(h, False) for h in _letters(spec)]
-    rows, gens, truncated = _row_bfs(point_row(z), letters, L, budget + 1)
-    sample = OrbitSample(
-        base=z,
-        array=_rows_to_complex(rows, spec.dim),
-        generations=gens,
-        word_cap=L,
-        dedup="exact",
-        grid_eps=0.0,
-        rows=rows,
-        truncated=truncated,
-    )
-    if truncated:
-        raise BudgetExceeded(sample)
-    return sample
-
-
 # ---------------------------------------------------------------------------
-# epsilon-grid search (approximate mode)
+# complex rows (approximate mode), deduplicated on a grid
 
 
-def _quantize(arr: np.ndarray, cell: float) -> np.ndarray:
-    """(N, n) complex -> (N, 2n) int64 cell indices."""
-    n = arr.shape[1]
-    out = np.empty((arr.shape[0], 2 * n), dtype=np.int64)
-    out[:, 0::2] = np.round(arr.real / cell)
-    out[:, 1::2] = np.round(arr.imag / cell)
-    return out
+def _cell_keys(rows: np.ndarray, cell: float) -> np.ndarray:
+    """One key per complex row: its parts divided by `cell` and rounded,
+    kept in float64 so that no coordinate overflows (adding 0.0 folds -0.0
+    into 0.0)."""
+    return _row_keys(np.round(np.ascontiguousarray(rows).view(np.float64) / cell) + 0.0)
 
 
-def _enumerate_grid(spec: GroupSpec, z: Point, L: int, budget: int) -> OrbitSample:
-    cell = GRID_DEDUP_EPS
+def _grid_bfs(spec: GroupSpec, z: Point, L: int, cap: int) -> Tuple[np.ndarray, np.ndarray, bool]:
     letters = _letters(spec)
-    ratios = np.array([l.ratio.to_complex() for l in letters], dtype=np.complex128)
-    shifts = np.array(
-        [v_to_complex(l.shift) for l in letters], dtype=np.complex128
-    ).reshape(len(letters), spec.dim)
+    ratios = [l.ratio.to_complex() for l in letters]
+    shifts = np.array([v_to_complex(l.shift) for l in letters], dtype=np.complex128)
 
-    base_row = np.array([v_to_complex(z)], dtype=np.complex128).reshape(1, spec.dim)
-    seen = _SeenRows(_row_keys(_quantize(base_row, cell)))
-    chunks: List[np.ndarray] = [base_row]
-    gen_chunks: List[np.ndarray] = [np.zeros(1, dtype=np.int32)]
-    frontier = base_row
-    total = 1
-    truncated = False
-    for level in range(1, L + 1):
-        if frontier.shape[0] == 0:
-            break
-        cand = np.concatenate(
-            [ratios[i] * frontier + shifts[i] for i in range(len(letters))], axis=0
-        )
-        new, truncated = seen.admit(_row_keys(_quantize(cand, cell)), budget + 1 - total)
-        frontier = cand[new]
-        chunks.append(frontier)
-        gen_chunks.append(np.full(new.shape[0], level, dtype=np.int32))
-        total += new.shape[0]
-        if truncated:
-            break
-    arr = np.concatenate(chunks, axis=0)
-    gens = np.concatenate(gen_chunks)
-    sample = OrbitSample(
-        base=z,
-        array=arr,
-        generations=gens,
-        word_cap=L,
-        dedup="grid",
-        grid_eps=cell,
-        truncated=truncated,
-    )
-    if truncated:
-        raise BudgetExceeded(sample)
-    return sample
+    def expand(rows: np.ndarray) -> np.ndarray:
+        # letter-major, in numpy's complex products
+        return np.concatenate([r * rows + t for r, t in zip(ratios, shifts)])
+
+    start = np.array([v_to_complex(z)], dtype=np.complex128)
+    return _bfs(start, expand, lambda rows: _cell_keys(rows, GRID_DEDUP_EPS), L, cap)
 
 
 # ---------------------------------------------------------------------------
 # translation harvesting (map-level breadth-first search)
-
-
-def _map_key(h: Homothety, cell: float = 1e-12):
-    # every map of an approximate group, exact ones (the identity, words in
-    # exact generators) included, is keyed on the same grid, so a float word
-    # equal to an exact one is not a second state
-    r = h.ratio.to_complex()
-    parts: List[float] = [round(r.real / cell), round(r.imag / cell)]
-    for c in v_to_complex(h.shift):
-        parts += [round(c.real / cell), round(c.imag / cell)]
-    return tuple(parts)
 
 
 def _vector_key(v: Point, exact: bool, cell: float = 1e-12):
@@ -392,14 +382,15 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     commutator (a length-4 word); the zero vector (empty word) is always
     present.
 
-    Maps, not points, are enumerated, in the order `enumerate` uses.  With
-    exact generators a map state is the row [ratio | shift] of the integer
+    Maps, not points, are enumerated, frontier-major.  With exact
+    generators a map state is the row [ratio | shift] of the integer
     kernel, and the ratio-one states are read off the rows.  With
-    approximate ones the ratio of a word is the product of generator ratios
-    with signed exponents, so tracking the net exponent vector detects
-    ratio-one words even with approximate scalars.  When the map-state
-    count reaches HARVEST_BUDGET the search stops expanding (the result is
-    then a sublist of the full harvest, which is safe for every use here:
+    approximate ones it is a complex row that also carries the net
+    exponent of each generator: the ratio of a word is the product of
+    generator ratios with those exponents, which detects ratio-one words
+    even with approximate scalars.  When the map-state count reaches
+    HARVEST_BUDGET the search stops expanding (the result is then a
+    sublist of the full harvest, which is safe for every use here:
     harvests are lower-bound evidence).
     """
     found = _harvest_exact(spec, L) if spec.is_exact else _harvest_approx(spec, L)
@@ -429,44 +420,46 @@ def _harvest_exact(spec: GroupSpec, L: int) -> List[Point]:
 
 
 def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
-    m = len(spec.generators)
+    """The map search on complex rows [ratio | shift | exponents | count],
+    where `count` is the number of letters with an approximate ratio.  Maps
+    are keyed on their first n + 1 columns at 1e-12, so a float word equal
+    to an exact one is not a second state."""
+    n, m = spec.dim, len(spec.generators)
     letters = _letters(spec)
-    # letter i corresponds to generator i // 2, exponent +1 if i even else -1
-    identity = Homothety.identity(spec.dim)
-    states: List[Tuple[Homothety, Tuple[int, ...]]] = [
-        (identity, tuple([0] * m))
-    ]
-    seen = {_map_key(identity)}
-    frontier = [0]
-    shifts: List[Point] = [identity.shift]
-    stopped = False
-    for _level in range(1, L + 1):
-        if stopped or not frontier:
-            break
-        new_frontier: List[int] = []
-        for idx in frontier:
-            h, e = states[idx]
-            for li, letter in zip(range(len(letters)), letters):
-                gi, sign = li // 2, (1 if li % 2 == 0 else -1)
-                comp = letter.compose(h)
-                key = _map_key(comp)
-                if key in seen:
-                    continue
-                seen.add(key)
-                e2 = list(e)
-                e2[gi] += sign
-                e2t = tuple(e2)
-                states.append((comp, e2t))
-                new_frontier.append(len(states) - 1)
-                if not any(e2t) or comp.ratio.eq(Scalar.integer(1)) is Trilean.YES:
-                    shifts.append(comp.shift)
-                if len(states) >= HARVEST_BUDGET:
-                    stopped = True
-                    break
-            if stopped:
-                break
-        frontier = new_frontier
-    return shifts
+    ratios = np.array([[l.ratio.to_complex()] for l in letters])
+    # what letter i adds: its shift, +-1 to generator i // 2, and 1 to the
+    # count when its ratio is approximate
+    steps = np.zeros((len(letters), n + m + 1), dtype=np.complex128)
+    for i, l in zip(range(len(letters)), letters):
+        steps[i, :n] = v_to_complex(l.shift)
+        steps[i, n + i // 2] = 1 - 2 * (i % 2)
+        steps[i, -1] = 0 if l.ratio.is_exact else 1
+
+    def expand(rows: np.ndarray) -> np.ndarray:
+        # frontier-major; ratio and shift are multiplied by the letter's
+        # ratio as Python multiplies complex numbers (numpy's product can
+        # differ in the last bit)
+        cand = np.repeat(rows[:, None], len(letters), axis=1)
+        a, b = ratios, rows[:, None, : n + 1]
+        head = cand[..., : n + 1]
+        head.real, head.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+        cand[..., 1:] += steps
+        return cand.reshape(-1, rows.shape[1])
+
+    start = np.eye(1, n + m + 2, dtype=np.complex128)  # the identity map
+    rows, _, _ = _bfs(start, expand, lambda r: _cell_keys(r[:, : n + 1], 1e-12), L, HARVEST_BUDGET)
+
+    @functools.cache
+    def ratio_one(e: Tuple[int, ...]) -> bool:
+        # for a word of exact-ratio letters: is its ratio exactly 1?
+        r = SCALAR_ONE
+        for g, k in zip(spec.generators, e):
+            r = r * g.ratio ** k
+        return r.eq(SCALAR_ONE) is Trilean.YES
+
+    exps = map(tuple, rows[:, n + 1: -1].real.astype(np.int64).tolist())
+    keep = [not any(e) or (c == 0 and ratio_one(e)) for e, c in zip(exps, rows[:, -1].real.tolist())]
+    return [tuple(map(Scalar.approx, v)) for v, k in zip(rows[:, 1: n + 1].tolist(), keep) if k]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""Reference orbit searches in `CycloScalar` arithmetic, one map at a time.
+"""Reference orbit searches, one point or map at a time.
 
-These are the exact-mode breadth-first searches the oracle ran before its
-integer-row kernel: `enumerate_exact` applies each generator letter to each
-frontier point with `Homothety.apply`, and `harvest_exact` composes maps with
-`Homothety.compose` and keeps the ratio-one words.  They are slow and
-obviously right, which is what the kernel equivalence tests need.
+`enumerate_exact` applies each generator letter to each frontier point with
+`Homothety.apply`, and `harvest_exact` composes maps with `Homothety.compose`
+and keeps the ratio-one words: the exact-mode searches the oracle ran before
+its integer-row kernel.  `harvest_approx` is the approximate-mode map search
+it ran before its float rows, in `Scalar` arithmetic, and `enumerate_grid`
+dedups grid points on Python-int keys.  They are slow and obviously right,
+which is what the kernel equivalence tests need.
 """
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from homothety_orbits.affine_maps import Homothety, Point, v_to_complex
+from homothety_orbits.exact_algebra import Scalar, Trilean
 from homothety_orbits.group_profile import GroupSpec
 
 
@@ -62,6 +65,35 @@ def enumerate_exact(spec: GroupSpec, z: Point, L: int, budget: int):
     return points, np.array(gens, dtype=np.int32), arr, truncated
 
 
+def enumerate_grid(spec: GroupSpec, z: Point, L: int, cell: float):
+    """(float array, generations) of the orbit of z up to word length L on
+    the epsilon grid, without a budget.  Each generation's candidates come
+    letter by letter from numpy's complex products, as in the oracle; a
+    candidate is new when its parts divided by `cell` and rounded, as
+    Python ints (which never overflow), have not been seen."""
+    alphabet = letters(spec)
+
+    def key(row) -> tuple:
+        return tuple(round(x / cell) for c in row.tolist() for x in (c.real, c.imag))
+
+    frontier = np.array([v_to_complex(z)], dtype=np.complex128)
+    seen = {key(frontier[0])}
+    chunks, gens = [frontier], [0]
+    for level in range(1, L + 1):
+        cand = np.concatenate(
+            [h.ratio.to_complex() * frontier + np.array(v_to_complex(h.shift)) for h in alphabet]
+        )
+        new = []
+        for i in range(cand.shape[0]):
+            k = key(cand[i])
+            if k not in seen:
+                seen.add(k)
+                new.append(i)
+        frontier = cand[new]
+        chunks.append(frontier)
+        gens += [level] * len(new)
+    return np.concatenate(chunks), np.array(gens, dtype=np.int32)
+
 def harvest_exact(spec: GroupSpec, L: int, budget: int) -> List[Point]:
     """Shifts of the ratio-one maps among words of length <= L, in search
     order, then the generator commutators; the search stops when it holds
@@ -109,4 +141,70 @@ def harvest_exact(spec: GroupSpec, L: int, budget: int) -> List[Point]:
         for j in range(i + 1, len(gens)):
             f, g = gens[i], gens[j]
             emit(f.compose(g).compose(f.inverse()).compose(g.inverse()))
+    return vectors
+
+
+def _map_key(h: Homothety, cell: float = 1e-12):
+    # every map of an approximate group, exact ones (the identity, words in
+    # exact generators) included, is keyed on the same grid, so a float word
+    # equal to an exact one is not a second state
+    r = h.ratio.to_complex()
+    parts: List[float] = [round(r.real / cell), round(r.imag / cell)]
+    for c in v_to_complex(h.shift):
+        parts += [round(c.real / cell), round(c.imag / cell)]
+    return tuple(parts)
+
+
+def harvest_approx(spec: GroupSpec, L: int, budget: int) -> List[Point]:
+    """The approximate-mode harvest: shifts of the words of length <= L
+    whose net exponent vector is zero or whose composed ratio is exactly 1,
+    in search order, then the generator commutators, deduplicated on the
+    1e-12 grid; the search stops when it holds `budget` maps."""
+    m = len(spec.generators)
+    alphabet = letters(spec)
+    # letter i corresponds to generator i // 2, exponent +1 if i even else -1
+    identity = Homothety.identity(spec.dim)
+    states: List[Tuple[Homothety, Tuple[int, ...]]] = [(identity, tuple([0] * m))]
+    seen = {_map_key(identity)}
+    frontier = [0]
+    found: List[Point] = [identity.shift]
+    stopped = False
+    for _level in range(1, L + 1):
+        if stopped or not frontier:
+            break
+        new_frontier: List[int] = []
+        for idx in frontier:
+            h, e = states[idx]
+            for li, letter in zip(range(len(alphabet)), alphabet):
+                gi, sign = li // 2, (1 if li % 2 == 0 else -1)
+                comp = letter.compose(h)
+                key = _map_key(comp)
+                if key in seen:
+                    continue
+                seen.add(key)
+                e2 = list(e)
+                e2[gi] += sign
+                e2t = tuple(e2)
+                states.append((comp, e2t))
+                new_frontier.append(len(states) - 1)
+                if not any(e2t) or comp.ratio.eq(Scalar.integer(1)) is Trilean.YES:
+                    found.append(comp.shift)
+                if len(states) >= budget:
+                    stopped = True
+                    break
+            if stopped:
+                break
+        frontier = new_frontier
+    gens = spec.generators
+    for i in range(m):
+        for j in range(i + 1, m):
+            f, g = gens[i], gens[j]
+            found.append(f.compose(g).compose(f.inverse()).compose(g.inverse()).shift)
+    vectors: List[Point] = []
+    known = set()
+    for v in found:
+        key = tuple((round(c.real / 1e-12), round(c.imag / 1e-12)) for c in v_to_complex(v))
+        if key not in known:
+            known.add(key)
+            vectors.append(v)
     return vectors

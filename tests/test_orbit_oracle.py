@@ -259,6 +259,66 @@ class TestKernelEquivalence:
         assert s.truncated and len(s) == 2
 
 
+# approximate groups: decimal generators beside exact ones whose ratios,
+# centres and vectors are dyadic, so that every product of exact data is
+# exact in binary floats, and the float rows must give the Scalar harvest
+DYADIC_RATIOS = [S(-1), I, -I, S(2), Scalar.rational(Fraction(1, 2)), parse_scalar("1+i")]
+dyadic_coords = st.builds(
+    Scalar.gauss,
+    st.integers(-8, 8).map(lambda k: Fraction(k, 4)),
+    st.integers(-8, 8).map(lambda k: Fraction(k, 4)),
+)
+decimal_coords = st.builds(
+    lambda re, im: Scalar.approx(complex(re / 10, im / 10)), st.integers(-15, 15), st.integers(-15, 15)
+)
+decimal_ratios = st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(
+    lambda p: p not in ((0, 0), (10, 0))
+).map(lambda p: Scalar.approx(complex(p[0] / 10, p[1] / 10)))
+# word caps that keep the reference search small for each generator count
+FLOAT_CAPS = {1: 8, 2: 7, 3: 4}
+
+
+@st.composite
+def float_groups(draw):
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    decimal_at = draw(st.integers(0, m - 1))
+    gens = []
+    for k in range(m):
+        if k == decimal_at or draw(st.booleans()):
+            centre = tuple(draw(decimal_coords) for _ in range(dim))
+            gens.append(Homothety.with_center(draw(decimal_ratios), centre))
+            continue
+        centre = tuple(draw(dyadic_coords) for _ in range(dim))
+        ratio = draw(st.sampled_from(DYADIC_RATIOS + [None]))
+        gens.append(Homothety.translation(centre) if ratio is None
+                    else Homothety.with_center(ratio, centre))
+    return GroupSpec(dim, tuple(gens)), draw(st.integers(0, FLOAT_CAPS[m]))
+
+
+class TestFloatKernelEquivalence:
+    @given(float_groups(), st.sampled_from([1, 2, 9, 200_000]))
+    def test_harvest_matches_the_reference(self, case, harvest_budget):
+        spec, cap = case
+        assert not spec.is_exact
+        with mock.patch.object(oracle, "HARVEST_BUDGET", harvest_budget):
+            got = oracle.harvest_translations(spec, cap)
+        want = reference.harvest_approx(spec, cap, harvest_budget)
+        # the same vectors in the same order, equal as floats
+        assert [v_to_complex(v) for v in got] == [v_to_complex(v) for v in want]
+
+    def test_grid_keys_do_not_overflow(self):
+        # ratio 100: by word length 9 coordinates pass 2^63 * 1e-7, where
+        # int64 cell indices would overflow and merge distinct points
+        spec = GroupSpec(1, (Homothety.with_center(parse_scalar("100.0"), P(0)),
+                             Homothety.with_center(I, P(1))))
+        z = P(Scalar.rational(Fraction(1, 2)))
+        s = oracle.enumerate(spec, z, 9)
+        arr, gens = reference.enumerate_grid(spec, z, 9, oracle.GRID_DEDUP_EPS)
+        assert s.dedup == "grid" and np.abs(s.array).max() > 2.0 ** 63 * oracle.GRID_DEDUP_EPS
+        assert s.array.tobytes() == arr.tobytes() and np.array_equal(s.generations, gens)
+
+
 # ---------------------------------------------------------------------------
 # CSV dumps
 
