@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,11 +33,7 @@ from .affine_maps import (
     v_sub,
     v_to_complex,
 )
-from .closed_subgroups import (
-    AdditiveClosure,
-    MultClosure,
-    classify_additive_closure,
-)
+from .closed_subgroups import AdditiveClosure, MultClosure
 from .exact_algebra import (
     SCALAR_ONE,
     Scalar,
@@ -47,14 +43,7 @@ from .exact_algebra import (
     planar_lifts,
     widen,
 )
-from .group_profile import (
-    AffineSubspace,
-    GroupProfile,
-    GroupSpec,
-    crystallographic_test,
-    CrystalVerdict,
-    schreier_generators,
-)
+from .group_profile import AffineSubspace, GroupProfile, GroupSpec, compute_profile
 
 _TRACE_CELL_CAP = 300_000
 # relative slack on the half-diagonal: a closure point on a cell corner is
@@ -822,18 +811,6 @@ def _angle_to_ratio(theta) -> Tuple[Scalar, Optional[int]]:
     return Scalar.approx(complex(math.cos(theta), math.sin(theta)), 1e-15), None
 
 
-def _families(k: Optional[int], theta) -> Optional[Set[str]]:
-    """Which of H2 (multiples of pi/2) / H3 (multiples of pi/3) hold."""
-    if k is None:
-        return None
-    fams = set()
-    if k % 3 == 0:
-        fams.add("S2")
-    if k % 2 == 0:
-        fams.add("S3")
-    return fams if fams else None
-
-
 def _exact_coord(x) -> Scalar:
     if isinstance(x, Scalar):
         if x.is_exact:
@@ -865,12 +842,13 @@ def _exact_center(c) -> Point:
 
 
 def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
-    """Two planar rotations by theta, theta' about distinct centers.
+    """Two planar rotations by theta, theta' about distinct centers, read
+    off the group's profile.
 
-    Dense whenever one angle leaves both crystallographic families or the
-    two angles live in different families (then the composed rotation
-    leaves both); closed and discrete when both angles share a family and
-    the translation subgroup, built from its Schreier generators, is a
+    Dense whenever the ratios leave both crystallographic families, which
+    happens when one angle leaves both or the two angles live in different
+    families (then the composed rotation leaves both); closed and discrete
+    when the translation subgroup, built from its Schreier generators, is a
     genuine lattice.
     """
     c1p = _exact_center(c1)
@@ -890,37 +868,19 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
                 )
         if k is not None and k % 12 == 0:
             raise ValueError("angles must not be multiples of 2*pi")
-    f1 = _families(k1, theta)
-    f2 = _families(k2, theta_prime)
     notes = (
         "clause (1)(i) is implemented as: some angle outside both "
         "crystallographic families (the literal statement is vacuous)",
     )
-    if f1 is None or f2 is None:
-        return RotationPairVerdict(
-            kind="AllDense", provenance="Thm1.2(1)", notes=notes
-        )
-    common = f1 & f2
-    if not common:
-        # mixed families: decide on the composed rotation, which must leave both
-        verdict = crystallographic_test(r1 * r2)
-        if verdict is not CrystalVerdict.FORCES_DENSE:
-            raise AssertionError(
-                "mixed-family composition should force density"
-            )
-        return RotationPairVerdict(
-            kind="AllDense",
-            provenance="Thm1.2(1)",
-            notes=notes + ("mixed families: composed rotation leaves both",),
-        )
-    spec = GroupSpec(
-        dim=1,
-        generators=(
-            Homothety.with_center(r1, c1p),
-            Homothety.with_center(r2, c2p),
-        ),
+    profile = compute_profile(
+        GroupSpec(1, (Homothety.with_center(r1, c1p), Homothety.with_center(r2, c2p)))
     )
-    lattice = classify_additive_closure([t[0] for t in schreier_generators(spec).shifts])
+    if profile.outside_SR:
+        # a multiple of pi/2 or pi/3 is a crystallographic angle
+        if all(k is not None and (k % 2 == 0 or k % 3 == 0) for k in (k1, k2)):
+            notes += ("mixed families: composed rotation leaves both",)
+        return RotationPairVerdict(kind="AllDense", provenance="Thm1.2(1)", notes=notes)
+    lattice = profile.g1_closure
     if lattice.is_discrete() is Trilean.YES:
         return RotationPairVerdict(
             kind="AllClosedDiscrete",

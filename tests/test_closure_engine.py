@@ -3,6 +3,7 @@ on ratio flags and point position, plus the planar two-rotation classifier."""
 
 import ast
 import functools
+import itertools
 import math
 import pathlib
 import random
@@ -523,6 +524,45 @@ class TestGlobalVerdicts:
 # the planar two-rotation classifier
 
 
+SIXTH_ANGLES = [k * math.pi / 6 for k in range(1, 12)]
+GENERIC_ANGLES = [1.0, math.pi / 5, math.pi / 4]
+# the centre forms the classifier takes: floats, complex numbers, pairs of
+# reals, exact scalars, and pairs mixing exact scalars with numbers
+PAIR_CENTRES = [
+    (0.0, 1.0),
+    (0j, 1 + 0.5j),
+    ((0.5, 0.25), (1.0, 0.25)),
+    (Scalar.rational(Fraction(1, 3)), Scalar.gauss(1, Fraction(1, 2))),
+    ((Scalar.rational(Fraction(1, 3)), 0.5), (1, 1)),
+]
+
+
+def _families_of(angle: float) -> set:
+    """Which of the families S2 (multiples of pi/2) and S3 (multiples of
+    pi/3) the angle lies in."""
+    k = angle / (math.pi / 6)
+    if abs(k - round(k)) > 1e-9:
+        return set()
+    k = round(k)
+    return {name for name, step in (("S2", 3), ("S3", 2)) if k % step == 0}
+
+
+def _check_thm_1_2(first, second, centres):
+    """Thm 1.2, decided here from the angles alone: closed and discrete when
+    both angles lie in one crystallographic family, dense otherwise, with
+    the "mixed families" note when both are crystallographic but share no
+    family."""
+    fams = [_families_of(a) for a in (first, second)]
+    v = rotation_pair_classify(first, second, *centres)
+    if fams[0] & fams[1]:
+        assert (v.kind, v.provenance) == ("AllClosedDiscrete", "Thm1.2(2)")
+        assert v.lattice.exact and v.lattice.is_discrete() is Trilean.YES
+    else:
+        assert (v.kind, v.provenance, v.lattice) == ("AllDense", "Thm1.2(1)", None)
+    mixed = all(fams) and not fams[0] & fams[1]
+    assert any("mixed families" in n for n in v.notes) == mixed
+
+
 class TestRotationPairClassifier:
     def test_mixed_families_force_density(self):
         v = rotation_pair_classify(math.pi / 2, math.pi / 3, 0.0, 1.0)
@@ -570,6 +610,20 @@ class TestRotationPairClassifier:
     def test_angle_too_close_to_zero_is_undecidable(self):
         with pytest.raises(UndecidableAtPrecision):
             rotation_pair_classify(1e-6, math.pi / 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("centres", PAIR_CENTRES)
+    def test_thm_1_2_on_every_crystallographic_pair(self, centres):
+        # every multiple of pi/6, (pi, pi) among them, with each centre form
+        for first, second in itertools.product(SIXTH_ANGLES, repeat=2):
+            _check_thm_1_2(first, second, centres)
+
+    @pytest.mark.parametrize("first", GENERIC_ANGLES)
+    def test_thm_1_2_with_a_generic_angle(self, first):
+        # a generic angle takes the multiplicative heuristic, which is slow,
+        # so it meets every angle with one centre form only
+        for second in SIXTH_ANGLES + GENERIC_ANGLES:
+            _check_thm_1_2(first, second, PAIR_CENTRES[0])
+            _check_thm_1_2(second, first, PAIR_CENTRES[0])
 
 
 # ---------------------------------------------------------------------------
