@@ -242,10 +242,22 @@ class TestCrystallographicTest:
 # translation-subgroup sandwich in dimension one
 
 
+def assert_pair_shifts_in_outer(pair, outer):
+    """Every Schreier shift of the group the equal-ratio pair generates lies
+    in the outer lattice (other generators may add translations beyond it);
+    returns the shifts."""
+    shifts = [t[0] for t in schreier_generators(GroupSpec(1, tuple(pair))).shifts]
+    outer_closure = classify_additive_closure(outer)
+    for s in shifts:
+        assert outer_closure.contains(s), f"Schreier shift {s!r} escapes the outer lattice"
+    return shifts
+
+
 class TestTranslationSandwich:
     def test_quarter_turn_pair_brackets(self):
         spec = pair_spec(I)
-        inner, outer, shifts = g1_lattice_bounds(spec)
+        inner, outer = g1_lattice_bounds(spec)
+        shifts = assert_pair_shifts_in_outer(spec.generators, outer)
 
         def as_pairs(scalars):
             return {
@@ -256,8 +268,6 @@ class TestTranslationSandwich:
         assert as_pairs(inner) == {(0.0, 2.0), (0.0, -2.0), (2.0, 0.0)}
         assert as_pairs(outer) == {(1.0, 1.0), (1.0, -1.0)}
         assert shifts, "no Schreier generators"
-        # every Schreier shift respects the outer bracket (enforced inside,
-        # but assert the generators are nontrivial and exact)
         assert all(s.is_exact for s in shifts)
 
     def test_sixth_turn_pair_is_pinned(self):
@@ -298,16 +308,17 @@ class TestTranslationSandwich:
                 ),
             ),
         )
-        inner, outer, shifts = g1_lattice_bounds(spec)
+        inner, outer = g1_lattice_bounds(spec)
         assert {s.to_complex() for s in outer} == {(1 + 1j), (1 - 1j)}
-        assert shifts
+        assert assert_pair_shifts_in_outer(spec.generators[:2], outer)
 
     def test_self_map_property_of_the_brackets(self):
         # multiplying an outer generator by the ratio stays in the outer
         # lattice, and (ratio - 1) * outer lands in the inner-generated group
         for ratio in (I, Z2):
             spec = pair_spec(ratio)
-            inner, outer, _ = g1_lattice_bounds(spec)
+            inner, outer = g1_lattice_bounds(spec)
+            assert_pair_shifts_in_outer(spec.generators, outer)
             outer_closure = classify_additive_closure(outer)
             assert classify_additive_closure(inner).is_discrete() is Trilean.YES
             for s in outer:
@@ -318,6 +329,16 @@ class TestTranslationSandwich:
                 assert outer_closure.contains(
                     s
                 ), "inner generators must sit inside the outer lattice"
+
+    def test_pair_shifts_lie_in_the_outer_lattice(self):
+        # every crystallographic ratio (orders 2, 3, 4 and 6) and a few
+        # centre offsets
+        for k in (2, 3, 4, 6, 8, 9, 10):
+            for a in ("1", "1/3+1/2i", "2-i"):
+                pair = (Homothety.with_center(Scalar.zeta_power(k), [Scalar.integer(0)]),
+                        Homothety.with_center(Scalar.zeta_power(k), [parse_scalar(a)]))
+                _, outer = g1_lattice_bounds(GroupSpec(1, pair))
+                assert assert_pair_shifts_in_outer(pair, outer)
 
     def test_requires_a_matching_rotation_pair(self):
         mismatched = GroupSpec(
