@@ -58,7 +58,8 @@ class RunConfig:
     """Everything one run needs: input, command, caps, window, policy.
 
     A cap, tolerance, window or grid left at None was not given on the
-    command line: the document's `options` decide it, else the default."""
+    command line: the document's `options` decide it, else the default.
+    `build_spec` checks the merged values."""
 
     command: str
     input_path: Optional[str] = None
@@ -70,16 +71,6 @@ class RunConfig:
     out_dir: Optional[str] = None
     exact_policy: str = "allow-approx"
     cli_points: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.grid_res is not None and self.grid_res < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if self.window_half is not None and self.window_half <= 0:
-            raise ValueError("window half-width must be positive")
-        if self.exact_policy not in ("require-exact", "allow-approx"):
-            raise ValueError(f"unknown exactness policy {self.exact_policy!r}")
 
 
 def _parse_point(values: Sequence, dim: int, what: str) -> Point:
@@ -186,7 +177,23 @@ def build_spec(doc: dict, config: RunConfig) -> Tuple[GroupSpec, List[Point], di
         "grid": grid,
         "exact_policy": config.exact_policy,
     }
+    _check_options(merged)
     return spec, points, merged
+
+
+def _check_options(merged: dict) -> None:
+    """The one gate for run options, flags and document merged."""
+    if merged["word_cap"] < 0:
+        raise ValueError("word cap must be nonnegative")
+    if not (math.isfinite(merged["eps"]) and merged["eps"] > 0):
+        raise ValueError("eps must be finite and positive")
+    half = merged["window"]["half"]
+    if not (math.isfinite(half) and half > 0):
+        raise ValueError("window half-width must be finite and positive")
+    if merged["grid"] < 2:
+        raise ValueError("grid resolution must be at least 2")
+    if merged["exact_policy"] not in ("require-exact", "allow-approx"):
+        raise ValueError(f"unknown exactness policy {merged['exact_policy']!r}")
 
 
 def _window_tuple(spec: GroupSpec, merged: dict):

@@ -704,7 +704,10 @@ class ScalarParseError(ValueError):
 def _parse_number(text: str):
     """-> (Fraction, exact=True) or (float, exact=False)"""
     if _RATIONAL.match(text):
-        return Fraction(text), True
+        try:
+            return Fraction(text), True
+        except ZeroDivisionError:
+            raise ScalarParseError(f"zero denominator: {text!r}") from None
     if _DECIMAL.match(text):
         return float(text), False
     raise ScalarParseError(f"not a number: {text!r}")

@@ -270,6 +270,42 @@ class TestMalformedInput:
         assert main(["classify", "--input", path]) == EXIT_MALFORMED
         assert "ratio 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator", [
+        {"ratio": "1/0", "center": ["0"]},
+        {"ratio": "exp(i*pi*1/0)", "center": ["0"]},
+        {"ratio": "exp(i*1/0)", "center": ["0"]},
+        {"ratio": "i", "center": ["1/0"]},
+    ])
+    def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys, generator):
+        path = write_doc(tmp_path, "zero-den.json", {
+            "dim": 1, "generators": [generator, {"ratio": "i", "center": ["1"]}],
+        })
+        for command in ("classify", "verify"):
+            assert main([command, "--input", path]) == EXIT_MALFORMED
+            assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, flags", [
+        ({"grid": 0}, []),
+        ({"grid": 1}, []),
+        ({"window": -1}, []),
+        ({"window": 0}, []),
+        ({"window": {"half": float("nan")}}, []),
+        ({"eps": 0}, []),
+        ({"eps": float("nan")}, []),
+        ({"word_cap": -1}, []),
+        ({}, ["--eps", "nan"]),
+        ({}, ["--window", "nan"]),
+        ({}, ["--window", "0,0:inf"]),
+        ({}, ["--grid", "1"]),
+    ])
+    def test_run_options_are_checked_after_merging(self, tmp_path, capsys, options, flags):
+        # document options and flags pass one gate: grid >= 2, a finite
+        # positive window half-width and eps, a nonnegative word cap
+        path = quarter_doc(tmp_path, options=options)
+        for command in ("classify", "verify"):
+            assert main([command, "--input", path, *flags]) == EXIT_MALFORMED
+            assert "malformed input" in capsys.readouterr().err
+
     def test_commuting_generators_are_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, "abelian.json", {
             "dim": 1,
