@@ -20,10 +20,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .affine_maps import Homothety, Point, as_point, v_to_complex, zero_point
+from .affine_maps import Homothety, Point, as_point, zero_point
 from .closure_engine import (
     ClosureDesc,
     RotationCoset,

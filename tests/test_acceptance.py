@@ -13,10 +13,9 @@ import zlib
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from homothety_orbits import orbit_oracle as oracle
-from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
+from homothety_orbits.affine_maps import Homothety, as_point
 from homothety_orbits.cli import main
 from homothety_orbits.closed_subgroups import classify_additive_closure
 from homothety_orbits.closure_engine import (

@@ -2,7 +2,7 @@
 linear solver."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from homothety_orbits import Homothety, Scalar, Trilean
 from homothety_orbits.affine_maps import (
@@ -15,7 +15,7 @@ from homothety_orbits.affine_maps import (
     zero_point,
 )
 
-from conftest import exact_points, exact_scalars, homotheties, nonzero_exact_scalars
+from conftest import exact_points, exact_scalars, homotheties
 
 
 def _pt(*values):

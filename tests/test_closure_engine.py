@@ -669,3 +669,36 @@ def test_the_import_scan_sees_every_form(tmp_path, source):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert _imports_oracle(path)
+
+
+# ---------------------------------------------------------------------------
+# unused imports in the package (the repo runs no linter)
+
+
+def _unused_imports(path) -> list:
+    """Names that a module's top-level imports bind and its code never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+# __init__ imports only to re-export
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in (SRC / "homothety_orbits").glob("*.py") if p.stem != "__init__"
+))
+def test_no_unused_module_level_import(module):
+    assert _unused_imports(SRC / "homothety_orbits" / f"{module}.py") == []
+
+
+def test_the_unused_import_scan(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from typing import List, Set\n\n\ndef f(x: List) -> None:\n    return np.zeros(1)\n"
+    )
+    assert _unused_imports(path) == ["Set", "os"]
