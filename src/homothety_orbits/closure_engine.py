@@ -876,7 +876,8 @@ def rotation_pair_classify(theta, theta_prime, c1, c2) -> RotationPairVerdict:
         GroupSpec(1, (Homothety.with_center(r1, c1p), Homothety.with_center(r2, c2p)))
     )
     if profile.outside_SR:
-        # a multiple of pi/2 or pi/3 is a crystallographic angle
+        # both angles crystallographic (multiples of pi/2 or pi/3), yet
+        # outside SR: they share no family
         if all(k is not None and (k % 2 == 0 or k % 3 == 0) for k in (k1, k2)):
             notes += ("mixed families: composed rotation leaves both",)
         return RotationPairVerdict(kind="AllDense", provenance="Thm1.2(1)", notes=notes)

@@ -190,7 +190,8 @@ def enumerate(
 
 
 def _row_keys(q: np.ndarray) -> np.ndarray:
-    """One comparable key per row: the row's bytes (numbers), else a tuple."""
+    """One comparable key per row: the row's bytes (int64 or float64 rows),
+    else a tuple of Python ints."""
     if q.dtype == object:
         return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
     q = np.ascontiguousarray(q)
