@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
 from homothety_orbits.exact_algebra import Scalar, parse_scalar
@@ -296,8 +296,18 @@ def float_groups(draw):
     return GroupSpec(dim, tuple(gens)), draw(st.integers(0, FLOAT_CAPS[m]))
 
 
+# a decimal ratio beside a half-turn: the word g^-1 r g r has exponents
+# (0, 2) and is a translation, but its ratio is approximate, so it is not
+# harvested
+HALF_TURN_CASE = (GroupSpec(1, (
+    Homothety.with_center(Scalar.approx(1.5 + 0.5j), (Scalar.approx(0.3),)),
+    Homothety.with_center(S(-1), P(1)),
+)), 6)
+
+
 class TestFloatKernelEquivalence:
     @given(float_groups(), st.sampled_from([1, 2, 9, 200_000]))
+    @example(HALF_TURN_CASE, 200_000)
     def test_harvest_matches_the_reference(self, case, harvest_budget):
         spec, cap = case
         assert not spec.is_exact
