@@ -422,9 +422,11 @@ def _harvest_exact(spec: GroupSpec, L: int) -> List[Point]:
 
 def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
     """The map search on complex rows [ratio | shift | exponents | count],
-    where `count` is the number of letters with an approximate ratio.  Maps
-    are keyed on their first n + 1 columns at 1e-12, so a float word equal
-    to an exact one is not a second state."""
+    where `count` is the number of letters with an approximate ratio in the
+    word.  Maps are keyed on their first n + 1 columns at 1e-12, so a float
+    word equal to an exact one is not a second state.  A word has ratio one
+    when its exponents are all zero, or when its count is 0 and the exact
+    ratios raised to its exponents multiply to 1."""
     n, m = spec.dim, len(spec.generators)
     letters = _letters(spec)
     ratios = np.array([[l.ratio.to_complex()] for l in letters])
