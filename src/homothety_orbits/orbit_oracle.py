@@ -9,15 +9,16 @@ and it reads nothing of the engine but the generator list.
 
 All four searches (points or maps, exact or approximate) run one
 breadth-first loop over arrays of rows: a generation expands the whole
-frontier at once and keeps the rows whose keys have not been seen, found
-by sorting.  Exact input uses integer rows: a point of Q(zeta)^n is its 4n
-numerators and one common denominator, reduced, so equal points have
-equal rows, and each letter is an integer matrix; the harvest runs the
-same kernel on map states [ratio | shift].  Rows are int64 while a bound
-on the next products stays below 2^62 and Python ints past it.
-Approximate input uses complex rows keyed on a grid: points on a 1e-7
-grid, letter-major; maps, frontier-major like the exact searches, on a
-1e-12 grid, with the net generator exponents carried along.
+frontier at once and keeps the rows whose keys are not yet in a hash set
+of exact row keys (a row's bytes, or its tuple of Python ints).  Exact
+input uses integer rows: a point of Q(zeta)^n is its 4n numerators and
+one common denominator, reduced, so equal points have equal rows, and
+each letter is an integer matrix; the harvest runs the same kernel on map
+states [ratio | shift].  Rows are int64 while a bound on the next
+products stays below 2^62 and Python ints past it.  Approximate input
+uses complex rows keyed on a grid: points on a 1e-7 grid, letter-major;
+maps, frontier-major like the exact searches, on a 1e-12 grid, with the
+net generator exponents carried along.
 """
 
 from __future__ import annotations
@@ -186,43 +187,33 @@ def enumerate(
 # the breadth-first loop of every search
 #
 # A search state is one row of an array, a generation is one step on the
-# whole frontier, and dedup sorts one key per row.
+# whole frontier, and dedup looks up one exact key per row in a set.
 
 
-def _row_keys(q: np.ndarray) -> np.ndarray:
-    """One comparable key per row: the row's bytes (int64 or float64 rows),
+def _row_keys(q: np.ndarray) -> list:
+    """One hashable key per row: the row's bytes (int64 or float64 rows),
     else a tuple of Python ints."""
     if q.dtype == object:
-        return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
+        return list(map(tuple, q.tolist()))
     q = np.ascontiguousarray(q)
-    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1)
+    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1).tolist()
 
 
-class _SeenRows:
-    """Sorted keys of every row found so far: the dedup step of the
-    breadth-first loop."""
-
-    def __init__(self, keys: np.ndarray):
-        self.keys = np.sort(keys)
-
-    def admit(self, keys: np.ndarray, room: int) -> Tuple[np.ndarray, bool]:
-        """Indices, in candidate order, of the first occurrence of each key
-        not seen before, which become seen.  When there are `room` or more
-        the first max(room, 1) are kept and `full` is True (a search stops
-        right after the row that reaches its cap)."""
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        cand = keys[first]
-        pos = np.searchsorted(self.keys, cand)
-        hit = pos < self.keys.shape[0]
-        hit[hit] = self.keys[pos[hit]] == cand[hit]
-        new = first[~hit]
-        full = new.shape[0] > 0 and new.shape[0] >= room
-        if full:
-            new = new[: max(room, 1)]
-        add = np.sort(keys[new])
-        self.keys = np.insert(self.keys, np.searchsorted(self.keys, add), add)
-        return new, full
+def _admit(seen: set, keys: list, room: int) -> Tuple[np.ndarray, bool]:
+    """Indices, in candidate order, of the first occurrence of each key
+    not in `seen`, which become seen: the dedup step of the breadth-first
+    loop.  When there are `room` or more the first max(room, 1) are kept
+    and `full` is True (a search stops right after the row that reaches
+    its cap, so the keys past it that were added do not matter)."""
+    new = []
+    for i, k in zip(range(len(keys)), keys):
+        if k not in seen:
+            seen.add(k)
+            new.append(i)
+    full = len(new) > 0 and len(new) >= room
+    if full:
+        new = new[: max(room, 1)]
+    return np.array(new, dtype=np.intp), full
 
 
 def _bfs(
@@ -238,12 +229,12 @@ def _bfs(
     reaches `cap`.
 
     `expand` maps a frontier to its candidate rows and `keys` gives one
-    comparable key per row; the new candidates, those whose key has not
-    been seen, keep candidate order.  `prepare`, when given, runs on each
-    frontier before it is expanded; when it returns another dtype, every
-    earlier row is converted too and keyed again."""
+    hashable key per row; the new candidates, those whose key is not yet
+    in the set of seen keys, keep candidate order.  `prepare`, when given,
+    runs on each frontier before it is expanded; when it returns another
+    dtype, every earlier row is converted too and keyed again."""
     frontier = start
-    seen = _SeenRows(keys(frontier))
+    seen = set(keys(frontier))
     chunks = [frontier]
     gens = [np.zeros(1, dtype=np.int32)]
     total = 1
@@ -255,9 +246,9 @@ def _bfs(
             frontier = prepare(frontier)
             if frontier.dtype != chunks[-1].dtype:
                 chunks = [c.astype(frontier.dtype) for c in chunks]
-                seen = _SeenRows(keys(np.concatenate(chunks)))
+                seen = set(keys(np.concatenate(chunks)))
         cand = expand(frontier)
-        new, stopped = seen.admit(keys(cand), cap - total)
+        new, stopped = _admit(seen, keys(cand), cap - total)
         frontier = cand[new]
         chunks.append(frontier)
         gens.append(np.full(new.shape[0], level, dtype=np.int32))
@@ -565,11 +556,9 @@ def _occupied_cells(
     cell = 2.0 * half / res
     rel = real_pts - center
     inside = np.all(np.abs(rel) <= half + 1e-12, axis=1)
-    if not inside.any():
-        return set()
     idx = np.floor((rel[inside] + half) / cell).astype(np.int64)
     np.clip(idx, 0, res - 1, out=idx)
-    return {k.tobytes() for k in _row_keys(idx)}
+    return set(_row_keys(idx))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,17 +5,67 @@
 and keeps the ratio-one words: the exact-mode searches the oracle ran before
 its integer-row kernel.  `harvest_approx` is the approximate-mode map search
 it ran before its float rows, in `Scalar` arithmetic, and `enumerate_grid`
-dedups grid points on Python-int keys.  They are slow and obviously right,
-which is what the kernel equivalence tests need.
+dedups grid points on Python-int keys.  `SeenRows` is the dedup step of
+the breadth-first loop as it was before the hash set, on sorted keys, and
+`occupied_cells` the window binning with one `tobytes` key per row.  They
+are slow and obviously right, which is what the kernel equivalence tests
+need.
 """
 
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from homothety_orbits.affine_maps import Homothety, Point, v_to_complex
 from homothety_orbits.exact_algebra import Scalar, Trilean
 from homothety_orbits.group_profile import GroupSpec
+
+
+def sorted_keys(q: np.ndarray) -> np.ndarray:
+    """One comparable key per row: a void scalar of the row's bytes (int64
+    or float64 rows), else a tuple of Python ints."""
+    if q.dtype == object:
+        return np.fromiter(map(tuple, q.tolist()), dtype=object, count=q.shape[0])
+    q = np.ascontiguousarray(q)
+    return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1)
+
+
+class SeenRows:
+    """Sorted keys of every row found so far."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = np.sort(keys)
+
+    def admit(self, keys: np.ndarray, room: int) -> Tuple[np.ndarray, bool]:
+        """Indices, in candidate order, of the first occurrence of each key
+        not seen before, which become seen.  When there are `room` or more
+        the first max(room, 1) are kept and `full` is True."""
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        cand = keys[first]
+        pos = np.searchsorted(self.keys, cand)
+        hit = pos < self.keys.shape[0]
+        hit[hit] = self.keys[pos[hit]] == cand[hit]
+        new = first[~hit]
+        full = new.shape[0] > 0 and new.shape[0] >= room
+        if full:
+            new = new[: max(room, 1)]
+        add = np.sort(keys[new])
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, add), add)
+        return new, full
+
+
+def occupied_cells(real_pts: np.ndarray, center: np.ndarray, half: float, res: int) -> Set[bytes]:
+    """Cells of the window grid visited by at least one point, keyed by the
+    bytes of each row of int64 cell indices."""
+    cell = 2.0 * half / res
+    rel = real_pts - center
+    inside = np.all(np.abs(rel) <= half + 1e-12, axis=1)
+    if not inside.any():
+        return set()
+    idx = np.floor((rel[inside] + half) / cell).astype(np.int64)
+    np.clip(idx, 0, res - 1, out=idx)
+    return {k.tobytes() for k in sorted_keys(idx)}
 
 
 def letters(spec: GroupSpec) -> List[Homothety]:

@@ -329,6 +329,73 @@ class TestFloatKernelEquivalence:
         assert s.array.tobytes() == arr.tobytes() and np.array_equal(s.generations, gens)
 
 
+# the dedup step of every search: the hash set of exact row keys against
+# the sorted-key reference.  Entries come from small pools, so that rows
+# repeat within and across batches, with the int64 extremes, Python ints
+# past int64, and complex parts at whole and half cells with signed zeros.
+DEDUP_CELL = 1e-3
+DEDUP_ENTRIES = {
+    "int64": st.one_of(st.integers(-2, 2), st.sampled_from([-2 ** 63, 2 ** 63 - 1])),
+    "object": st.one_of(st.integers(-2, 2), st.sampled_from([2 ** 63, 2 ** 64, -2 ** 70])),
+    "float": st.builds(complex, *[st.integers(-5, 5).map(lambda k: k * DEDUP_CELL / 2)
+                                 | st.just(-0.0)] * 2),
+}
+DEDUP_DTYPES = {"int64": np.int64, "object": object, "float": np.complex128}
+DEDUP_KEYS = {  # (hash-set keys, sorted reference keys)
+    "int64": (oracle._row_keys, reference.sorted_keys),
+    "object": (oracle._row_keys, reference.sorted_keys),
+    "float": (lambda q: oracle._cell_keys(q, DEDUP_CELL),
+              lambda q: reference.sorted_keys(np.round(q.view(np.float64) / DEDUP_CELL) + 0.0)),
+}
+
+
+@st.composite
+def dedup_cases(draw):
+    """(kind, rows of a start row then one batch each, rooms)."""
+    kind = draw(st.sampled_from(sorted(DEDUP_ENTRIES)))
+    width = draw(st.integers(1, 4 if kind == "float" else 9))
+    row = st.lists(DEDUP_ENTRIES[kind], min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = st.lists(st.sampled_from(pool), min_size=1, max_size=24)
+    batches = draw(st.lists(picks, min_size=1, max_size=6))
+    rooms = [draw(st.sampled_from([0, 1, 2, 3, len(b) + 1, len(b) + 9])) for b in batches]
+    arrays = [np.array(b, dtype=DEDUP_DTYPES[kind]) for b in [[draw(st.sampled_from(pool))]] + batches]
+    return kind, arrays, rooms
+
+
+class TestDedupEquivalence:
+    @given(dedup_cases())
+    def test_admit_matches_the_sorted_keys(self, case):
+        kind, (start, *batches), rooms = case
+        keys, ref_keys = DEDUP_KEYS[kind]
+        seen, ref = set(keys(start)), reference.SeenRows(ref_keys(start))
+        for batch, room in zip(batches, rooms):
+            got, full = oracle._admit(seen, keys(batch), room)
+            want, want_full = ref.admit(ref_keys(batch), room)
+            assert got.tolist() == want.tolist() and full == want_full
+            if full:  # a search stops at its cap
+                break
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_occupied_cells_match_the_per_row_bytes(self, dim):
+        rng = np.random.default_rng(dim)
+        center, half, res = rng.uniform(-1, 1, 2 * dim), 1.5, 7
+        pts = [center + rng.uniform(-1.2 * half, 1.2 * half, (400, 2 * dim))]
+        # every coordinate on an edge of the window, just past it, and on
+        # the cell boundaries
+        offsets = np.r_[np.linspace(-half, half, res + 1), [-half - 1e-12, half + 1e-12,
+                                                             -half - 1e-9, half + 1e-9]]
+        for j in range(2 * dim):
+            edge = center + rng.uniform(-half, half, (offsets.shape[0], 2 * dim))
+            edge[:, j] = center[j] + offsets
+            pts.append(edge)
+        pts = np.concatenate(pts)
+        got = oracle._occupied_cells(pts, center, half, res)
+        assert got == reference.occupied_cells(pts, center, half, res)
+        assert len(got) > 1
+        assert oracle._occupied_cells(pts[:1] + 5 * half, center, half, res) == set()
+
+
 # ---------------------------------------------------------------------------
 # CSV dumps
 
