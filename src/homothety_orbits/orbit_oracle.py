@@ -106,10 +106,8 @@ class OrbitSample:
         return out
 
     def generation_counts(self) -> List[Tuple[int, int]]:
-        out = []
-        for g in range(int(self.generations.max()) + 1 if len(self) else 0):
-            out.append((g, int(np.count_nonzero(self.generations == g))))
-        return out
+        counts = np.bincount(self.generations).tolist()
+        return list(zip(range(len(counts)), counts))
 
     def csv_text(self) -> str:
         n = self.dim
