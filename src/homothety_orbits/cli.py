@@ -37,6 +37,7 @@ from .exact_algebra import (
     Scalar,
     ScalarParseError,
     Trilean,
+    UncertainZero,
     UndecidableAtPrecision,
     format_scalar,
     parse_scalar,
@@ -598,7 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config.command == "paper-examples":
             return cmd_paper_examples(config)
         raise ValueError(f"unknown command {config.command!r}")
-    except UndecidableAtPrecision as exc:
+    except (UndecidableAtPrecision, UncertainZero) as exc:
         print(f"undecidable at working precision: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
     except AbelianGroup as exc:

@@ -217,6 +217,8 @@ def _orthogonalize(basis: List[Point], exact: bool) -> List[Point]:
         if v_is_zero(w) is not Trilean.YES:
             if not exact:
                 norm = abs(sum(abs(c) ** 2 for c in v_to_complex(w))) ** 0.5
+                if norm == 0.0:
+                    raise UndecidableAtPrecision("cannot resolve whether E_G gains a direction")
                 w = v_scale(Scalar.approx(complex(1.0 / norm, 0.0), 0.0), w)
             out.append(w)
     return out

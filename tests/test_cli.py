@@ -1,11 +1,17 @@
 """Command-line front end: input parsing, report schema, exit codes,
 determinism, and the CSV dump path."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import tempfile
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homothety_orbits.cli import (
     EXIT_MALFORMED,
@@ -16,6 +22,7 @@ from homothety_orbits.cli import (
     SCHEMA_ID,
     main,
 )
+from homothety_orbits import orbit_oracle
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
@@ -401,3 +408,158 @@ class TestVerify:
         for block in report["evidence"]:
             assert block["evidence"]["soundness_pass"]
             assert block["evidence"]["max_violation"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# input-grammar fuzzer: every document ends in an exit code, never a
+# traceback
+
+fuzz_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# factors of the scalar grammar: exact, then approximate
+fuzz_factors = st.one_of(
+    st.sampled_from(["i", "-i", "zeta12", "2", "1/2"]),
+    fuzz_fractions.map(str),
+    fuzz_fractions.map(lambda q: f"{q}i"),
+    st.integers(-30, 30).map(lambda k: f"zeta12^{k}"),
+    st.tuples(st.integers(-13, 13), st.integers(1, 7)).map(lambda p: f"exp(i*pi*{p[0]}/{p[1]})"),
+    st.integers(-20, 20).map(lambda k: f"{k / 8}"),
+    st.integers(-30, 30).map(lambda k: f"exp(i*{k / 10})"),
+)
+fuzz_scalars = st.builds(
+    lambda sign, head, tail: sign + head + "".join(op + f for op, f in tail),
+    st.sampled_from(["", "-"]),
+    fuzz_factors,
+    st.lists(st.tuples(st.sampled_from("+-*"), fuzz_factors), max_size=1),
+)
+BAD_SCALARS = ["", "x", "1/0", "exp(i*)", "exp(i*pi*1/0)", "1//2", "zeta12^x", "2+", "0",
+               "1e300", "1e-300", "(1"]
+# a JSON value where the grammar wants something else
+fuzz_junk = st.sampled_from([None, True, -1, 0, 2.5, "x", "", [], {}, [1], {"a": 1}])
+DEFECTS = ["json", "top", "dim", "generators", "generator", "scalar", "coords", "option",
+           "window", "flag"]
+
+
+@st.composite
+def fuzz_runs(draw):
+    """(document text, flags) for one `classify` or `verify` run at small
+    caps, the word cap and grid given by a flag or by the document.  One
+    run in three carries one defect of a kind from DEFECTS."""
+    dim = draw(st.integers(1, 4))
+    defect = draw(st.sampled_from(DEFECTS)) if draw(st.integers(0, 2)) == 0 else None
+
+    def point(n=dim):
+        return [draw(fuzz_scalars) for _ in range(n)]
+
+    gens = []
+    for _ in range(draw(st.sampled_from([1, 2, 2, 2, 3, 3]))):
+        if draw(st.integers(0, 4)) == 0:
+            gens.append({"ratio": draw(st.sampled_from(["1", "zeta12^0", "exp(i*0)"])),
+                         "translation": point()})
+        else:
+            gens.append({"ratio": draw(fuzz_scalars), "center": point()})
+    doc = {"dim": dim, "generators": gens}
+    if draw(st.booleans()):
+        doc["points"] = [point() for _ in range(draw(st.integers(0, 2)))]
+    options, flags = {}, []
+    # grid^(2 dim) cells stay at most 729 (a heuristic closure measures each
+    # against 40,000 sampled ratios)
+    grids = st.integers(2, {1: 4, 2: 3, 3: 3, 4: 2}[dim])
+    for key, flag, small in (("word_cap", "--word-cap", st.integers(0, 3)), ("grid", "--grid", grids)):
+        value = draw(small)
+        if draw(st.booleans()):
+            flags += [flag, str(value)]
+        else:
+            options[key] = value
+    if draw(st.booleans()):
+        options["eps"] = draw(st.sampled_from([1e-9, 1e-6, 0.5]))
+    window = draw(st.sampled_from([None, "number", "object", "flag"]))
+    if window == "number":
+        options["window"] = draw(st.sampled_from([0.5, 1, 2.0]))
+    elif window == "object":
+        options["window"] = {"center": point(), "half": draw(st.sampled_from([1.0, 2]))}
+    elif window == "flag":
+        flags.append("--window=" + ",".join(point()) + ":1.5")
+    if draw(st.integers(0, 4)) == 0:
+        flags.append("--point=" + ",".join(point()))
+    if draw(st.integers(0, 19)) == 0:
+        flags.append("--exact")
+    doc["options"] = options
+
+    if defect == "dim":
+        doc["dim"] = draw(fuzz_junk.filter(lambda v: v != dim))
+    elif defect == "generators":
+        doc["generators"] = draw(fuzz_junk)
+    elif defect == "generator":
+        g = draw(st.sampled_from(gens))
+        kind = draw(st.sampled_from(["junk", "both", "neither", "no ratio", "ratio not 1"]))
+        if kind == "junk":
+            gens[gens.index(g)] = draw(fuzz_junk)
+        elif kind == "both":
+            g["center"] = g["translation"] = point()
+        elif kind == "neither":
+            g.pop("center", None), g.pop("translation", None)
+        elif kind == "no ratio":
+            del g["ratio"]
+        else:
+            g.pop("center", None)
+            g.update(ratio=draw(fuzz_scalars), translation=point())
+    elif defect == "scalar":
+        draw(st.sampled_from(gens))["ratio"] = draw(st.sampled_from(BAD_SCALARS))
+    elif defect == "coords":
+        draw(st.sampled_from(gens))["center"] = point(draw(st.sampled_from([0, dim - 1, dim + 1])))
+    elif defect == "option":
+        options[draw(st.sampled_from(["word_cap", "grid", "eps"]))] = draw(
+            fuzz_junk.filter(lambda v: v is not None))
+    elif defect == "window":
+        options["window"] = draw(st.one_of(
+            fuzz_junk.filter(lambda v: v is not None and not isinstance(v, (int, float))),
+            st.builds(lambda c, h: {"center": c, "half": h},
+                      st.sampled_from([[], ["x"], ["0"] * (dim + 1)]), fuzz_junk)))
+    elif defect == "flag":
+        flags.append(draw(st.sampled_from(["--point=", "--window=x:1", "--window=0:"]))
+                     + ",".join(point(draw(st.sampled_from([dim - 1, dim + 1])))))
+    text = json.dumps(doc)
+    if defect == "json":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif defect == "top":
+        text = json.dumps(draw(st.one_of(fuzz_junk, st.just([doc]))))
+    return text, flags
+
+
+# documents that ended in a traceback: a direction of E_G whose float norm
+# is 0 (ZeroDivisionError), and a division by a value within its error
+# radius of 0 (UncertainZero); both are precision failures, exit 3
+FLAT_DIRECTION = ('{"dim": 1, "generators": [{"ratio": "1", "translation": ["i"]}, '
+                  '{"ratio": "i", "center": ["0.0"]}], "options": {"word_cap": 0, "grid": 2, "eps": 1.0}}',
+                  ["--point=i"])
+UNCERTAIN_DIVISOR = ('{"dim": 2, "generators": [{"ratio": "exp(i*1.1)", "center": ["i", "i"]}, '
+                     '{"ratio": "1", "translation": ["1/2", "1/2"]}], "points": [["i", "i"], ["i", "-i"]], '
+                     '"options": {"word_cap": 0, "grid": 2, "eps": 0.5}}', [])
+
+
+class TestInputGrammarFuzz:
+    @settings(max_examples=25)
+    @given(st.sampled_from(["classify", "verify"]), fuzz_runs())
+    @example("classify", FLAT_DIRECTION)
+    @example("verify", UNCERTAIN_DIVISOR)
+    def test_every_document_ends_in_an_exit_code(self, command, run):
+        text, flags = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            results = []
+            # a three-generator harvest would meet 200,000 maps
+            with mock.patch.object(orbit_oracle, "HARVEST_BUDGET", 2_000):
+                for _ in range(2):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = main([command, "--input", path, *flags])
+                    results.append((code, out.getvalue()))
+        code, out = results[0]
+        assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_UNSUPPORTED, EXIT_UNDECIDABLE, EXIT_MISMATCH)
+        assert results[1] == results[0]
+        if code in (EXIT_MALFORMED, EXIT_UNDECIDABLE):
+            assert out == ""
+        else:
+            jsonschema.validate(json.loads(out), SCHEMA)
