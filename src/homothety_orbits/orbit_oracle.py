@@ -197,21 +197,29 @@ def _row_keys(q: np.ndarray) -> list:
     return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1).tolist()
 
 
-def _admit(seen: set, keys: list, room: int) -> Tuple[np.ndarray, bool]:
+_KEY_BLOCK = 1 << 16  # candidates keyed at a time, so that keys of a
+# whole generation never exist at once
+
+
+def _admit(
+    seen: set, cand: np.ndarray, keys: Callable[[np.ndarray], list], room: int
+) -> Tuple[np.ndarray, bool]:
     """Indices, in candidate order, of the first occurrence of each key
     not in `seen`, which become seen: the dedup step of the breadth-first
     loop.  When there are `room` or more the first max(room, 1) are kept
-    and `full` is True (a search stops right after the row that reaches
-    its cap, so the keys past it that were added do not matter)."""
+    and `full` is True; the keys past them are not added, since a search
+    stops right after the row that reaches its cap."""
     new = []
-    for i, k in zip(range(len(keys)), keys):
-        if k not in seen:
-            seen.add(k)
-            new.append(i)
-    full = len(new) > 0 and len(new) >= room
-    if full:
-        new = new[: max(room, 1)]
-    return np.array(new, dtype=np.intp), full
+    limit = max(room, 1)
+    for start in range(0, cand.shape[0], _KEY_BLOCK):
+        block = keys(cand[start : start + _KEY_BLOCK])
+        for i, k in zip(range(start, start + len(block)), block):
+            if k not in seen:
+                seen.add(k)
+                new.append(i)
+                if len(new) == limit:
+                    return np.array(new, dtype=np.intp), True
+    return np.array(new, dtype=np.intp), False
 
 
 def _bfs(
@@ -246,7 +254,7 @@ def _bfs(
                 chunks = [c.astype(frontier.dtype) for c in chunks]
                 seen = set(keys(np.concatenate(chunks)))
         cand = expand(frontier)
-        new, stopped = _admit(seen, keys(cand), cap - total)
+        new, stopped = _admit(seen, cand, keys, cap - total)
         frontier = cand[new]
         chunks.append(frontier)
         gens.append(np.full(new.shape[0], level, dtype=np.int32))

@@ -364,13 +364,14 @@ def dedup_cases(draw):
 
 
 class TestDedupEquivalence:
-    @given(dedup_cases())
-    def test_admit_matches_the_sorted_keys(self, case):
+    @given(dedup_cases(), st.sampled_from([1, 3, oracle._KEY_BLOCK]))
+    def test_admit_matches_the_sorted_keys(self, case, key_block):
         kind, (start, *batches), rooms = case
         keys, ref_keys = DEDUP_KEYS[kind]
         seen, ref = set(keys(start)), reference.SeenRows(ref_keys(start))
         for batch, room in zip(batches, rooms):
-            got, full = oracle._admit(seen, keys(batch), room)
+            with mock.patch.object(oracle, "_KEY_BLOCK", key_block):
+                got, full = oracle._admit(seen, batch, keys, room)
             want, want_full = ref.admit(ref_keys(batch), room)
             assert got.tolist() == want.tolist() and full == want_full
             if full:  # a search stops at its cap
