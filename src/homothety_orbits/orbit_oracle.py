@@ -197,8 +197,9 @@ def _row_keys(q: np.ndarray) -> list:
     return q.view(f"V{q.shape[1] * q.itemsize}").reshape(-1).tolist()
 
 
-_KEY_BLOCK = 1 << 16  # candidates keyed at a time, so that keys of a
-# whole generation never exist at once
+# candidates keyed at a time, so that the keys of a whole generation never
+# exist at once
+_KEY_BLOCK = 1 << 16
 
 
 def _admit(
@@ -225,7 +226,7 @@ def _admit(
 def _bfs(
     start: np.ndarray,
     expand: Callable[[np.ndarray], np.ndarray],
-    keys: Callable[[np.ndarray], np.ndarray],
+    keys: Callable[[np.ndarray], list],
     L: int,
     cap: int,
     prepare: Optional[Callable[[np.ndarray], np.ndarray]] = None,
