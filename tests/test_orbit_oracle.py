@@ -351,7 +351,7 @@ DEDUP_KEYS = {  # (hash-set keys, sorted reference keys)
 
 @st.composite
 def dedup_cases(draw):
-    """(kind, rows of a start row then one batch each, rooms)."""
+    """(kind, [start row, batch, batch, ...] as arrays, one room per batch)."""
     kind = draw(st.sampled_from(sorted(DEDUP_ENTRIES)))
     width = draw(st.integers(1, 4 if kind == "float" else 9))
     row = st.lists(DEDUP_ENTRIES[kind], min_size=width, max_size=width)
