@@ -593,73 +593,116 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # odd 64-bit multipliers: a cell's key is the wrapping dot product of its
 # integer coordinates with these, so a neighbouring cell's key is the key
 # plus a constant; distinct cells whose keys collide only add candidates
+# (no two neighbouring cells collide)
 _CELL_HASH = np.array(
     [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
     dtype=np.uint64,
 )
-_QUERY_BLOCK = 8192
+# per count of binned coordinates, the neighbour offsets whose first nonzero
+# coordinate is +1: with the own cell, each pair of neighbouring cells once
+_FORWARD = {
+    k: np.array([o for o in itertools.product((-1, 0, 1), repeat=k) if o > (0,) * k], dtype=np.int64)
+    for k in range(1, 5)
+}
+_DENSE_CELLS = 16  # a grid box of at most this many cells per point is a flat table
+_ANCHOR_BLOCK = 8192
 _PAIR_BLOCK = 1 << 20
-_SMALL_PREFIX = 128
+_FIRST_EPOCH = 64  # points
+_EPOCH_SHRINK = 16.0
 
 
-def _closest_sq(pts: np.ndarray, queries: np.ndarray, others: np.ndarray, bound_sq: float) -> float:
-    """Least squared distance from a point of `queries` to another point of
-    `others` (index arrays into pts; queries a subset of others), exact
-    whenever it is at most bound_sq, and otherwise some value above it.
+def _pair_minima(pts: np.ndarray, gen: np.ndarray, lo: int, hi: int, bound_sq: float) -> np.ndarray:
+    """For each generation g from lo to gen[hi - 1]: the least squared
+    distance between two of the first hi points the later of which has
+    generation g (pts in generation order), exact whenever it is at most
+    bound_sq, and otherwise some value above it.
 
     Grid cells on the first (up to four) coordinates are a little over
-    twice sqrt(bound_sq) wide, so a point closer than that to a query lies
-    in the query's cell or in the next cell on the side of each coordinate
-    nearer the query: 2^k cells per query.  At most 2^40 cells span the
-    extent, so cell positions round by at most 2^-12 of a cell, far inside
-    the 2^-7 margin."""
+    sqrt(bound_sq) wide, so two points that close lie in one cell or in
+    neighbouring ones.  Each point, in the order of its cell's key, meets the
+    points after it in its own cell and every point of its forward
+    neighbours, so each such pair is measured once.  A small box of cells is
+    a flat table indexed by cell; a large one is looked up in the sorted keys.
+    At most 2^40 cells span the extent, so cell positions round by at most
+    2^-12 of a cell, far inside the 2^-7 margin."""
     k = min(pts.shape[1], 4)
-    sub = pts[others, :k]
+    sub = pts[:hi, :k]
     low = sub.min(axis=0)
-    side = max(2.0 * math.sqrt(bound_sq) * (1 + 2.0**-6), float((sub.max(axis=0) - low).max()) * 2.0**-40)
-    mult = _CELL_HASH[:k]
-
-    def cells(rows):
-        pos = (pts[rows, :k] - low) / side
-        cell = np.floor(pos)
-        return cell.astype(np.int64).astype(np.uint64), pos - cell
-
-    cell, _ = cells(others)
-    okeys = (cell * mult).sum(axis=1)
-    order = np.argsort(okeys, kind="stable")
-    okeys, others = okeys[order], others[order]
-    first = np.flatnonzero(np.r_[True, okeys[1:] != okeys[:-1]])
-    ukeys = okeys[first]
-    ucount = np.diff(np.r_[first, okeys.shape[0]])
-    # every subset of the coordinates, as 0/1 rows: which ones step over
-    patterns = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint64)
-    best = math.inf
-    for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        q = queries[start : start + _QUERY_BLOCK]
-        cell, frac = cells(q)
-        qkeys = (cell * mult).sum(axis=1)
-        # the key step to the neighbour on the nearer side, per coordinate
-        step = np.where(frac < 0.5, -mult.astype(np.int64), mult.astype(np.int64)).astype(np.uint64)
-        target = (qkeys[:, None] + step @ patterns.T).ravel()
-        at = np.minimum(np.searchsorted(ukeys, target), ukeys.shape[0] - 1)
-        counts = np.where(ukeys[at] == target, ucount[at], 0)
-        source = np.repeat(q, patterns.shape[0])
+    extent = sub.max(axis=0) - low
+    side = max(math.sqrt(bound_sq) * (1 + 2.0**-6), float(extent.max()) * 2.0**-40)
+    cell = np.floor((sub - low) / side).astype(np.int64)
+    span = np.floor(extent / side) + 3  # with an empty cell on each side
+    cells = float(np.prod(span))
+    table = cells <= _DENSE_CELLS * hi + 4096
+    if table:
+        mult = np.cumprod(np.r_[1, span[:-1]]).astype(np.int64)
+        keys = (cell + 1) @ mult
+        steps = _FORWARD[k] @ mult
+    else:
+        mult = _CELL_HASH[:k]
+        keys = (cell.astype(np.uint64) * mult).sum(axis=1)
+        steps = (_FORWARD[k].astype(np.uint64) * mult).sum(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if table:
+        count = np.bincount(keys, minlength=int(cells))
+        past = np.cumsum(count)
+        run_end = past[keys]
+    else:
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        ukeys = keys[first]
+        ucount = np.diff(np.r_[first, hi])
+        run_end = np.repeat(first + ucount, ucount)
+    # a pair goes to the generation of its later point; pairs wholly before
+    # lo go to the last slot, which is dropped
+    slot = np.maximum(gen[:hi] - lo, -1)
+    out = np.full(int(gen[hi - 1]) - lo + 2, math.inf)
+    for start in range(0, hi, _ANCHOR_BLOCK):
+        anchors = np.arange(start, min(start + _ANCHOR_BLOCK, hi))
+        # targets offset-major: each row is sorted but for a wrap, so the
+        # binary searches stay local
+        target = (steps[:, None] + keys[None, anchors]).ravel()
+        if table:
+            counts = count[target]
+            firsts = past[target] - counts
+        else:
+            at = np.minimum(np.searchsorted(ukeys, target), ukeys.shape[0] - 1)
+            counts = np.where(ukeys[at] == target, ucount[at], 0)
+            firsts = first[at]
+        # the own cell: the points after the anchor
+        firsts = np.concatenate([anchors + 1, firsts])
+        counts = np.concatenate([run_end[anchors] - anchors - 1, counts])
+        source = np.tile(anchors, steps.shape[0] + 1)
         ends = np.cumsum(counts)
         # pairs go in pieces of about _PAIR_BLOCK, so that a crowded cell
         # costs time but not memory
         a = 0
-        while a < target.shape[0] and ends[-1]:
+        while a < counts.shape[0] and ends[-1]:
             b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _PAIR_BLOCK, "right")))
             c = counts[a:b]
             total = int(c.sum())
             if total:
-                i = np.repeat(source[a:b], c)
-                j = others[np.repeat(first[at[a:b]] - (np.cumsum(c) - c), c) + np.arange(total)]
-                keep = i != j
-                if keep.any():
-                    best = min(best, float(_sq_dists(pts[i[keep]], pts[j[keep]]).min()))
+                i = order[np.repeat(source[a:b], c)]
+                j = order[np.repeat(firsts[a:b] - (np.cumsum(c) - c), c) + np.arange(total)]
+                np.fmin.at(out, slot[np.maximum(i, j)], _sq_dists(pts[i], pts[j]))
             a = b
-    return best
+    return out[:-1]
+
+
+def _gap_bounds(pts: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """Per generation (pts in generation order): the least squared distance
+    between two of its points adjacent in the first coordinate, inf below two
+    points.  Each is a pair distance, so it bounds the gap of every prefix
+    that holds the generation."""
+    x = pts[:, 0] - pts[:, 0].min()
+    width = float(x.max())
+    order = np.argsort(gen + x * (0.5 / width if width > 0 else 0.0), kind="stable")
+    d = _sq_dists(pts[order[1:]], pts[order[:-1]])
+    later = gen[order[1:]]
+    d[later != gen[order[:-1]]] = math.inf
+    out = np.full(int(gen[-1]) + 1, math.inf)
+    np.fmin.at(out, later, d)
+    return out
 
 
 def _min_gap_history(
@@ -667,43 +710,42 @@ def _min_gap_history(
 ) -> Tuple[float, List[Tuple[int, float]], int]:
     """Closest-pair distance of the points of word length <= g, for each g.
 
-    Points are ordered by word length, so that each g has a leading range.
-    While that range holds at most _SMALL_PREFIX points, every pair is
-    measured at once.  Past it, a pair that lowers the gap at length g holds
-    a point of length g, so the grid search starts only from those points,
-    within the smaller of the gap so far and the least distance between new
-    points adjacent in their first coordinate (a crowd of new points
-    shrinks the cells)."""
+    In generation order, the gap at length g is the smaller of the gap at
+    g - 1 and the least distance from a point of length g to an earlier one.
+    Generations are searched in epochs, each on one grid over its points and
+    all earlier ones (`_pair_minima`), with cells sized by an actual pair
+    distance U at the epoch's start: the least of the gap so far, the first
+    two points' distance and the `_gap_bounds` of the generations so far.
+    Every gap in the epoch is at most U, so the pair that sets it is on the
+    grid, and the history is exact.  An epoch ends before the generation at
+    which the `_gap_bounds` fall below U / _EPOCH_SHRINK, where new points
+    would crowd the cells; the first ends by _FIRST_EPOCH points, so that U is
+    soon the gap itself."""
     if real_pts.shape[0] > MIN_GAP_POINT_CAP:
         real_pts = real_pts[:MIN_GAP_POINT_CAP]
         gens = gens[:MIN_GAP_POINT_CAP]
     used = int(real_pts.shape[0])
-    history: List[Tuple[int, float]] = []
     if used < 2:
-        return float("inf"), history, used
+        return float("inf"), [], used
     order = np.argsort(gens, kind="stable")
     pts = real_pts[order]
-    ends = np.searchsorted(gens[order], np.arange(int(gens.max()) + 1), "right")
-    small = int(ends[ends <= _SMALL_PREFIX].max(initial=0))
-    d = _sq_dists(pts[:small, None], pts[None, :small])
-    d[np.triu_indices(small)] = math.inf
-    nearest_before = d.min(axis=1, initial=math.inf)  # over the earlier points
-    best_sq = math.inf
-    start = 0
-    for g in range(ends.shape[0]):
-        end = int(ends[g])
-        if end <= small:
-            best_sq = min(best_sq, float(nearest_before[start:end].min(initial=math.inf)))
-        elif best_sq > 0:
-            new = np.arange(start, end)
-            if new.shape[0] > 1:
-                rows = pts[new][np.argsort(pts[new, 0], kind="stable")]
-                best_sq = min(best_sq, float(_sq_dists(rows[1:], rows[:-1]).min()))
-            if best_sq > 0:
-                best_sq = min(best_sq, _closest_sq(pts, new, np.arange(end), best_sq))
-        if end >= 2:
-            history.append((g, math.sqrt(best_sq)))
-        start = end
+    gen = gens[order]
+    ends = np.searchsorted(gen, np.arange(int(gen[-1]) + 1), "right")
+    bound = np.fmin(np.minimum.accumulate(_gap_bounds(pts, gen)), float(_sq_dists(pts[1], pts[0])))
+    gaps = np.zeros(ends.shape[0])
+    first = g = int(np.searchsorted(ends, 2))
+    best = math.inf
+    while g < ends.shape[0]:
+        u = min(best, float(bound[g]))
+        if u == 0:
+            break
+        stop = g + max(1, int(np.count_nonzero(bound[g:] * _EPOCH_SHRINK > u)))
+        if best == math.inf:
+            stop = min(stop, max(g + 1, int(np.count_nonzero(ends <= _FIRST_EPOCH))))
+        gaps[g:stop] = np.minimum.accumulate(np.minimum(best, _pair_minima(pts, gen, g, int(ends[stop - 1]), u)))
+        best = float(gaps[stop - 1])
+        g = stop
+    history = [(h, math.sqrt(v)) for h, v in zip(range(first, ends.shape[0]), gaps[first:].tolist())]
     return history[-1][1], history, used
 
 

@@ -614,6 +614,30 @@ def point_clouds(rng, dim):
     yield np.vstack([np.eye(2, dim) * 10.0, rng.normal(size=(n, dim)) * 1e-3 + 3.0])
 
 
+def growing_generations(rng, n):
+    """Word lengths of n points whose generation sizes grow 2-3x per
+    generation from one point, over at most 20 generations: the shape of a
+    breadth-first orbit."""
+    sizes = [1]
+    while sum(sizes) < n and len(sizes) < 20:
+        sizes.append(min(int(sizes[-1] * rng.uniform(2, 3)) + 1, n - sum(sizes)))
+    sizes[-1] += n - sum(sizes)
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def lattice_rings(dim, count):
+    """Generations 0 .. count - 1 of the lattice 0.5 Z^2 in the first two
+    coordinates: generation g is the ring of max-norm g, so the gap is 0.5
+    from generation 1 on."""
+    r = np.arange(1 - count, count)
+    xy = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+    gens = np.abs(xy).max(axis=1)
+    order = np.argsort(gens, kind="stable")
+    pts = np.zeros((xy.shape[0], dim))
+    pts[:, :2] = 0.5 * xy[order]
+    return pts, gens[order]
+
+
 class TestNeighbourSearch:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_gap_history_matches_a_kd_tree_bit_for_bit(self, dim):
@@ -626,6 +650,107 @@ class TestNeighbourSearch:
                 best, history, used = oracle._min_gap_history(pts, gens)
                 assert used == pts.shape[0]
                 assert (best, history) == kd_tree_gap_history(pts, gens)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_gap_history_on_growing_generations(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for trial in range(2):
+            for pts in point_clouds(rng, dim):
+                gens = growing_generations(rng, pts.shape[0])
+                assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_gap_history_with_a_late_crowd(self, dim, hidden):
+        # lattice rings with gap 0.5, then in generation 9 a crowd 1e-3
+        # across, then more rings.  Hidden, the crowd lies on one line
+        # x = 3 and alternates with far points on it, so that no two crowd
+        # points are adjacent in x and the crowd arrives inside an epoch.
+        rng = np.random.default_rng(200 + dim)
+        rings, ring_gens = lattice_rings(dim, 12)
+        crowd = 3.0 + 1e-3 * rng.normal(size=(300, dim))
+        if hidden:
+            crowd[:, 0] = 3.0
+            far = crowd.copy()
+            far[:, 1] += 100.0 + np.arange(300)
+            crowd = np.stack([crowd, far], axis=1).reshape(-1, dim)
+        pts = np.vstack([rings, crowd])
+        gens = np.r_[ring_gens, np.full(crowd.shape[0], 9)]
+        best, history, _ = oracle._min_gap_history(pts, gens)
+        assert (best, history) == kd_tree_gap_history(pts, gens)
+        assert history[7][1] == 0.5 and best < 1e-3
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_gap_history_shrinking_by_a_hundredth(self, dim):
+        # generation g adds two points 1 - g/100 apart along the first axis,
+        # far from the others and at a random offset: each gap is just below
+        # the one before, at the edge of the cells sized by it
+        rng = np.random.default_rng(400 + dim)
+        pts = [np.zeros(dim)]
+        for g in range(1, 41):
+            p = np.zeros(dim)
+            p[:2] = rng.uniform(0, 5), 10.0 * g
+            pts += [p, p + np.eye(1, dim)[0] * (1 - g / 100)]
+        pts = np.array(pts)
+        gens = np.r_[0, np.repeat(np.arange(1, 41), 2)]
+        assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_gap_history_with_a_late_duplicate(self, dim):
+        # one point repeated in generation `late`: a copy of a point of an
+        # earlier generation, or of its own
+        rings, ring_gens = lattice_rings(dim, 10)
+        for late in (5, 9):
+            for source in (0, 3, late):
+                k = int(np.searchsorted(ring_gens, source))
+                pts = np.vstack([rings, rings[k]])
+                gens = np.r_[ring_gens, late]
+                best, history, _ = oracle._min_gap_history(pts, gens)
+                assert (best, history) == kd_tree_gap_history(pts, gens)
+                assert [v for _, v in history[late - 2:]] == [0.5] + [0.0] * (10 - late)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_gap_history_on_single_point_generations(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for pts in point_clouds(rng, dim):
+            pts = pts[:300]
+            # every generation a single point, then single points between
+            # growing generations
+            gens = np.arange(pts.shape[0])
+            assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+            gens = 2 * growing_generations(rng, pts.shape[0])
+            gens[np.searchsorted(gens, np.arange(2, gens[-1] + 1, 2))] -= 1
+            assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+
+    def test_pairs_without_a_distance_are_skipped(self):
+        # coordinates that overflowed to inf (or nan) give no distance: the
+        # history is that of the finite points
+        rng = np.random.default_rng(500)
+        finite = rng.normal(size=(400, 2))
+        gens = growing_generations(rng, 400)
+        pts = np.vstack([finite, [[np.inf, 0.0], [np.inf, 1.0], [-np.inf, np.inf], [np.nan, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            got = oracle._min_gap_history(pts, np.r_[gens, np.full(4, gens[-1])])
+        assert got[:2] == kd_tree_gap_history(finite, gens)
+
+    def test_gap_history_of_workload_orbits(self):
+        # three groups of the verify benchmark, enumerated to word length 10
+        zeta = parse_scalar("zeta12")
+
+        def Q(a, b):
+            return Scalar.rational(Fraction(a, b))
+
+        specs = [
+            GroupSpec(1, (Homothety.with_center(I, P(0)), Homothety.with_center(I, P(Q(3, 2))))),
+            GroupSpec(1, (Homothety.with_center(zeta, P(Q(1, 2))), Homothety.with_center(zeta, P(I)))),
+            GroupSpec(1, (Homothety.translation(P(Q(3, 2) + I)),
+                          Homothety.with_center(I, P(Q(-2, 3))))),
+        ]
+        for spec in specs:
+            sample = oracle.enumerate(spec, P(Q(1, 3)), 10)
+            pts = sample.real_array()
+            assert oracle._min_gap_history(pts, sample.generations)[:2] == kd_tree_gap_history(
+                pts, sample.generations)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_nearest_distance_matches_a_kd_tree_bit_for_bit(self, dim):
