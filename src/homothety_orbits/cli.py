@@ -120,12 +120,22 @@ def _load_document(config: RunConfig) -> dict:
         return json.load(fh)
 
 
+def _option_number(value, name: str, integral: bool = False):
+    """A document option as a float, or as an int when `integral`: a JSON
+    boolean is not a number, and an integral option has no fractional part."""
+    if isinstance(value, bool):
+        raise ValueError(f"'options.{name}' must be a number, not {json.dumps(value)}")
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"'options.{name}' must be an integer, not {value!r}")
+    return int(value) if integral else float(value)
+
+
 def build_spec(doc: dict, config: RunConfig) -> Tuple[GroupSpec, List[Point], dict]:
     """Input document + CLI overrides -> (GroupSpec, points, merged options)."""
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("'dim' must be a positive integer")
     gens_doc = doc.get("generators")
     if not isinstance(gens_doc, list) or not gens_doc:
@@ -136,21 +146,23 @@ def build_spec(doc: dict, config: RunConfig) -> Tuple[GroupSpec, List[Point], di
     opts = dict(doc.get("options", {}))
     word_cap = config.word_cap if config.word_cap is not None else opts.get("word_cap")
     if word_cap is not None:
-        word_cap = int(word_cap)
-    eps = config.eps if config.eps is not None else float(opts.get("eps", 1e-9))
+        word_cap = _option_number(word_cap, "word_cap", integral=True)
+    eps = config.eps if config.eps is not None else _option_number(opts.get("eps", 1e-9), "eps")
     window = opts.get("window")
     half = config.window_half
     center_texts: Tuple[str, ...] = config.window_center
     if half is None:
         half = 2.0
         if isinstance(window, (int, float)):
-            half = float(window)
+            half = _option_number(window, "window")
         elif isinstance(window, dict):
-            half = float(window.get("half", 2.0))
+            half = _option_number(window.get("half", 2.0), "window.half")
             center_texts = tuple(str(c) for c in window.get("center", ()))
         elif window is not None:
             raise ValueError("'options.window' must be a number or an object")
-    grid = config.grid_res if config.grid_res is not None else int(opts.get("grid", 40))
+    grid = config.grid_res
+    if grid is None:
+        grid = _option_number(opts.get("grid", 40), "grid", integral=True)
     spec = GroupSpec(dim=dim, generators=generators, word_cap=word_cap, eps=eps)
     if config.exact_policy == "require-exact" and not spec.is_exact:
         raise ValueError(

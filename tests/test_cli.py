@@ -313,6 +313,31 @@ class TestMalformedInput:
             assert main([command, "--input", path, *flags]) == EXIT_MALFORMED
             assert "malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"options": {"eps": True}}, "'options.eps' must be a number, not true"),
+        ({"options": {"word_cap": True}}, "'options.word_cap' must be a number, not true"),
+        ({"options": {"word_cap": 2.5}}, "'options.word_cap' must be an integer, not 2.5"),
+        ({"options": {"word_cap": float("inf")}}, "'options.word_cap' must be an integer, not inf"),
+        ({"options": {"grid": True}}, "'options.grid' must be a number, not true"),
+        ({"options": {"grid": 2.5}}, "'options.grid' must be an integer, not 2.5"),
+        ({"options": {"window": True}}, "'options.window' must be a number, not true"),
+        ({"options": {"window": {"half": False}}}, "'options.window.half' must be a number, not false"),
+        ({"dim": True}, "'dim' must be a positive integer"),
+    ])
+    def test_booleans_and_fractions_are_not_coerced(self, tmp_path, capsys, extra, message):
+        # a JSON boolean was read as 1 or 0, a fractional cap or grid was
+        # truncated, and an infinite cap raised OverflowError
+        path = quarter_doc(tmp_path, **extra)
+        for command in ("classify", "verify"):
+            assert main([command, "--input", path]) == EXIT_MALFORMED
+            assert message in capsys.readouterr().err
+
+    def test_integral_float_options_are_integers(self, tmp_path, capsys):
+        path = quarter_doc(tmp_path, options={"word_cap": 3.0, "grid": 8.0})
+        assert main(["classify", "--input", path]) == EXIT_OK
+        options = json.loads(capsys.readouterr().out)["options"]
+        assert (options["word_cap"], options["grid"]) == (3, 8)
+
     def test_commuting_generators_are_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, "abelian.json", {
             "dim": 1,
@@ -535,6 +560,9 @@ FLAT_DIRECTION = ('{"dim": 1, "generators": [{"ratio": "1", "translation": ["i"]
 UNCERTAIN_DIVISOR = ('{"dim": 2, "generators": [{"ratio": "exp(i*1.1)", "center": ["i", "i"]}, '
                      '{"ratio": "1", "translation": ["1/2", "1/2"]}], "points": [["i", "i"], ["i", "-i"]], '
                      '"options": {"word_cap": 0, "grid": 2, "eps": 0.5}}', [])
+# a JSON boolean option, once read as eps 1.0; now exit 1
+BOOLEAN_EPS = ('{"dim": 1, "generators": [{"ratio": "i", "center": ["0"]}, '
+               '{"ratio": "i", "center": ["1"]}], "options": {"eps": true}}', [])
 
 
 class TestInputGrammarFuzz:
@@ -542,6 +570,7 @@ class TestInputGrammarFuzz:
     @given(st.sampled_from(["classify", "verify"]), fuzz_runs())
     @example("classify", FLAT_DIRECTION)
     @example("verify", UNCERTAIN_DIVISOR)
+    @example("verify", BOOLEAN_EPS)
     def test_every_document_ends_in_an_exit_code(self, command, run):
         text, flags = run
         with tempfile.TemporaryDirectory() as tmp:
