@@ -605,8 +605,8 @@ _FORWARD = {
     for k in range(1, 5)
 }
 _DENSE_CELLS = 16  # a grid box of at most this many cells per point is a flat table
-_ANCHOR_BLOCK = 8192
-_PAIR_BLOCK = 1 << 20
+_ANCHOR_BLOCK = 1024
+_PAIR_BLOCK = 1 << 16
 _FIRST_EPOCH = 64  # points
 _EPOCH_SHRINK = 16.0
 
