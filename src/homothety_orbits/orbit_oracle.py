@@ -593,7 +593,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # odd 64-bit multipliers: a cell's key is the wrapping dot product of its
 # integer coordinates with these, so a neighbouring cell's key is the key
 # plus a constant; distinct cells whose keys collide only add candidates
-# (no two neighbouring cells collide)
+# (no cell's key is a neighbour's, so a point never meets itself)
 _CELL_HASH = np.array(
     [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
     dtype=np.uint64,
@@ -611,11 +611,11 @@ _FIRST_EPOCH = 64  # points
 _EPOCH_SHRINK = 16.0
 
 
-def _pair_minima(pts: np.ndarray, gen: np.ndarray, lo: int, hi: int, bound_sq: float) -> np.ndarray:
-    """For each generation g from lo to gen[hi - 1]: the least squared
-    distance between two of the first hi points the later of which has
-    generation g (pts in generation order), exact whenever it is at most
-    bound_sq, and otherwise some value above it.
+def _pair_minima(pts: np.ndarray, gen: np.ndarray, lo: int, stop: int, bound_sq: float) -> np.ndarray:
+    """For each generation g from lo to stop - 1: the least squared distance
+    between two points the later of which has generation g (pts in
+    generation order, none of generation stop or later), exact whenever it
+    is at most bound_sq, and otherwise some value above it.
 
     Grid cells on the first (up to four) coordinates are a little over
     sqrt(bound_sq) wide, so two points that close lie in one cell or in
@@ -625,8 +625,8 @@ def _pair_minima(pts: np.ndarray, gen: np.ndarray, lo: int, hi: int, bound_sq: f
     a flat table indexed by cell; a large one is looked up in the sorted keys.
     At most 2^40 cells span the extent, so cell positions round by at most
     2^-12 of a cell, far inside the 2^-7 margin."""
-    k = min(pts.shape[1], 4)
-    sub = pts[:hi, :k]
+    hi, k = pts.shape[0], min(pts.shape[1], 4)
+    sub = pts[:, :k]
     low = sub.min(axis=0)
     extent = sub.max(axis=0) - low
     side = max(math.sqrt(bound_sq) * (1 + 2.0**-6), float(extent.max()) * 2.0**-40)
@@ -655,8 +655,8 @@ def _pair_minima(pts: np.ndarray, gen: np.ndarray, lo: int, hi: int, bound_sq: f
         run_end = np.repeat(first + ucount, ucount)
     # a pair goes to the generation of its later point; pairs wholly before
     # lo go to the last slot, which is dropped
-    slot = np.maximum(gen[:hi] - lo, -1)
-    out = np.full(int(gen[hi - 1]) - lo + 2, math.inf)
+    slot = np.maximum(gen - lo, -1)
+    out = np.full(stop - lo + 1, math.inf)
     for start in range(0, hi, _ANCHOR_BLOCK):
         anchors = np.arange(start, min(start + _ANCHOR_BLOCK, hi))
         # targets offset-major: each row is sorted but for a wrap, so the
@@ -737,12 +737,13 @@ def _min_gap_history(
     best = math.inf
     while g < ends.shape[0]:
         u = min(best, float(bound[g]))
-        if u == 0:
+        if u == 0:  # two points coincide: this gap and every later one is 0
             break
         stop = g + max(1, int(np.count_nonzero(bound[g:] * _EPOCH_SHRINK > u)))
         if best == math.inf:
             stop = min(stop, max(g + 1, int(np.count_nonzero(ends <= _FIRST_EPOCH))))
-        gaps[g:stop] = np.minimum.accumulate(np.minimum(best, _pair_minima(pts, gen, g, int(ends[stop - 1]), u)))
+        hi = int(ends[stop - 1])
+        gaps[g:stop] = np.minimum.accumulate(np.minimum(best, _pair_minima(pts[:hi], gen[:hi], g, stop, u)))
         best = float(gaps[stop - 1])
         g = stop
     history = [(h, math.sqrt(v)) for h, v in zip(range(first, ends.shape[0]), gaps[first:].tolist())]

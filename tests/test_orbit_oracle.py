@@ -2,6 +2,7 @@
 reports that score a predicted closure against an enumerated orbit."""
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -722,6 +723,18 @@ class TestNeighbourSearch:
             gens[np.searchsorted(gens, np.arange(2, gens[-1] + 1, 2))] -= 1
             assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_gap_history_with_empty_generations(self, dim):
+        # word lengths that no point has, also as the last generation of an
+        # epoch: here the one before a crowd
+        rng = np.random.default_rng(600 + dim)
+        pts = np.vstack([rng.normal(size=(14, dim)) * 10, 3 + 1e-4 * rng.normal(size=(100, dim))])
+        gens = np.r_[0, 1, 1, 1, np.full(10, 2), np.full(100, 4)]
+        assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+        for pts in point_clouds(rng, dim):
+            gens = 2 * growing_generations(rng, pts.shape[0])
+            assert oracle._min_gap_history(pts, gens)[:2] == kd_tree_gap_history(pts, gens)
+
     def test_pairs_without_a_distance_are_skipped(self):
         # coordinates that overflowed to inf (or nan) give no distance: the
         # history is that of the finite points
@@ -732,6 +745,13 @@ class TestNeighbourSearch:
         with np.errstate(invalid="ignore"):
             got = oracle._min_gap_history(pts, np.r_[gens, np.full(4, gens[-1])])
         assert got[:2] == kd_tree_gap_history(finite, gens)
+
+    def test_no_cell_key_is_a_neighbours(self):
+        # else a point would meet itself in a neighbour cell, at distance 0
+        for k in range(1, 5):
+            offsets = np.array([o for o in itertools.product((-1, 0, 1), repeat=k) if any(o)])
+            steps = (offsets.astype(np.uint64) * oracle._CELL_HASH[:k]).sum(axis=1)
+            assert np.all(steps != 0)
 
     def test_gap_history_of_workload_orbits(self):
         # three groups of the verify benchmark, enumerated to word length 10
