@@ -604,7 +604,7 @@ _FORWARD = {
     k: np.array([o for o in itertools.product((-1, 0, 1), repeat=k) if o > (0,) * k], dtype=np.int64)
     for k in range(1, 5)
 }
-_DENSE_CELLS = 16  # a grid box of at most this many cells per point is a flat table
+_DENSE_CELLS = 16  # a grid box of at most this many cells per point (and 4,096) is a flat table
 _ANCHOR_BLOCK = 1024
 _PAIR_BLOCK = 1 << 16
 _FIRST_EPOCH = 64  # points
