@@ -93,22 +93,26 @@ class CycloScalar:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
             n0, n1, n2, n3, d = -n0, -n1, -n2, -n3, -d
-        g = gcd(gcd(abs(n0), abs(n1)), gcd(gcd(abs(n2), abs(n3)), d))
-        if g > 1:
-            n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+        if d != 1:
+            g = gcd(n0, n1, n2, n3, d)
+            if g > 1:
+                n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
         self._n = (n0, n1, n2, n3)
         self._d = d
 
     @classmethod
     def _raw(cls, n, d):
+        """The value n / d in lowest terms, d nonzero; a denominator of 1
+        needs no reduction."""
         obj = object.__new__(cls)
         if d < 0:
             n = (-n[0], -n[1], -n[2], -n[3])
             d = -d
-        g = gcd(gcd(abs(n[0]), abs(n[1])), gcd(gcd(abs(n[2]), abs(n[3])), d))
-        if g > 1:
-            n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
-            d //= g
+        if d != 1:
+            g = gcd(*n, d)
+            if g > 1:
+                n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+                d //= g
         obj._n = n
         obj._d = d
         return obj
@@ -162,14 +166,17 @@ class CycloScalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._n, other._n
+        if type(other) is not CycloScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
         da, db = self._d, other._d
+        if da == db:
+            return CycloScalar._raw((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
         return CycloScalar._raw(
-            (a[0] * db + b[0] * da, a[1] * db + b[1] * da,
-             a[2] * db + b[2] * da, a[3] * db + b[3] * da),
+            (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da),
             da * db,
         )
 
@@ -180,28 +187,39 @@ class CycloScalar:
         return CycloScalar._raw((-n[0], -n[1], -n[2], -n[3]), self._d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not CycloScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        da, db = self._d, other._d
+        if da == db:
+            return CycloScalar._raw((a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
+        return CycloScalar._raw(
+            (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
+            da * db,
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._n, other._n
-        p = [0] * 7
-        for i in range(4):
-            ai = a[i]
-            if ai:
-                for j in range(4):
-                    p[i + j] += ai * b[j]
-        # reduce with zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
+        if type(other) is not CycloScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        # the product's coefficients of zeta^4, zeta^5, zeta^6, reduced with
+        # zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
+        p4 = a1 * b3 + a2 * b2 + a3 * b1
+        p5 = a2 * b3 + a3 * b2
         return CycloScalar._raw(
-            (p[0] - p[4] - p[6], p[1] - p[5], p[2] + p[4], p[3] + p[5]),
+            (a0 * b0 - p4 - a3 * b3,
+             a0 * b1 + a1 * b0 - p5,
+             a0 * b2 + a1 * b1 + a2 * b0 + p4,
+             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5),
             self._d * other._d,
         )
 
@@ -261,9 +279,10 @@ class CycloScalar:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycloScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
@@ -527,7 +546,12 @@ class Scalar:
             return self._v, other._v, True
         return self.approx_value, other.approx_value, False
 
+    # Exact operands come first and skip _pair: their result is wrapped
+    # without re-validating it.
     def __add__(self, other):
+        if (type(other) is Scalar and type(self._v) is CycloScalar
+                and type(other._v) is CycloScalar):
+            return _exact(self._v + other._v)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -537,11 +561,14 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if isinstance(self._v, CycloScalar):
-            return Scalar(-self._v)
+        if type(self._v) is CycloScalar:
+            return _exact(-self._v)
         return Scalar(self._v.neg())
 
     def __sub__(self, other):
+        if (type(other) is Scalar and type(self._v) is CycloScalar
+                and type(other._v) is CycloScalar):
+            return _exact(self._v - other._v)
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -551,6 +578,9 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if (type(other) is Scalar and type(self._v) is CycloScalar
+                and type(other._v) is CycloScalar):
+            return _exact(self._v * other._v)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -560,8 +590,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if isinstance(self._v, CycloScalar):
-            return Scalar(self._v.inverse())
+        if type(self._v) is CycloScalar:
+            return _exact(self._v.inverse())
         return Scalar(self._v.inverse())
 
     def __truediv__(self, other):
@@ -671,6 +701,13 @@ class Scalar:
         if isinstance(self._v, CycloScalar):
             return f"Scalar({format_scalar(self)!r})"
         return f"Scalar(~{self._v.value!r}, err={self._v.err:.2e})"
+
+
+def _exact(v: CycloScalar) -> Scalar:
+    """Scalar(v) for a payload known to be a CycloScalar."""
+    out = object.__new__(Scalar)
+    out._v = v
+    return out
 
 
 SCALAR_ZERO = Scalar.integer(0)

@@ -7,11 +7,16 @@ its integer-row kernel.  `harvest_approx` is the approximate-mode map search
 it ran before its float rows, in `Scalar` arithmetic, and `enumerate_grid`
 dedups grid points on Python-int keys.  `SeenRows` is the dedup step of
 the breadth-first loop as it was before the hash set, on sorted keys, and
-`occupied_cells` the window binning with one `tobytes` key per row.  They
-are slow and obviously right, which is what the kernel equivalence tests
-need.
+`occupied_cells` the window binning with one `tobytes` key per row.  The
+`cyclo_*` functions are `CycloScalar` arithmetic on `Fraction`
+coefficients: the product is the double loop the class ran before its
+straight-line product, and the inverse goes through three Galois
+conjugates.  They are slow and obviously right, which is what the kernel
+equivalence tests need.
 """
 
+from fractions import Fraction
+from math import lcm
 from typing import List, Set, Tuple
 
 import numpy as np
@@ -258,3 +263,46 @@ def harvest_approx(spec: GroupSpec, L: int, budget: int) -> List[Point]:
             known.add(key)
             vectors.append(v)
     return vectors
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta12) arithmetic on coefficient tuples (c0, c1, c2, c3) of Fractions
+
+Coeffs = Tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+def cyclo_numerators(c: Coeffs) -> Tuple[Tuple[int, int, int, int], int]:
+    """((n0, n1, n2, n3), d) with c_k = n_k / d and d the least common
+    denominator, the lowest-terms form `CycloScalar.numerators` gives."""
+    d = lcm(*(x.denominator for x in c))
+    return tuple(int(x * d) for x in c), d
+
+
+def cyclo_add(a: Coeffs, b: Coeffs) -> Coeffs:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def cyclo_sub(a: Coeffs, b: Coeffs) -> Coeffs:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def cyclo_mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    p = [Fraction(0)] * 7
+    for i in range(4):
+        for j in range(4):
+            p[i + j] += a[i] * b[j]
+    # zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
+    return (p[0] - p[4] - p[6], p[1] - p[5], p[2] + p[4], p[3] + p[5])
+
+
+def cyclo_inverse(a: Coeffs) -> Coeffs:
+    """1/a = y / (a y) with y the product of the conjugates sigma_5(a),
+    sigma_7(a), sigma_11(a), so that a y is the rational norm of a."""
+    c0, c1, c2, c3 = a
+    s5 = (c0 + c2, -c1, -c2, c1 + c3)
+    s7 = (c0, -c1, c2, -c3)
+    s11 = (c0 + c2, c1, -c2, -c1 - c3)
+    y = cyclo_mul(cyclo_mul(s5, s7), s11)
+    norm = cyclo_mul(a, y)
+    assert norm[1] == norm[2] == norm[3] == 0
+    return tuple(x / norm[0] for x in y)

@@ -18,6 +18,7 @@ from homothety_orbits import (
 from homothety_orbits.exact_algebra import ScalarParseError
 
 from conftest import cyclo_scalars, nonzero_cyclo_scalars, planar_fractions
+import oracle_reference as reference
 
 I = CycloScalar.zeta_power(3)
 ONE = CycloScalar.from_int(1)
@@ -143,6 +144,51 @@ def test_to_complex_is_bit_identical_to_the_real_quadratic_route(nums, d):
     assert repr(x.to_complex()) == repr(via_fractions)
     assert repr(x.real_part().to_complex().real) == repr(via_fractions.real)
     assert repr(x.imag_part().to_complex().real) == repr(via_fractions.imag)
+
+
+# numerators up to 2^80 and zero, times a factor that the denominator may
+# share; denominators 1, small, or that factor times a wide cofactor
+shared_factors = st.sampled_from([1, 2, 3, 6, 12, 35, 3 * 2**20])
+
+
+@st.composite
+def raw_cyclo(draw):
+    """(numerators, denominator) as written, before any reduction."""
+    f = draw(shared_factors)
+    nums = tuple(draw(wide_numerators | st.just(0)) * f for _ in range(4))
+    d = draw(st.just(1) | st.integers(1, 12) | st.integers(1, 2**70).map(lambda m: m * f))
+    return nums, d
+
+
+def as_coeffs(raw):
+    nums, d = raw
+    return tuple(Fraction(n, d) for n in nums)
+
+
+@given(raw_cyclo(), raw_cyclo(), st.booleans())
+def test_field_operations_match_the_fraction_reference(rx, ry, same_den):
+    if same_den:  # equal denominators take their own path in + and -
+        ry = (ry[0], rx[1])
+    x, y = CycloScalar(*rx[0], rx[1]), CycloScalar(*ry[0], ry[1])
+    a, b = as_coeffs(rx), as_coeffs(ry)
+    assert x.numerators == reference.cyclo_numerators(a)
+    assert (x + y).numerators == reference.cyclo_numerators(reference.cyclo_add(a, b))
+    assert (x - y).numerators == reference.cyclo_numerators(reference.cyclo_sub(a, b))
+    assert (x * y).numerators == reference.cyclo_numerators(reference.cyclo_mul(a, b))
+    if not x.is_zero():
+        assert x.inverse().numerators == reference.cyclo_numerators(reference.cyclo_inverse(a))
+
+
+@given(raw_cyclo(), st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+def test_an_approximate_operand_makes_the_result_approximate(rx, z):
+    x = Scalar(CycloScalar(*rx[0], rx[1]))
+    w = Scalar.approx(z)
+    for result in (x * w, w * x, x * z, z * x, x + w, w + x, x - w, w - x):
+        assert not result.is_exact
+    expected = x.to_complex() * z
+    assert abs((x * w).to_complex() - expected) <= 1e-12 * max(1.0, abs(expected))
+    for result in (x * x, x * 3, 3 * x, x + Fraction(1, 3), x - x):
+        assert result.is_exact
 
 
 @given(cyclo_scalars())
