@@ -42,6 +42,7 @@ from .exact_algebra import (
     CycloScalar,
     Scalar,
     Trilean,
+    UndecidableAtPrecision,
     max_abs,
     planar_lifts,
 )
@@ -331,13 +332,22 @@ def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
     """(N, k) complex128 coordinates of (N, 4k + 1) rows, bit for bit
     `CycloScalar.to_complex`: both divide the same rationals, correctly
     rounded (int64 only while numerators and denominators are exact in
-    float64, Python ints otherwise)."""
+    float64, Python ints otherwise).  A coordinate past float range raises
+    UndecidableAtPrecision: the float evidence cannot hold such an orbit."""
     if rows.dtype != object and max_abs(rows) >= _FLOAT_SAFE:
         rows = rows.astype(object)
     lift, den = planar_lifts(rows[:, :-1].reshape(rows.shape[0], k, 4), rows[:, -1:])
     out = np.empty((rows.shape[0], k), dtype=np.complex128)
-    out.real = lift[..., 0] / den + (lift[..., 1] / den) * SQRT3
-    out.imag = lift[..., 2] / den + (lift[..., 3] / den) * SQRT3
+    try:
+        out.real = lift[..., 0] / den + (lift[..., 1] / den) * SQRT3
+        out.imag = lift[..., 2] / den + (lift[..., 3] / den) * SQRT3
+        finite = bool(np.isfinite(out).all())
+    except OverflowError:  # a quotient of Python ints past float range
+        finite = False
+    if not finite:
+        raise UndecidableAtPrecision(
+            "an orbit point lies beyond float range, so its float evidence cannot be measured"
+        )
     return out
 
 
@@ -392,7 +402,8 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     sublist of the full harvest, which is safe for every use here:
     harvests are lower-bound evidence).
     """
-    found = _harvest_exact(spec, L) if spec.is_exact else _harvest_approx(spec, L)
+    exact = spec.is_exact
+    found = _harvest_exact(spec, L) if exact else _harvest_approx(spec, L)
     # commutators are always included, whatever the cap
     m = len(spec.generators)
     for i in range(m):
@@ -402,7 +413,7 @@ def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
     vectors: List[Point] = []
     known: Set = set()
     for v in found:
-        key = _vector_key(v, spec.is_exact)
+        key = _vector_key(v, exact)
         if key not in known:
             known.add(key)
             vectors.append(v)

@@ -413,6 +413,24 @@ class TestVerify:
         assert report["status"] == "verification-mismatch"
         assert any("density" in f for f in report["failures"])
 
+    @pytest.mark.parametrize("command", ["verify", "orbit"])
+    def test_orbit_past_float_range_exits_undecidable(self, tmp_path, capsys, command):
+        # {10^39@0, i@1} from 1/2: at word cap 9 an exact orbit point passes
+        # float range; it once ended in an OverflowError traceback
+        path = write_doc(tmp_path, "huge.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": "1" + "0" * 39, "center": ["0"]},
+                {"ratio": "i", "center": ["1"]},
+            ],
+            "points": [["1/2"]],
+            "options": {"word_cap": 9},
+        })
+        assert main([command, "--input", path]) == EXIT_UNDECIDABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beyond float range" in captured.err
+
     @pytest.mark.parametrize("cap", [6, 10, 14])
     def test_c2_quarter_turn_pair_is_sound_at_every_word_cap(
         self, tmp_path, capsys, cap
