@@ -10,7 +10,13 @@ perfbench/run.py gives them, with these functions wrapped by a timer:
     orbit_oracle.harvest_translations
     ClosureDesc.trace_points        every override in closure_engine
     group_profile.compute_profile
+    group_profile.compute_EG        the invariant affine subspace E_G
+    group_profile.schreier_generators
     cli._emit_report
+
+compute_EG and schreier_generators run inside compute_profile, so their
+lines break that phase down (on classify-exact they are its two largest
+parts).
 
 A phase's time is inclusive (it holds the phases it calls) and counts the
 outermost call only, so a phase that calls itself is not counted twice.
@@ -48,6 +54,8 @@ PHASES = (
     ("harvest_translations", "orbit_oracle", "harvest_translations"),
     ("trace_points", None, "trace_points"),
     ("compute_profile", "group_profile", "compute_profile"),
+    ("compute_EG", "group_profile", "compute_EG"),
+    ("schreier_generators", "group_profile", "schreier_generators"),
     ("_emit_report", "cli", "_emit_report"),
 )
 
