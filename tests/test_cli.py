@@ -46,6 +46,51 @@ def quarter_doc(tmp_path, **extra):
     return write_doc(tmp_path, "group.json", doc)
 
 
+# (centres, translation_closure block) of half-turn groups: every additive
+# shape, exact and heuristic, as the CLI printed it before the six shapes
+# became labels of one class
+HALF_TURN_CLOSURES = [
+    pytest.param(["0", "1"], (
+        '{"exact": true, "generator": "[2, 0]", "generator_value": [2.0, 0.0], '
+        '"shape": "Lattice1"}'), id="Lattice1"),
+    pytest.param(["0", "1/2", "1/3"], (
+        '{"exact": true, "generator": "[1/3, 0]", '
+        '"generator_value": [0.3333333333333333, 0.0], "shape": "Lattice1"}'),
+        id="Lattice1-thirds"),
+    pytest.param(["0", "1", "zeta12+zeta12^11"], (
+        '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], "exact": true, '
+        '"shape": "LineDense"}'), id="LineDense"),
+    pytest.param(["0", "1", "zeta12+zeta12^11", "i"], (
+        '{"direction": "[1/2, 0]", "direction_value": [0.5, 0.0], "exact": true, '
+        '"shape": "LineLattice", "transversal": "[0, 2]", "transversal_value": [0.0, 2.0]}'),
+        id="LineLattice"),
+    pytest.param(["0", "1", "i"], (
+        '{"basis": ["[2, 0]", "[0, 2]"], "basis_values": [[2.0, 0.0], [0.0, 2.0]], '
+        '"exact": true, "shape": "Lattice2"}'), id="Lattice2"),
+    pytest.param(["0", "0.5"], (
+        '{"evidence": {"path": "heuristic", "ratio_test": "rational"}, "exact": false, '
+        '"generator": "[-1, 0]", "generator_value": [-1.0, 0.0], "shape": "Lattice1"}'),
+        id="heuristic-Lattice1"),
+    pytest.param(["0", "0.3", "1"], (
+        '{"evidence": {"path": "heuristic", "ratio_test": "rational"}, "exact": false, '
+        '"generator": "[-1/5, 0]", "generator_value": [-0.2, 0.0], "shape": "Lattice1"}'),
+        id="heuristic-Lattice1-fifths"),
+    pytest.param(["0", "1", "1.7320508075688772"], (
+        '{"direction": "[-1, 0]", "direction_value": [-1.0, 0.0], '
+        '"evidence": {"path": "heuristic", "ratio_test": "irrational"}, "exact": false, '
+        '"shape": "LineDense"}'), id="heuristic-LineDense"),
+    pytest.param(["0", "1", "1.7320508075688772", "i"], (
+        '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], '
+        '"evidence": {"grid_fill": 0.125, "path": "heuristic", "reduced_rank": 3}, '
+        '"exact": false, "shape": "LineLattice", "transversal": "[0, 2]", '
+        '"transversal_value": [0.0, 2.0]}'), id="heuristic-LineLattice"),
+    pytest.param(["0", "1", "0.5i"], (
+        '{"basis": ["[0, -1]", "[-2, 0]"], "basis_values": [[0.0, -1.0], [-2.0, 0.0]], '
+        '"evidence": {"path": "heuristic", "reduced_rank": 2}, "exact": false, '
+        '"shape": "Lattice2"}'), id="heuristic-Lattice2"),
+]
+
+
 class TestClassify:
     def test_report_is_schema_valid(self, tmp_path, capsys):
         path = quarter_doc(tmp_path, points=[["1/2"]])
@@ -225,6 +270,20 @@ class TestClassify:
         found = list(fills(report))
         assert found
         assert all(0.0 <= f <= 1.0 for f in found)
+
+    @pytest.mark.parametrize("centres, block", HALF_TURN_CLOSURES)
+    def test_translation_closure_block_of_each_shape(self, tmp_path, capsys, centres, block):
+        # half-turns about the centres: T is generated by twice the centre
+        # differences, and every ratio is real, so the group is unsupported
+        path = write_doc(tmp_path, "half_turns.json", {
+            "dim": 1,
+            "generators": [{"ratio": "-1", "center": [c]} for c in centres],
+            "points": [["1/7"]],
+        })
+        assert main(["classify", "--input", path]) == EXIT_UNSUPPORTED
+        report = json.loads(capsys.readouterr().out)
+        assert report["profile"]["translation_closure"] == json.loads(block)
+
 
 
 class TestMalformedInput:
