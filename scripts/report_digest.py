@@ -12,7 +12,9 @@ the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
 both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
 which take the heuristic closures, and `classify` on one such document in
-C^2.  Two checkouts print the same digests
+C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
+whose translation closures take every additive shape, exact and heuristic.
+Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
 
@@ -48,6 +50,14 @@ NUMERIC_DOCS = (
     ("translation", 1, (("1", ("1",)), ("exp(i*1)", ("0",))), ("0",)),
 )
 NUMERIC_C2_DOC = ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1"))
+# half-turn centres: Lattice1 (twice), LineDense, LineLattice and Lattice2
+# exactly, then the same five shapes from decimal data
+ADDITIVE_CENTRES = (
+    ("0", "1"), ("0", "1/2", "1/3"), ("0", "1", "zeta12+zeta12^11"),
+    ("0", "1", "zeta12+zeta12^11", "i"), ("0", "1", "i"),
+    ("0", "0.5"), ("0", "0.3", "1"), ("0", "1", "1.7320508075688772"),
+    ("0", "1", "1.7320508075688772", "i"), ("0", "1", "0.5i"),
+)
 
 
 def numeric_doc(dim, gens, point) -> dict:
@@ -121,6 +131,14 @@ def main() -> int:
             h.update(f"{count}:{family}:{argv[0]}:{code}\n".encode())
             h.update(out.encode())
         print(f"{'numeric':<16} {len(runs):>4} docs  {h.hexdigest()}", flush=True)
+        h = hashlib.sha256()
+        for count, centres in enumerate(ADDITIVE_CENTRES):
+            gens = tuple(("-1", (c,)) for c in centres)
+            path = write_doc(tmp, numeric_doc(1, gens, ("1/7",)))
+            code, out = run_cli(cli, ["classify", "--input", path])
+            h.update(f"{count}:{code}\n".encode())
+            h.update(out.encode())
+        print(f"{'additive':<16} {len(ADDITIVE_CENTRES):>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)
