@@ -86,10 +86,14 @@ class RatioFlags(NamedTuple):
     outside_SR: bool
 
 
-def _resolve(t: Trilean, what: str) -> bool:
-    if t is Trilean.UNKNOWN:
+def _some(values: List[Trilean], value: Trilean, what: str) -> bool:
+    """Whether some entry is `value`: any such entry settles it, and it is
+    undecidable only when none is and some entry is UNKNOWN."""
+    if value in values:
+        return True
+    if Trilean.UNKNOWN in values:
         raise UndecidableAtPrecision(what)
-    return t is Trilean.YES
+    return False
 
 
 def ratio_flags(spec: GroupSpec) -> RatioFlags:
@@ -97,28 +101,21 @@ def ratio_flags(spec: GroupSpec) -> RatioFlags:
 
     Real scalars multiply to real scalars, moduli multiply, and each
     crystallographic family is closed under products, so each flag is
-    determined by the generators.
+    determined by the generators, and one generator that settles a flag
+    settles it for the group: the other ratios may stay unresolved.
     """
-    nonreal = False
-    mod_ne1 = False
-    all_f2 = True
-    all_f3 = True
-    for g in spec.generators:
-        r = g.ratio
-        if not _resolve(r.is_real(), "cannot resolve whether a ratio is real"):
-            nonreal = True
-        # modulus != 1 is claimed only when provable: the flag licenses an
-        # extra conclusion (minimality), never a branch, so an unresolved
-        # modulus safely degrades to "not claimed" instead of aborting
-        if r.modulus_is_one() is Trilean.NO:
-            mod_ne1 = True
-        if not _resolve(r.in_f2(), "cannot resolve membership in the 4th roots"):
-            all_f2 = False
-        if not _resolve(r.in_f3(), "cannot resolve membership in the 6th roots"):
-            all_f3 = False
-    if all_f2:
+    ratios = [g.ratio for g in spec.generators]
+    nonreal = _some([r.is_real() for r in ratios], Trilean.NO,
+                    "cannot resolve whether a ratio is real")
+    # modulus != 1 is claimed only when provable: the flag licenses an
+    # extra conclusion (minimality), never a branch, so an unresolved
+    # modulus safely degrades to "not claimed" instead of aborting
+    mod_ne1 = any(r.modulus_is_one() is Trilean.NO for r in ratios)
+    if not _some([r.in_f2() for r in ratios], Trilean.NO,
+                 "cannot resolve membership in the 4th roots"):
         sr = "S2"
-    elif all_f3:
+    elif not _some([r.in_f3() for r in ratios], Trilean.NO,
+                   "cannot resolve membership in the 6th roots"):
         sr = "S3"
     else:
         sr = None
@@ -388,10 +385,12 @@ def schreier_generators(spec: GroupSpec) -> Optional[SchreierGenerators]:
 
 
 def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosure:
-    # Some ratio is not an exact 12th root of unity: Lambda is infinite, or
-    # the ratio is approximate and ratio_flags has proved it non-real and
-    # off the 4th and 6th roots.  Either way that ratio preserves no
-    # lattice.  T is nonzero (the group is non-abelian) and invariant under
+    # Some ratio is not an exact 12th root of unity.  ratio_flags has then
+    # proved Lambda to lie in neither crystallographic family (an
+    # approximate ratio is never proved to be a root), so Lambda holds a
+    # ratio of modulus other than 1 or of infinite order, or is a finite
+    # rotation group of an order other than 1, 2, 3, 4 and 6; either way it
+    # preserves no lattice.  T is nonzero (the group is non-abelian) and invariant under
     # multiplication by every ratio, so T is not discrete.  A non-discrete
     # closed subgroup of C that a non-real ratio preserves is all of C; with
     # real ratios only, it is the real span of T, which the commutator

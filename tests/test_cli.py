@@ -189,6 +189,42 @@ class TestClassify:
         assert main(["classify", "--input", path]) == EXIT_UNDECIDABLE
         assert "undecidable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gens, exact_form", [
+        ([("2.0", "1+i"), ("i", "1/3-i")], [("2", "1+i"), ("i", "1/3-i")]),
+        ([("i", "1/3-i"), ("2.0", "1+i")], [("i", "1/3-i"), ("2", "1+i")]),
+        ([("2.0", "1+i"), ("exp(i*1.0)", "1/3-i")], None),
+    ])
+    def test_one_ratio_settles_a_flag_for_the_group(self, tmp_path, capsys, gens, exact_form):
+        # whether 2.0 is real is unresolved, but i (or exp(i*1.0)) is
+        # provably non-real and off the 6th roots, and 2.0 is provably off
+        # the 4th roots: every flag is settled by some ratio
+        def classify(pairs):
+            path = write_doc(tmp_path, "flags.json", {
+                "dim": 1, "generators": [{"ratio": r, "center": [c]} for r, c in pairs],
+            })
+            assert main(["classify", "--input", path]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            profile = report["profile"]
+            assert (profile["has_nonreal_ratio"], profile["outside_SR"]) == (True, True)
+            return {k: v for k, v in report["verdicts"].items() if k != "notes"}
+
+        verdicts = classify(gens)
+        assert verdicts["has_dense_orbit"] == "yes"
+        if exact_form is not None:
+            assert verdicts == classify(exact_form)
+
+    def test_a_flag_no_ratio_settles_stays_undecidable(self, tmp_path, capsys):
+        # i is a 4th root and -1.0 may be one: nothing settles the S2 flag
+        path = write_doc(tmp_path, "undec.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": "-1.0", "center": ["3/2"]},
+                {"ratio": "i", "center": ["1+1/2i"]},
+            ],
+        })
+        assert main(["classify", "--input", path]) == EXIT_UNDECIDABLE
+        assert "4th roots" in capsys.readouterr().err
+
 
     def test_hyperplane_E_and_a_plane_filling_ratio_group_give_whole_space(
         self, tmp_path, capsys
