@@ -1,11 +1,14 @@
 """Closed-subgroup classification in the plane and in C*.
 
-Additive side: the closure of a finitely generated subgroup of R^2 whose
-generators have coordinates in Q(sqrt(3)) is decided exactly.  Generators
-are lifted to Q^4 through the basis {1, sqrt(3)} per axis; a Hermite normal
-form gives the abstract Z-rank, and Kronecker duality (the closure is the
-annihilator of the dual group D = {phi : phi.v in Z for all generators v})
-reduces the classification to integer kernels of small rational systems.
+Additive side: the closure of a finitely generated subgroup of R^2 is a
+subspace V plus a lattice L in a complement of V, held by one class whose
+shape label is read off (dim V, rank L).  When the generators have
+coordinates in Q(sqrt(3)) it is decided exactly.  Generators are lifted to
+Q^4 through the basis {1, sqrt(3)} per axis; a Hermite normal form gives
+the abstract Z-rank, and Kronecker duality (the closure is the annihilator
+of the dual group D = {phi : phi.v in Z for all generators v}) reduces the
+classification to integer kernels of small rational systems.  Membership
+of an exact vector is then one integer test on its lift.
 
 Multiplicative side: the closure of a subgroup of C* generated by exact
 ratios (elements of Q(zeta12)) is read through the log-polar map, from the
@@ -85,23 +88,67 @@ def _fmt_planar(v: CycloScalar) -> str:
 # ---------------------------------------------------------------------------
 # additive closures
 #
-# A planar vector x + iy is an exact CycloScalar.  Exact membership reads
-# vectors through their planar lifts to Q^4 as integer numerators over one
-# denominator each, v = (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, against
-# integer data of the closure computed once per closure object:
-# `contains_lifts` tests an (N, 4) numerator array and an (N,) denominator
-# array at once, and `contains` of an exact value is its one-row case.  The
-# arrays are int64 or Python ints; int64 ones widen first (`widen`) when a
-# bound on every product of the test reaches INT64_SAFE.  `distance_many`
-# takes a 1-d complex array and `distance` is its one-point case; it is
-# real arithmetic with np.hypot for lengths, so both give the same floats.
+# A closed subgroup of R^2 = C is a subspace V plus a lattice L in a
+# complement of V.  One class holds every such closure: V by a spanning list
+# of directions, L by a basis, and the shape label is read off (dim V,
+# rank L).  A planar vector x + iy is an exact CycloScalar.  Exact
+# membership reads vectors through their planar lifts to Q^4 as integer
+# numerators over one denominator each, v = (x0 + x1*sqrt3, y0 + y1*sqrt3)
+# / den.  The lifts of the Q(sqrt3)-points of V are the rational span of the
+# lifts of the directions and of their sqrt3 multiples; the lifts of L's
+# basis are independent of them.  So v lies in V + L exactly when the
+# integer forms F that vanish on all these lifts vanish on v (v lies in
+# their rational span) and the forms G / m, the dual basis of L modulo V,
+# are integral on v (its coordinates along L are integers).  F, G and m are
+# computed once per closure object.  `contains_lifts` tests an (N, 4)
+# numerator array and an (N,) denominator array at once, and `contains` of
+# an exact value is its one-row case.  The arrays are int64 or Python ints;
+# int64 ones widen first (`widen`) when a bound on every product of the test
+# reaches INT64_SAFE.  `distance_many` takes a 1-d complex array and
+# `distance` is its one-point case: it projects out V and measures the
+# distance to L by its rank, in real arithmetic with np.hypot for lengths,
+# so both give the same floats.
+
+
+_SQRT3 = CycloScalar(0, 2, 0, -1)  # 2*zeta - zeta^3
+# the directions of the closure that is the whole plane
+PLANE_DIRECTIONS = (CYCLO_ONE, CYCLO_I)
+# shape labels by (dim V, rank L)
+_SHAPES = {
+    (0, 0): "Zero",
+    (0, 1): "Lattice1",
+    (0, 2): "Lattice2",
+    (1, 0): "LineDense",
+    (1, 1): "LineLattice",
+    (2, 0): "Plane",
+}
+# report keys of the direction and the lattice vectors, in that order;
+# Lattice2 reports its basis as a list
+_REPORT_KEYS = {
+    "Lattice1": ("generator",),
+    "LineDense": ("direction",),
+    "LineLattice": ("direction", "transversal"),
+}
+# the field_* eliminations over Q: is_zero, zero, one
+_RATIONAL_FIELD = (lambda x: x == 0, Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
 class AdditiveClosure:
-    shape: str
-    exact: bool
+    """The closed subgroup V + L of the plane: V spanned by `directions`
+    (none, one, or PLANE_DIRECTIONS), L the lattice with basis `lattice`.
+    A LineLattice's basis vector, its transversal, is orthogonal to V.  With
+    exact=False the vectors are rational approximations from the numeric
+    heuristic and only distances are measured."""
+
+    exact: bool = True
+    directions: Tuple[CycloScalar, ...] = ()
+    lattice: Tuple[CycloScalar, ...] = ()
     evidence: Optional[dict] = None
+
+    @property
+    def shape(self) -> str:
+        return _SHAPES[len(self.directions), len(self.lattice)]
 
     def contains(self, v, eps: float = 1e-9) -> bool:
         x = _exact_cyclo(v) if self.exact else None
@@ -111,34 +158,120 @@ class AdditiveClosure:
             return bool(one[0])
         return self.distance(v) <= eps
 
+    @cached_property
+    def _forms(self) -> Tuple[List[List[int]], List[List[int]], int, int]:
+        """(F, G, m, bound): v lies in the closure when F.v = 0 and G.v / m
+        is integral; `bound` times the largest entry of the arrays bounds
+        every product of the test."""
+        spans = [*self.directions, *(d * _SQRT3 for d in self.directions)]
+        rows, den = _lift_rows([*spans, *self.lattice]) if spans or self.lattice else ([], 1)
+        vanish = integer_kernel(rows) if rows else [[int(i == j) for j in range(4)] for i in range(4)]
+        cols = [[row[c] for row in rows] for c in range(4)]
+        duals = []
+        for j in range(len(self.lattice)):
+            # rows hold den times the lifts: G.lattice_j / m = 1, so G.row = den
+            target = [0] * len(spans) + [den * (i == j) for i in range(len(self.lattice))]
+            duals.append(field_solve(cols, target, *_RATIONAL_FIELD))
+        m = lcm(1, *(x.denominator for g in duals for x in g))
+        integral = [[int(x * m) for x in g] for g in duals]
+        bound = max([m] + [4 * abs(x) for row in vanish + integral for x in row])
+        return vanish, integral, m, bound
+
     def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Exact membership, row by row, of the vectors
         (x0 + x1*sqrt3, y0 + y1*sqrt3) / den with (x0, x1, y0, y1) a row of
         the (N, 4) integer array `nums` and den > 0 an entry of `den`."""
-        raise NotImplementedError
+        vanish, integral, m, bound = self._forms
+        nums, den = widen(bound, nums, den)
+        f = np.array(vanish, dtype=nums.dtype).reshape(-1, 4)
+        g = np.array(integral, dtype=nums.dtype).reshape(-1, 4)
+        return np.all(nums @ f.T == 0, axis=1) & np.all(
+            (nums @ g.T) % (m * den)[:, None] == 0, axis=1
+        )
+
+    @cached_property
+    def _floats(self) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
+        """An orthonormal basis of V (Gram-Schmidt on the directions) and
+        L's basis, as floats.  A rank-2 basis is Gauss-reduced first: the
+        stored basis is an HNF and can be long and thin, and for a reduced
+        basis the nearest lattice point to v is a corner of the basis cell
+        holding v."""
+        units: List[complex] = []
+        for d in self.directions:
+            w = d.to_complex()
+            for u in units:
+                w -= (w.real * u.real + w.imag * u.imag) * u
+            units.append(w / abs(w))
+        basis = _gauss_reduced(*self.lattice) if len(self.lattice) == 2 else self.lattice
+        return tuple(units), tuple(b.to_complex() for b in basis)
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         """Distances to the closure from a 1-d array of complex numbers."""
-        raise NotImplementedError
+        units, basis = self._floats
+        x, y = v.real, v.imag
+        for u in units:
+            t = x * u.real + y * u.imag
+            x, y = x - t * u.real, y - t * u.imag
+        if len(basis) == 0:
+            return np.hypot(x, y)
+        if len(basis) == 1:
+            (g,) = basis
+            n = np.round((x * g.real + y * g.imag) / abs(g) ** 2)
+            return np.hypot(x - n * g.real, y - n * g.imag)
+        b1, b2 = basis
+        det = b1.real * b2.imag - b1.imag * b2.real
+        s = (x * b2.imag - y * b2.real) / det
+        t = (b1.real * y - b1.imag * x) / det
+        best = np.full(v.shape, np.inf)
+        for ds in (np.floor(s), np.ceil(s)):
+            for dt in (np.floor(t), np.ceil(t)):
+                dx = x - ds * b1.real - dt * b2.real
+                dy = y - ds * b1.imag - dt * b2.imag
+                best = np.minimum(best, np.hypot(dx, dy))
+        return best
 
     def distance(self, v) -> float:
         return float(self.distance_many(np.array([_as_complex(v)], dtype=np.complex128))[0])
 
+    def shortest_vector(self) -> float:
+        """Length of a shortest nonzero vector of L: the first reduced one."""
+        return abs(self._floats[1][0])
+
     def is_discrete(self) -> Trilean:
         if not self.exact:
             return Trilean.UNKNOWN
-        return Trilean.of(self.shape in ("Zero", "Lattice1", "Lattice2"))
+        return Trilean.of(not self.directions)
 
     def is_whole_plane(self) -> Trilean:
         if not self.exact:
             return Trilean.UNKNOWN
-        return Trilean.of(self.shape == "Plane")
+        return Trilean.of(len(self.directions) == 2)
 
     def to_report(self) -> dict:
         out = {"shape": self.shape, "exact": self.exact}
         if self.evidence:
             out["evidence"] = self.evidence
+        if self.shape == "Lattice2":
+            out["basis"] = [_fmt_planar(b) for b in self.lattice]
+            out["basis_values"] = [_c2l(b.to_complex()) for b in self.lattice]
+        for key, w in zip(_REPORT_KEYS.get(self.shape, ()), self.directions + self.lattice):
+            out[key] = _fmt_planar(w)
+            out[key + "_value"] = _c2l(w.to_complex())
         return out
+
+
+def _gauss_reduced(b1: CycloScalar, b2: CycloScalar) -> Tuple[CycloScalar, CycloScalar]:
+    """An exact Gauss reduction of a planar basis: |b1| <= |b2| and
+    |b1.b2| <= |b1|^2 / 2."""
+    if (b1.abs_sq() - b2.abs_sq()).sign() > 0:
+        b1, b2 = b2, b1
+    while True:
+        # the pairing b1.b2 is re(b1 * conj b2)
+        m = round((b1 * b2.conj()).to_complex().real / b1.abs_sq().to_complex().real)
+        b2 = b2 - m * b1
+        if (b2.abs_sq() - b1.abs_sq()).sign() >= 0:
+            return b1, b2
+        b1, b2 = b2, b1
 
 
 def _exact_cyclo(v) -> Optional[CycloScalar]:
@@ -151,215 +284,6 @@ def _as_complex(v) -> complex:
     if isinstance(v, (Scalar, CycloScalar)):
         return v.to_complex()
     return complex(v)
-
-
-@dataclass(frozen=True)
-class ZeroGroup(AdditiveClosure):
-    shape: str = "Zero"
-    exact: bool = True
-
-    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        return np.all(nums == 0, axis=1)
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        return np.hypot(v.real, v.imag)
-
-
-class _LatticeClosure(AdditiveClosure):
-    """Lattice1 and Lattice2: exact membership solves against the integer
-    HNF of the lifted basis."""
-
-    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
-        raise NotImplementedError
-
-    @cached_property
-    def _hnf(self) -> Tuple[List[List[int]], int]:
-        """(rows, D): the lifted lattice is the Z-span of rows / D."""
-        rows, den = _lift_rows(self._basis_vectors())
-        return hnf(rows), den
-
-    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        rows, scale = self._hnf
-        # each elimination grows the target's entries by a factor of at
-        # most 1 + the largest HNF entry
-        growth = 1 + max(abs(x) for row in rows for x in row)
-        nums, den = widen(scale * growth ** len(rows), nums, den)
-        # the target, the lift over the basis denominator, must be integral
-        t = nums * scale
-        member = np.all(t % den[:, None] == 0, axis=1)
-        t //= den[:, None]
-        # back substitution against the HNF, all rows at once: later rows
-        # are zero in a row's pivot column, so a remainder left there stays
-        for row in rows:
-            c = next(i for i, x in enumerate(row) if x)
-            t -= (t[:, c] // row[c])[:, None] * np.array(row, dtype=t.dtype)
-        return member & np.all(t == 0, axis=1)
-
-
-@dataclass(frozen=True)
-class Lattice1(_LatticeClosure):
-    generator: CycloScalar = None
-    shape: str = "Lattice1"
-    exact: bool = True
-
-    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
-        return (self.generator,)
-
-    @cached_property
-    def _floats(self) -> Tuple[complex, float]:
-        g = self.generator.to_complex()
-        return g, abs(g) ** 2
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        g, norm_sq = self._floats
-        n = np.round((v.real * g.real + v.imag * g.imag) / norm_sq)
-        return np.hypot(v.real - n * g.real, v.imag - n * g.imag)
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["generator"] = _fmt_planar(self.generator)
-        out["generator_value"] = _c2l(self.generator.to_complex())
-        return out
-
-
-@dataclass(frozen=True)
-class Lattice2(_LatticeClosure):
-    basis: Tuple[CycloScalar, CycloScalar] = None
-    shape: str = "Lattice2"
-    exact: bool = True
-
-    def _basis_vectors(self) -> Tuple[CycloScalar, ...]:
-        return self.basis
-
-    @cached_property
-    def _floats(self) -> Tuple[complex, complex, float]:
-        """The basis after an exact Gauss reduction (|b1| <= |b2| and
-        |b1.b2| <= |b1|^2 / 2), as floats, and its determinant.  The stored
-        basis is an HNF and can be long and thin; for a reduced basis the
-        nearest lattice point to v is a corner of the basis cell holding v."""
-        b1, b2 = self.basis
-        if (b1.abs_sq() - b2.abs_sq()).sign() > 0:
-            b1, b2 = b2, b1
-        while True:
-            # the pairing b1.b2 is re(b1 * conj b2)
-            m = round((b1 * b2.conj()).to_complex().real / b1.abs_sq().to_complex().real)
-            b2 = b2 - m * b1
-            if (b2.abs_sq() - b1.abs_sq()).sign() >= 0:
-                break
-            b1, b2 = b2, b1
-        c1, c2 = b1.to_complex(), b2.to_complex()
-        return c1, c2, c1.real * c2.imag - c1.imag * c2.real
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        b1, b2, det = self._floats
-        s = (v.real * b2.imag - v.imag * b2.real) / det
-        t = (b1.real * v.imag - b1.imag * v.real) / det
-        best = np.full(v.shape, np.inf)
-        for ds in (np.floor(s), np.ceil(s)):
-            for dt in (np.floor(t), np.ceil(t)):
-                dx = v.real - ds * b1.real - dt * b2.real
-                dy = v.imag - ds * b1.imag - dt * b2.imag
-                best = np.minimum(best, np.hypot(dx, dy))
-        return best
-
-    def shortest_vector(self) -> float:
-        """Length of a shortest nonzero vector: the first reduced one."""
-        return abs(self._floats[0])
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["basis"] = [_fmt_planar(b) for b in self.basis]
-        out["basis_values"] = [_c2l(b.to_complex()) for b in self.basis]
-        return out
-
-
-@dataclass(frozen=True)
-class LineDense(AdditiveClosure):
-    direction: CycloScalar = None
-    shape: str = "LineDense"
-    exact: bool = True
-
-    @cached_property
-    def _direction_lift(self) -> Tuple[int, int, int, int]:
-        return self.direction.planar_lift()[0]
-
-    @cached_property
-    def _unit(self) -> complex:
-        u = self.direction.to_complex()
-        return u / abs(u)
-
-    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        # v parallel to the direction: v.x * dir.y == v.y * dir.x in Q(sqrt3)
-        p, q, r, s = self._direction_lift
-        nums, den = widen(4 * max(map(abs, self._direction_lift)), nums, den)
-        a, b, c, e = nums.T
-        return (a * r + 3 * b * s == c * p + 3 * e * q) & (a * s + b * r == c * q + e * p)
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        u = self._unit
-        t = v.real * u.real + v.imag * u.imag
-        return np.hypot(v.real - t * u.real, v.imag - t * u.imag)
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["direction"] = _fmt_planar(self.direction)
-        out["direction_value"] = _c2l(self.direction.to_complex())
-        return out
-
-
-@dataclass(frozen=True)
-class LineLattice(AdditiveClosure):
-    """All x with dual.x in Z: a line of direction `direction` plus integer
-    steps of `transversal`."""
-
-    direction: CycloScalar = None
-    transversal: CycloScalar = None
-    dual: CycloScalar = None
-    shape: str = "LineLattice"
-    exact: bool = True
-
-    @cached_property
-    def _dual_lift(self) -> Tuple[Tuple[int, int, int, int], int]:
-        return self.dual.planar_lift()
-
-    @cached_property
-    def _dual_floats(self) -> Tuple[complex, float]:
-        d = self.dual.to_complex()
-        return d, abs(d)
-
-    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        # the pairing v.dual lies in Z: no sqrt3 part, integral rational part
-        (p, q, r, s), scale = self._dual_lift
-        nums, den = widen(max(8 * max(map(abs, (p, q, r, s))), scale), nums, den)
-        a, b, c, e = nums.T
-        return (a * q + b * p + c * s + e * r == 0) & (
-            (a * p + 3 * b * q + c * r + 3 * e * s) % (den * scale) == 0
-        )
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        d, norm = self._dual_floats
-        pairing = v.real * d.real + v.imag * d.imag
-        return np.abs(pairing - np.round(pairing)) / norm
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["direction"] = _fmt_planar(self.direction)
-        out["transversal"] = _fmt_planar(self.transversal)
-        out["direction_value"] = _c2l(self.direction.to_complex())
-        out["transversal_value"] = _c2l(self.transversal.to_complex())
-        return out
-
-
-@dataclass(frozen=True)
-class PlaneGroup(AdditiveClosure):
-    shape: str = "Plane"
-    exact: bool = True
-
-    def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        return np.ones(nums.shape[0], dtype=bool)
-
-    def distance_many(self, v: np.ndarray) -> np.ndarray:
-        return np.zeros(v.shape)
 
 
 def _c2l(z: complex) -> List[float]:
@@ -377,17 +301,15 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
         return _classify_additive_heuristic([_as_complex(v) for v in vectors])
     gens = [p for p in planar if not p.is_zero()]
     if not gens:
-        return ZeroGroup()
+        return AdditiveClosure()
     d = _planar_rank(gens)
     basis = _lattice_basis(gens)
     t = len(basis)
     if t == d:
-        if d == 1:
-            return Lattice1(generator=basis[0])
-        return Lattice2(basis=(basis[0], basis[1]))
+        return AdditiveClosure(lattice=tuple(basis))
     if d == 1:
         re = gens[0].real_part()
-        return LineDense(direction=CYCLO_I if re.is_zero() else gens[0] / re)
+        return AdditiveClosure(directions=(CYCLO_I if re.is_zero() else gens[0] / re,))
     # d == 2 with extra abstract rank: compute the dual group D from the
     # 2 x t matrix of the basis coordinates, over Q(sqrt3)
     cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]
@@ -403,7 +325,7 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
         m_basis = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
     m_basis = [row for row in m_basis if any(row)]
     if not m_basis:
-        return PlaneGroup()
+        return AdditiveClosure(directions=PLANE_DIRECTIONS)
     duals: List[CycloScalar] = []
     for k in m_basis:
         target = [CycloScalar.from_int(x) for x in k]
@@ -416,7 +338,7 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     if len(dual_basis) != rank_d:
         raise AssertionError("dual group of a closed subgroup must be discrete")
     if rank_d == 0:
-        return PlaneGroup()
+        return AdditiveClosure(directions=PLANE_DIRECTIONS)
     if rank_d == 2:
         raise AssertionError("rank-2 dual with dense directions is impossible")
     g = dual_basis[0]
@@ -425,7 +347,7 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     re = direction.real_part()
     if (direction.imag_part() if re.is_zero() else re).sign() < 0:
         direction = -direction
-    return LineLattice(direction=direction, transversal=transversal, dual=g)
+    return AdditiveClosure(directions=(direction,), lattice=(transversal,))
 
 
 def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
@@ -440,7 +362,7 @@ def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
     vals = [v for v in values if abs(v) > 1e-13]
     ev: Dict[str, object] = {"path": "heuristic"}
     if not vals:
-        return ZeroGroup(exact=False, evidence=ev)
+        return AdditiveClosure(exact=False, evidence=ev)
     best = max(vals, key=abs)
     dim = 1
     for v in vals:
@@ -467,23 +389,18 @@ def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
             for f in ratios:
                 den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
             g = lengths[0] * num_gcd / den_lcm
-            return Lattice1(generator=_planar_float(g * u), exact=False, evidence=ev)
-        return LineDense(direction=_planar_float(u), exact=False, evidence=ev)
+            return AdditiveClosure(exact=False, lattice=(_planar_float(g * u),), evidence=ev)
+        return AdditiveClosure(exact=False, directions=(_planar_float(u),), evidence=ev)
     basis, discrete = _reduce_basis_2d(vals)
     ev["reduced_rank"] = len(basis)
     if discrete:
-        if len(basis) == 1:
-            return Lattice1(generator=_planar_float(basis[0]), exact=False, evidence=ev)
-        return Lattice2(
-            basis=(_planar_float(basis[0]), _planar_float(basis[1])),
-            exact=False,
-            evidence=ev,
-        )
+        lattice = tuple(_planar_float(b) for b in basis)
+        return AdditiveClosure(exact=False, lattice=lattice, evidence=ev)
     sums = _bounded_combinations(vals, span=7)
     fill = _grid_fill(sums)
     ev["grid_fill"] = fill
     if fill >= 0.5:
-        return PlaneGroup(exact=False, evidence=ev)
+        return AdditiveClosure(exact=False, directions=PLANE_DIRECTIONS, evidence=ev)
     # concentrate along the direction of the shortest accumulating element
     small = min((s for s in sums if abs(s) > 1e-12), key=abs)
     u = small / abs(small)
@@ -491,18 +408,14 @@ def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
     offsets = sorted({round(p, 7) for p in perp})
     nonzero = [o for o in offsets if abs(o) > 1e-7]
     if not nonzero:
-        return LineDense(direction=_planar_float(u), exact=False, evidence=ev)
+        return AdditiveClosure(exact=False, directions=(_planar_float(u),), evidence=ev)
     step = min(abs(o) for o in nonzero)
     if all(abs(o / step - round(o / step)) < 1e-6 for o in nonzero):
         t = complex(-u.imag, u.real) * step
-        return LineLattice(
-            direction=_planar_float(u),
-            transversal=_planar_float(t),
-            dual=_planar_float(t / step**2),
-            exact=False,
-            evidence=ev,
+        return AdditiveClosure(
+            exact=False, directions=(_planar_float(u),), lattice=(_planar_float(t),), evidence=ev
         )
-    return PlaneGroup(exact=False, evidence=ev)
+    return AdditiveClosure(exact=False, directions=PLANE_DIRECTIONS, evidence=ev)
 
 
 def _reduce_basis_2d(vals: List[complex]) -> Tuple[List[complex], bool]:

@@ -28,10 +28,9 @@ from .affine_maps import (
     v_to_complex,
 )
 from .closed_subgroups import (
+    PLANE_DIRECTIONS,
     AdditiveClosure,
-    LineDense,
     MultClosure,
-    PlaneGroup,
     _planar_float,
     classify_additive_closure,
     classify_multiplicative_closure,
@@ -398,9 +397,9 @@ def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosur
     vectors = [f.commutator(g)[0] for f, g in combinations(spec.generators, 2)]
     c = next(v for v in vectors if v.eq_zero() is Trilean.NO)
     if nonreal or any((v * c.conj()).is_real() is Trilean.NO for v in vectors):
-        return PlaneGroup(exact=spec.is_exact)
+        return AdditiveClosure(exact=spec.is_exact, directions=PLANE_DIRECTIONS)
     direction = c.exact_value if c.is_exact else _planar_float(c.to_complex())
-    return LineDense(direction=direction, exact=spec.is_exact)
+    return AdditiveClosure(exact=spec.is_exact, directions=(direction,))
 
 
 # ---------------------------------------------------------------------------

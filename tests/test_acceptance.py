@@ -500,18 +500,19 @@ def annihilator_generators(C):
     if C.shape == "Plane":
         return [CYCLO_ZERO]
     if C.shape == "Lattice1":
-        g = C.generator
+        (g,) = C.lattice
         u = CYCLO_I * g  # g turned by a quarter
         return [g / g.abs_sq(), u, u * SQ3]
     if C.shape == "Lattice2":
-        b1, b2 = C.basis
+        b1, b2 = C.lattice
         det = (b1.conj() * b2).imag_part()
         return [-CYCLO_I * b2 / det, CYCLO_I * b1 / det]
     if C.shape == "LineDense":
-        u = CYCLO_I * C.direction
+        u = CYCLO_I * C.directions[0]
         return [u, u * SQ3]
     if C.shape == "LineLattice":
-        return [C.dual]
+        (t,) = C.lattice
+        return [t / t.abs_sq()]
     raise AssertionError(f"inexact shape {C.shape}")
 
 
@@ -520,14 +521,12 @@ def canonical_generators(C):
         return []
     if C.shape == "Plane":
         return [CYCLO_ONE, CYCLO_I, SQ3]
-    if C.shape == "Lattice1":
-        return [C.generator]
-    if C.shape == "Lattice2":
-        return list(C.basis)
+    if C.shape in ("Lattice1", "Lattice2"):
+        return list(C.lattice)
     if C.shape == "LineDense":
-        return [C.direction, C.direction * SQ3]
+        return [C.directions[0], C.directions[0] * SQ3]
     if C.shape == "LineLattice":
-        return [C.transversal, C.direction, C.direction * SQ3]
+        return [C.lattice[0], C.directions[0], C.directions[0] * SQ3]
     raise AssertionError(f"inexact shape {C.shape}")
 
 

@@ -24,7 +24,7 @@ from homothety_orbits.exact_algebra import (
 from homothety_orbits.lattices import hnf
 from homothety_orbits import closed_subgroups
 from homothety_orbits.closed_subgroups import (
-    Lattice2,
+    AdditiveClosure,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
@@ -76,6 +76,13 @@ def _pairing(u: CycloScalar, v: CycloScalar):
     return x[0] + y[0], x[1] + y[1]
 
 
+def _dual(c) -> CycloScalar:
+    """The functional of a LineLattice that is 0 on its line and 1 on its
+    transversal t: t / |t|^2."""
+    t = c.lattice[0]
+    return t / t.abs_sq()
+
+
 def _fraction_parse_scalar(c, p: CycloScalar) -> bool:
     """Membership of an exact vector computed on Fraction pairs p + q*sqrt3."""
     if c.shape == "Plane":
@@ -84,13 +91,13 @@ def _fraction_parse_scalar(c, p: CycloScalar) -> bool:
     if c.shape == "Zero":
         return not any(lift)
     if c.shape == "LineDense":
-        d = planar_fractions(c.direction)
+        d = planar_fractions(c.directions[0])
         cross = _rq_mul(lift[:2], d[2:]), _rq_mul(lift[2:], d[:2])
         return cross[0] == cross[1]
     if c.shape == "LineLattice":
-        pairing = _pairing(p, c.dual)
+        pairing = _pairing(p, _dual(c))
         return pairing[1] == 0 and pairing[0].denominator == 1
-    basis = [c.generator] if c.shape == "Lattice1" else list(c.basis)
+    basis = list(c.lattice)
     rows = lattice_basis_from_rational_rows([planar_fractions(b) for b in basis])
     ints, _ = clear_denominators(rows + [list(lift)])
     return hnf_solve(hnf(ints[:-1]), ints[-1]) is not None
@@ -103,11 +110,11 @@ def _reference_distance(c, v: complex) -> float:
     if c.shape == "Zero":
         return abs(v)
     if c.shape == "Lattice1":
-        g = c.generator.to_complex()
+        g = c.lattice[0].to_complex()
         n = round((v.real * g.real + v.imag * g.imag) / abs(g) ** 2)
         return abs(v - n * g)
     if c.shape == "Lattice2":
-        b1, b2, _ = c._floats  # the reduced basis
+        b1, b2 = c._floats[1]  # the reduced basis
         det = b1.real * b2.imag - b1.imag * b2.real
         s = (v.real * b2.imag - v.imag * b2.real) / det
         t = (b1.real * v.imag - b1.imag * v.real) / det
@@ -116,13 +123,15 @@ def _reference_distance(c, v: complex) -> float:
             for ds in (math.floor(s), math.ceil(s))
             for dt in (math.floor(t), math.ceil(t))
         )
+    u = c.directions[0].to_complex()
+    u /= abs(u)
+    w = v - (v.real * u.real + v.imag * u.imag) * u
     if c.shape == "LineDense":
-        u = c.direction.to_complex()
-        u /= abs(u)
-        return abs(v - (v.real * u.real + v.imag * u.imag) * u)
-    d = c.dual.to_complex()
-    pairing = v.real * d.real + v.imag * d.imag
-    return abs(pairing - round(pairing)) / abs(d)
+        return abs(w)
+    # LineLattice: the nearest multiple of the transversal, off the line
+    g = c.lattice[0].to_complex()
+    n = round((w.real * g.real + w.imag * g.imag) / abs(g) ** 2)
+    return abs(w - n * g)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +142,7 @@ class TestAdditivePinned:
     def test_unit_square_lattice(self):
         c = classify_additive_closure([Scalar.integer(1), Scalar.gauss(0, 1)])
         assert c.shape == "Lattice2"
-        rows, den = c._hnf
-        assert den == 1
-        assert rows == [[1, 0, 0, 0], [0, 0, 1, 0]]
+        assert closed_subgroups._lift_rows(c.lattice) == ([[1, 0, 0, 0], [0, 0, 1, 0]], 1)
         assert c.contains(Scalar.gauss(3, -2))
         assert not c.contains(Scalar.rational(Fraction(1, 2)))
         assert c.shortest_vector() == pytest.approx(1.0)
@@ -159,7 +166,7 @@ class TestAdditivePinned:
         c = classify_additive_closure([pv(1, 0), pv(SQRT3, 0)])
         assert c.shape == "LineDense"
         assert c.exact
-        assert c.direction.is_real() and not c.direction.is_zero()
+        assert c.directions[0].is_real() and not c.directions[0].is_zero()
         # every Q(sqrt3) point of the line belongs; off-line points do not
         assert c.contains(pv(rq(Fraction(-7, 2), Fraction(2)), 0))
         assert not c.contains(pv(0, 1))
@@ -179,9 +186,9 @@ class TestAdditivePinned:
         assert c.shape == "LineLattice"
         assert c.exact
         # the dual functional annihilates the line and is 1 on the step
-        assert _pairing(c.dual, c.direction) == (0, 0)
-        assert _pairing(c.dual, c.transversal) == (1, 0)
-        assert c.direction.is_real()
+        assert _pairing(_dual(c), c.directions[0]) == (0, 0)
+        assert _pairing(_dual(c), c.lattice[0]) == (1, 0)
+        assert c.directions[0].is_real()
         # the direction is reported with a positive leading coordinate
         assert c.to_report()["direction"] == "[1, 0]"
         # membership is exactly "integer dual pairing"
@@ -301,7 +308,7 @@ class TestLattice2Reduction:
     )
     def test_distance_matches_brute_force_on_skewed_bases(self, bases, points):
         (c1, c2), skewed = bases
-        lattice = Lattice2(basis=skewed)
+        lattice = AdditiveClosure(lattice=skewed)
         z1, z2 = c1.to_complex(), c2.to_complex()
         reach = abs(z1) + abs(z2)  # some cell corner is this close to any point
         for x, y in points:
@@ -330,7 +337,7 @@ class TestLattice2Reduction:
         profile = compute_profile(spec)
         lattice = profile.g1_closure
         assert lattice.shape == "Lattice2"
-        b1, b2 = (b.to_complex() for b in lattice.basis)
+        b1, b2 = (b.to_complex() for b in lattice.lattice)
         assert min(abs(b1), abs(b2)) > 3000
 
         shortest = min(abs(p) for p in _lattice_points_within(b1, b2, 20.0) if abs(p) > 0)
@@ -381,18 +388,18 @@ class TestAdditiveInvariants:
     def test_lattice_reclassification_is_stable(self, gens):
         c = classify_additive_closure(gens)
         if c.shape == "Lattice2":
-            again = classify_additive_closure(list(c.basis))
+            again = classify_additive_closure(list(c.lattice))
             assert again.shape == "Lattice2"
-            assert again._hnf == c._hnf
+            assert again.lattice == c.lattice
             # half a basis vector never belongs to the lattice itself
-            assert not c.contains(c.basis[0] * Fraction(1, 2))
+            assert not c.contains(c.lattice[0] * Fraction(1, 2))
         elif c.shape == "Lattice1":
-            again = classify_additive_closure([c.generator])
+            again = classify_additive_closure(list(c.lattice))
             assert again.shape == "Lattice1"
-            assert again.contains(c.generator) and c.contains(again.generator)
+            assert again.contains(c.lattice[0]) and c.contains(again.lattice[0])
         elif c.shape == "LineLattice":
-            assert _pairing(c.dual, c.direction) == (0, 0)
-            assert _pairing(c.dual, c.transversal) == (1, 0)
+            assert _pairing(_dual(c), c.directions[0]) == (0, 0)
+            assert _pairing(_dual(c), c.lattice[0]) == (1, 0)
 
     @given(
         st.lists(exact_scalars(), min_size=1, max_size=4),
@@ -422,6 +429,26 @@ class TestAdditiveInvariants:
             scalar = c.distance(v)
             assert isinstance(scalar, float) and scalar == d
             assert scalar == _reference_distance(c, v)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_line_lattice_distance_is_the_dual_pairing_distance(self, rng, numeric):
+        # the distance once measured with the dual functional d of the
+        # closure, |d.v - round(d.v)| / |d|, now as the distance to the
+        # nearest multiple of the transversal after projecting out the line
+        found = 0
+        while found < (8 if numeric else 40):
+            gens = [random_cyclo(rng) for _ in range(rng.randint(2, 3))]
+            gens.append(gens[0] * SQRT3)
+            c = classify_additive_closure([g.to_complex() if numeric else g for g in gens])
+            if c.shape != "LineLattice":
+                continue
+            found += 1
+            t = c.lattice[0].to_complex()
+            d = t / abs(t) ** 2 if numeric else _dual(c).to_complex()
+            v = np.array([complex(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(50)])
+            pairing = v.real * d.real + v.imag * d.imag
+            parent = np.abs(pairing - np.round(pairing)) / abs(d)
+            assert np.all(np.abs(c.distance_many(v) - parent) <= 1e-12 * np.maximum(1, np.abs(v)))
 
     def test_many_seeded_membership_checks(self, rng):
         for _ in range(300):
