@@ -164,7 +164,7 @@ class AdditiveClosure:
         is integral; `bound` times the largest entry of the arrays bounds
         every product of the test."""
         spans = [*self.directions, *(d * _SQRT3 for d in self.directions)]
-        rows, den = _lift_rows([*spans, *self.lattice]) if spans or self.lattice else ([], 1)
+        rows, den = _lift_rows([*spans, *self.lattice])
         vanish = integer_kernel(rows) if rows else [[int(i == j) for j in range(4)] for i in range(4)]
         cols = [[row[c] for row in rows] for c in range(4)]
         duals = []

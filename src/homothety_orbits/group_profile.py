@@ -389,11 +389,11 @@ def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosur
     # approximate ratio is never proved to be a root), so Lambda holds a
     # ratio of modulus other than 1 or of infinite order, or is a finite
     # rotation group of an order other than 1, 2, 3, 4 and 6; either way it
-    # preserves no lattice.  T is nonzero (the group is non-abelian) and invariant under
-    # multiplication by every ratio, so T is not discrete.  A non-discrete
-    # closed subgroup of C that a non-real ratio preserves is all of C; with
-    # real ratios only, it is the real span of T, which the commutator
-    # vectors span.
+    # preserves no lattice.  T is nonzero (the group is non-abelian) and
+    # invariant under multiplication by every ratio, so T is not discrete.
+    # A non-discrete closed subgroup of C that a non-real ratio preserves is
+    # all of C; with real ratios only, it is the real span of T, which the
+    # commutator vectors span.
     vectors = [f.commutator(g)[0] for f, g in combinations(spec.generators, 2)]
     c = next(v for v in vectors if v.eq_zero() is Trilean.NO)
     if nonreal or any((v * c.conj()).is_real() is Trilean.NO for v in vectors):
