@@ -165,11 +165,13 @@ class AdditiveClosure:
         every product of the test."""
         spans = [*self.directions, *(d * _SQRT3 for d in self.directions)]
         rows, den = _lift_rows([*spans, *self.lattice])
+        # integer_kernel reads the width off a row: with none, every form
         vanish = integer_kernel(rows) if rows else [[int(i == j) for j in range(4)] for i in range(4)]
         cols = [[row[c] for row in rows] for c in range(4)]
         duals = []
         for j in range(len(self.lattice)):
-            # rows hold den times the lifts: G.lattice_j / m = 1, so G.row = den
+            # the rows are den times the lifts, so the form that is 1 on the
+            # lift of lattice[j] is den on its row
             target = [0] * len(spans) + [den * (i == j) for i in range(len(self.lattice))]
             duals.append(field_solve(cols, target, *_RATIONAL_FIELD))
         m = lcm(1, *(x.denominator for g in duals for x in g))
