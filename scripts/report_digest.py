@@ -13,7 +13,9 @@ both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
 which take the heuristic closures, and `classify` on one such document in
 C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
-whose translation closures take every additive shape, exact and heuristic.
+whose translation closures take every additive shape, exact and heuristic,
+and the `additive-c2` line the same on C^2 half-turn groups whose closures
+have (dim V, rank L) from (0, 1) to (4, 0), and one with decimal centres.
 Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
@@ -57,6 +59,23 @@ ADDITIVE_CENTRES = (
     ("0", "1", "zeta12+zeta12^11", "i"), ("0", "1", "i"),
     ("0", "0.5"), ("0", "0.3", "1"), ("0", "1", "1.7320508075688772"),
     ("0", "1", "1.7320508075688772", "i"), ("0", "1", "0.5i"),
+)
+
+# C^2 half-turn centres, as (x, y) pairs, with s = sqrt3 and t = sqrt3*i:
+# (dim V, rank L) = (0, 1), (0, 2), (0, 4), (1, 0), (2, 0), (2, 2), (4, 0)
+# and (1, 1), then one set of decimal centres
+_S, _T = "zeta12+zeta12^11", "zeta12^2+zeta12^4"
+_SQRT3_PLANE = (("0", "0"), ("1", "0"), (_S, "0"), ("i", "0"), (_T, "0"))
+ADDITIVE_C2_CENTRES = (
+    (("0", "0"), ("1", "0")),
+    (("0", "0"), ("1", "0"), ("0", "1")),
+    (("0", "0"), ("1", "0"), ("i", "0"), ("0", "1"), ("0", "i")),
+    (("0", "0"), ("1", "0"), (_S, "0")),
+    _SQRT3_PLANE,
+    _SQRT3_PLANE + (("0", "1"), ("0", "i")),
+    _SQRT3_PLANE + (("0", "1"), ("0", "i"), ("0", _S), ("0", _T)),
+    (("0", "0"), ("1", "1"), (_S, _S), ("i", "0")),
+    (("0", "0"), ("0.5", "0"), ("0", "1.5")),
 )
 
 
@@ -139,6 +158,14 @@ def main() -> int:
             h.update(f"{count}:{code}\n".encode())
             h.update(out.encode())
         print(f"{'additive':<16} {len(ADDITIVE_CENTRES):>4} docs  {h.hexdigest()}", flush=True)
+        h = hashlib.sha256()
+        for count, centres in enumerate(ADDITIVE_C2_CENTRES):
+            gens = tuple(("-1", c) for c in centres)
+            path = write_doc(tmp, numeric_doc(2, gens, ("1/7", "1/7")))
+            code, out = run_cli(cli, ["classify", "--input", path])
+            h.update(f"{count}:{code}\n".encode())
+            h.update(out.encode())
+        print(f"{'additive-c2':<16} {len(ADDITIVE_C2_CENTRES):>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)
