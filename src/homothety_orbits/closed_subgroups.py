@@ -1,14 +1,15 @@
-"""Closed-subgroup classification in the plane and in C*.
+"""Closed-subgroup classification in C^n and in C*.
 
-Additive side: the closure of a finitely generated subgroup of R^2 is a
-subspace V plus a lattice L in a complement of V, held by one class whose
+Additive side: the closure of a finitely generated subgroup of R^(2n) = C^n
+is a subspace V plus a lattice L orthogonal to V, held by one class whose
 shape label is read off (dim V, rank L).  When the generators have
-coordinates in Q(sqrt(3)) it is decided exactly.  Generators are lifted to
-Q^4 through the basis {1, sqrt(3)} per axis; a Hermite normal form gives
-the abstract Z-rank, and Kronecker duality (the closure is the annihilator
-of the dual group D = {phi : phi.v in Z for all generators v}) reduces the
-classification to integer kernels of small rational systems.  Membership
-of an exact vector is then one integer test on its lift.
+coordinates in Q(zeta) it is decided exactly.  Each coordinate is lifted to
+Q^4 through the basis {1, sqrt(3)} of its real and imaginary parts; a
+Hermite normal form gives the abstract Z-rank, and Kronecker duality (the
+closure is the annihilator of the dual group D = {phi : phi.v in Z for all
+generators v}) reduces the classification to integer kernels and small
+systems over Q(sqrt(3)).  Membership of an exact vector is then one
+integer test on its lift.
 
 Multiplicative side: the closure of a subgroup of C* generated by exact
 ratios (elements of Q(zeta12)) is read through the log-polar map, from the
@@ -21,6 +22,7 @@ Approximate ratios fall back to a numeric heuristic and are flagged.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +34,7 @@ import numpy as np
 
 from .lattices import (
     field_nullspace,
-    field_rank,
+    field_rref,
     field_solve,
     hnf,
     integer_kernel,
@@ -54,25 +56,57 @@ from .exact_algebra import (
 _CYCLO_FIELD = (CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
 
 
-def _planar_rank(vectors: Sequence[CycloScalar]) -> int:
-    """Rank over Q(sqrt3) of the vectors (re v, im v), the same as over Q(zeta)."""
-    return field_rank([[v.real_part(), v.imag_part()] for v in vectors], *_CYCLO_FIELD)
+def _coords(v) -> tuple:
+    """The coordinates of a vector: a point of C^n, or in C one scalar."""
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _lift_rows(values: Sequence[CycloScalar]) -> Tuple[List[List[int]], int]:
-    """Planar lifts of exact values as integer rows over their least common
-    denominator."""
-    lifts = [v.planar_lift() for v in values]
-    den = lcm(*(d for _, d in lifts))
-    rows = [[x * (den // d) for x in nums] for nums, d in lifts]
+def _vector(coords: Sequence):
+    return coords[0] if len(coords) == 1 else tuple(coords)
+
+
+def _lift_rows(vectors: Sequence) -> Tuple[List[List[int]], int]:
+    """Planar lifts of exact vectors, four entries per coordinate, as
+    integer rows over their least common denominator."""
+    lifts = [[c.planar_lift() for c in _coords(v)] for v in vectors]
+    den = lcm(*(d for lift in lifts for _, d in lift))
+    rows = [[x * (den // d) for nums, d in lift for x in nums] for lift in lifts]
     g = gcd(den, *(x for row in rows for x in row))
     return [[x // g for x in row] for row in rows], den // g
 
 
-def _lattice_basis(values: Sequence[CycloScalar]) -> List[CycloScalar]:
-    """Z-basis (the HNF of the planar lifts) of the group the values generate."""
-    rows, den = _lift_rows(values)
-    return [CycloScalar.from_planar_lift(row, den) for row in hnf(rows)]
+def _lattice_basis(vectors: Sequence) -> list:
+    """Z-basis (the HNF of the planar lifts) of the group the vectors generate."""
+    rows, den = _lift_rows(vectors)
+    lift = CycloScalar.from_planar_lift
+    return [_vector([lift(r[k : k + 4], den) for k in range(0, len(r), 4)]) for r in hnf(rows)]
+
+
+def _reals(v) -> List[CycloScalar]:
+    """The 2n real coordinates (re, im of each) of an exact vector."""
+    return [part for c in _coords(v) for part in (c.real_part(), c.imag_part())]
+
+
+def _from_reals(reals: Sequence[CycloScalar]):
+    return _vector([reals[k] + CYCLO_I * reals[k + 1] for k in range(0, len(reals), 2)])
+
+
+def _dot(u, v):
+    """u.v summed term by term in order; row by row for an (N, m) array u."""
+    return sum((u[..., k] if isinstance(u, np.ndarray) else u[k]) * v[k] for k in range(len(v)))
+
+
+def _combine(coeffs: Sequence[CycloScalar], rows: Sequence[Sequence[CycloScalar]]) -> list:
+    """sum_i coeffs[i] * rows[i] of real coordinate lists."""
+    return [sum((a * r[k] for a, r in zip(coeffs, rows)), CYCLO_ZERO) for k in range(len(rows[0]))]
+
+
+def _solve_in(span: list, rows: list, targets: Sequence[Sequence[int]]) -> list:
+    """For each target t, the vector phi in the span of the real coordinate
+    lists `span` with phi.rows[j] = t[j] for every j (a Gram system)."""
+    gram = [[_dot(e, r) for r in rows] for e in span]
+    targets = ([CycloScalar.from_int(x) for x in t] for t in targets)
+    return [_from_reals(_combine(field_solve(gram, t, *_CYCLO_FIELD), span)) for t in targets]
 
 
 def _fmt_rq(a: int, b: int, den: int) -> str:
@@ -85,35 +119,41 @@ def _fmt_planar(v: CycloScalar) -> str:
     return f"[{_fmt_rq(x0, x1, den)}, {_fmt_rq(y0, y1, den)}]"
 
 
+def _complex_to_real(rows: np.ndarray) -> np.ndarray:
+    """(N, n) complex -> (N, 2n) real: re(z1), im(z1), ..., re(zn), im(zn)."""
+    return np.stack([rows.real, rows.imag], axis=2).reshape(rows.shape[0], -1)
+
+
 # ---------------------------------------------------------------------------
 # additive closures
 #
-# A closed subgroup of R^2 = C is a subspace V plus a lattice L in a
-# complement of V.  One class holds every such closure: V by a spanning list
-# of directions, L by a basis, and the shape label is read off (dim V,
-# rank L).  A planar vector x + iy is an exact CycloScalar.  Exact
-# membership reads vectors through their planar lifts to Q^4 as integer
-# numerators over one denominator each, v = (x0 + x1*sqrt3, y0 + y1*sqrt3)
-# / den.  The lifts of the Q(sqrt3)-points of V are the rational span of the
-# lifts of the directions and of their sqrt3 multiples; the lifts of L's
-# basis are independent of them.  So v lies in V + L exactly when the
-# integer forms F that vanish on all these lifts vanish on v (v lies in
-# their rational span) and the forms G / m, the dual basis of L modulo V,
-# are integral on v (its coordinates along L are integers).  F, G and m are
-# computed once per closure object.  `contains_lifts` tests an (N, 4)
-# numerator array and an (N,) denominator array at once, and `contains` of
-# an exact value is its one-row case.  The arrays are int64 or Python ints;
-# int64 ones widen first (`widen`) when a bound on every product of the test
-# reaches INT64_SAFE.  `distance_many` takes a 1-d complex array and
-# `distance` is its one-point case: it projects out V and measures the
-# distance to L by its rank, in real arithmetic with np.hypot for lengths,
-# so both give the same floats.
+# A closed subgroup of R^(2n) = C^n is a subspace V plus a lattice L in the
+# orthogonal complement of V.  One class holds every such closure: V by a
+# spanning list of directions, L by a basis, and the shape label is read
+# off (dim V, rank L).  A vector is a point of C^n, a tuple of exact
+# CycloScalars x + iy; in C it is held as its one coordinate.  Exact
+# membership reads vectors through their planar lifts to Q^(4n) as integer
+# numerators over one denominator each, (x0 + x1*sqrt3, y0 + y1*sqrt3) / den
+# per coordinate.  The lifts of the Q(sqrt3)-points of V are the rational
+# span of the lifts of the directions and of their sqrt3 multiples; the
+# lifts of L's basis are independent of them.  So v lies in V + L exactly
+# when the integer forms F that vanish on all these lifts vanish on v (v
+# lies in their rational span) and the forms G / m, the dual basis of L
+# modulo V, are integral on v (its coordinates along L are integers).  F, G
+# and m are computed once per closure object.  `contains_lifts` tests an
+# (N, 4n) numerator array and an (N,) denominator array at once, and
+# `contains` of an exact vector is its one-row case.  The arrays are int64
+# or Python ints; int64 ones widen first (`widen`) when a bound on every
+# product of the test reaches INT64_SAFE.  `distance_many` takes an (N, n)
+# complex array (in C also a 1-d one) and `distance` is its one-point case:
+# it projects out V and measures the distance to the nearest point of L in
+# real arithmetic, with np.hypot for lengths, so both give the same floats.
 
 
 _SQRT3 = CycloScalar(0, 2, 0, -1)  # 2*zeta - zeta^3
 # the directions of the closure that is the whole plane
 PLANE_DIRECTIONS = (CYCLO_ONE, CYCLO_I)
-# shape labels by (dim V, rank L)
+# shape labels in C by (dim V, rank L); in C^n, n >= 2, "V<dim V>+L<rank L>"
 _SHAPES = {
     (0, 0): "Zero",
     (0, 1): "Lattice1",
@@ -122,7 +162,7 @@ _SHAPES = {
     (1, 1): "LineLattice",
     (2, 0): "Plane",
 }
-# report keys of the direction and the lattice vectors, in that order;
+# report keys in C of the direction and the lattice vectors, in that order;
 # Lattice2 reports its basis as a list
 _REPORT_KEYS = {
     "Lattice1": ("generator",),
@@ -135,26 +175,27 @@ _RATIONAL_FIELD = (lambda x: x == 0, Fraction(0), Fraction(1))
 
 @dataclass(frozen=True)
 class AdditiveClosure:
-    """The closed subgroup V + L of the plane: V spanned by `directions`
-    (none, one, or PLANE_DIRECTIONS), L the lattice with basis `lattice`.
-    A LineLattice's basis vector, its transversal, is orthogonal to V.  With
-    exact=False the vectors are rational approximations from the numeric
-    heuristic and only distances are measured."""
+    """The closed subgroup V + L of C^n, n = dim: V spanned by `directions`
+    (in C none, one, or PLANE_DIRECTIONS), L the lattice with basis
+    `lattice`, orthogonal to V.  With exact=False the vectors are rational
+    approximations from a numeric heuristic, and only distances count."""
 
     exact: bool = True
-    directions: Tuple[CycloScalar, ...] = ()
-    lattice: Tuple[CycloScalar, ...] = ()
+    directions: tuple = ()
+    lattice: tuple = ()
     evidence: Optional[dict] = None
+    dim: int = 1
 
     @property
     def shape(self) -> str:
-        return _SHAPES[len(self.directions), len(self.lattice)]
+        key = len(self.directions), len(self.lattice)
+        return _SHAPES[key] if self.dim == 1 else "V%d+L%d" % key
 
     def contains(self, v, eps: float = 1e-9) -> bool:
-        x = _exact_cyclo(v) if self.exact else None
+        x = _exact_vector(v) if self.exact else None
         if x is not None:
-            nums, den = x.planar_lift()
-            one = self.contains_lifts(np.array([nums], dtype=object), np.array([den], dtype=object))
+            nums, den = _lift_rows([x])
+            one = self.contains_lifts(np.array(nums, dtype=object), np.array([den], dtype=object))
             return bool(one[0])
         return self.distance(v) <= eps
 
@@ -163,11 +204,13 @@ class AdditiveClosure:
         """(F, G, m, bound): v lies in the closure when F.v = 0 and G.v / m
         is integral; `bound` times the largest entry of the arrays bounds
         every product of the test."""
-        spans = [*self.directions, *(d * _SQRT3 for d in self.directions)]
+        width = 4 * self.dim
+        root3 = [_vector([c * _SQRT3 for c in _coords(d)]) for d in self.directions]
+        spans = [*self.directions, *root3]
         rows, den = _lift_rows([*spans, *self.lattice])
         # integer_kernel reads the width off a row: with none, every form
-        vanish = integer_kernel(rows) if rows else [[int(i == j) for j in range(4)] for i in range(4)]
-        cols = [[row[c] for row in rows] for c in range(4)]
+        vanish = integer_kernel(rows) if rows else np.eye(width, dtype=int).tolist()
+        cols = [[row[c] for row in rows] for c in range(width)]
         duals = []
         for j in range(len(self.lattice)):
             # the rows are den times the lifts, so the form that is 1 on the
@@ -176,68 +219,74 @@ class AdditiveClosure:
             duals.append(field_solve(cols, target, *_RATIONAL_FIELD))
         m = lcm(1, *(x.denominator for g in duals for x in g))
         integral = [[int(x * m) for x in g] for g in duals]
-        bound = max([m] + [4 * abs(x) for row in vanish + integral for x in row])
+        bound = max([m] + [width * abs(x) for row in vanish + integral for x in row])
         return vanish, integral, m, bound
 
     def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Exact membership, row by row, of the vectors
-        (x0 + x1*sqrt3, y0 + y1*sqrt3) / den with (x0, x1, y0, y1) a row of
-        the (N, 4) integer array `nums` and den > 0 an entry of `den`."""
+        """Exact membership, row by row, of the vectors with coordinates
+        (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, the (x0, x1, y0, y1) of each
+        in turn in a row of the (N, 4n) integer array `nums`, den > 0 an
+        entry of `den`."""
         vanish, integral, m, bound = self._forms
         nums, den = widen(bound, nums, den)
-        f = np.array(vanish, dtype=nums.dtype).reshape(-1, 4)
-        g = np.array(integral, dtype=nums.dtype).reshape(-1, 4)
+        f = np.array(vanish, dtype=nums.dtype).reshape(-1, 4 * self.dim)
+        g = np.array(integral, dtype=nums.dtype).reshape(-1, 4 * self.dim)
         return np.all(nums @ f.T == 0, axis=1) & np.all(
             (nums @ g.T) % (m * den)[:, None] == 0, axis=1
         )
 
     @cached_property
-    def _floats(self) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
-        """An orthonormal basis of V (Gram-Schmidt on the directions) and
-        L's basis, as floats.  A rank-2 basis is Gauss-reduced first: the
-        stored basis is an HNF and can be long and thin, and for a reduced
-        basis the nearest lattice point to v is a corner of the basis cell
-        holding v."""
-        units: List[complex] = []
+    def _floats(self) -> Tuple[List[np.ndarray], list]:
+        """An orthonormal basis of V (Gram-Schmidt on the directions), as
+        real coordinate rows, and a reduced basis of L, as complex vectors:
+        a planar one Gauss-reduced, so that the nearest lattice point to v
+        is a corner of the basis cell holding v, and one in C^n LLL-reduced,
+        which keeps the box of `_nearest_lattice_distance` small."""
+        units: List[np.ndarray] = []
         for d in self.directions:
-            w = d.to_complex()
+            w = _float_row(d)
             for u in units:
-                w -= (w.real * u.real + w.imag * u.imag) * u
-            units.append(w / abs(w))
-        basis = _gauss_reduced(*self.lattice) if len(self.lattice) == 2 else self.lattice
-        return tuple(units), tuple(b.to_complex() for b in basis)
+                w = w - _dot(w, u) * u
+            units.append(w / np.hypot.reduce(w))
+        basis = self.lattice
+        if len(basis) >= 2:
+            basis = (_gauss_reduced if self.dim == 1 else _lll_reduced)(basis)
+        return units, [_vector([c.to_complex() for c in _coords(b)]) for b in basis]
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
-        """Distances to the closure from a 1-d array of complex numbers."""
-        units, basis = self._floats
-        x, y = v.real, v.imag
+        """Distances to the closure from the rows of an (N, n) complex array."""
+        units, vectors = self._floats
+        basis = [_complex_to_real(np.array([_coords(b)]))[0] for b in vectors]
+        x = _complex_to_real(v.reshape(v.shape[0], -1))
         for u in units:
-            t = x * u.real + y * u.imag
-            x, y = x - t * u.real, y - t * u.imag
+            x = x - _dot(x, u)[:, None] * u
         if len(basis) == 0:
-            return np.hypot(x, y)
+            return np.hypot.reduce(x, axis=1)
         if len(basis) == 1:
             (g,) = basis
-            n = np.round((x * g.real + y * g.imag) / abs(g) ** 2)
-            return np.hypot(x - n * g.real, y - n * g.imag)
-        b1, b2 = basis
-        det = b1.real * b2.imag - b1.imag * b2.real
-        s = (x * b2.imag - y * b2.real) / det
-        t = (b1.real * y - b1.imag * x) / det
-        best = np.full(v.shape, np.inf)
+            n = np.round(_dot(x, g) / float(np.hypot.reduce(g)) ** 2)
+            return np.hypot.reduce(x - n[:, None] * g, axis=1)
+        if x.shape[1] > 2:
+            return _nearest_lattice_distance(x, np.array(basis))
+        (b1r, b1i), (b2r, b2i) = basis
+        x, y = x[:, 0], x[:, 1]
+        det = b1r * b2i - b1i * b2r
+        s = (x * b2i - y * b2r) / det
+        t = (b1r * y - b1i * x) / det
+        best = np.full(v.shape[0], np.inf)
         for ds in (np.floor(s), np.ceil(s)):
             for dt in (np.floor(t), np.ceil(t)):
-                dx = x - ds * b1.real - dt * b2.real
-                dy = y - ds * b1.imag - dt * b2.imag
+                dx = x - ds * b1r - dt * b2r
+                dy = y - ds * b1i - dt * b2i
                 best = np.minimum(best, np.hypot(dx, dy))
         return best
 
     def distance(self, v) -> float:
-        return float(self.distance_many(np.array([_as_complex(v)], dtype=np.complex128))[0])
+        return float(self.distance_many(np.array([[_as_complex(c) for c in _coords(v)]]))[0])
 
     def shortest_vector(self) -> float:
-        """Length of a shortest nonzero vector of L: the first reduced one."""
-        return abs(self._floats[1][0])
+        """Length of the first reduced vector of L: a shortest one in C."""
+        return math.hypot(*(abs(z) for z in _coords(self._floats[1][0])))
 
     def is_discrete(self) -> Trilean:
         if not self.exact:
@@ -245,14 +294,19 @@ class AdditiveClosure:
         return Trilean.of(not self.directions)
 
     def is_whole_plane(self) -> Trilean:
+        """Whether V is all of R^(2n)."""
         if not self.exact:
             return Trilean.UNKNOWN
-        return Trilean.of(len(self.directions) == 2)
+        return Trilean.of(len(self.directions) == 2 * self.dim)
 
     def to_report(self) -> dict:
         out = {"shape": self.shape, "exact": self.exact}
         if self.evidence:
             out["evidence"] = self.evidence
+        if self.dim > 1:
+            for key, vectors in (("directions", self.directions), ("lattice", self.lattice)):
+                out[key] = [[_fmt_planar(c) for c in w] for w in vectors]
+            return out
         if self.shape == "Lattice2":
             out["basis"] = [_fmt_planar(b) for b in self.lattice]
             out["basis_values"] = [_c2l(b.to_complex()) for b in self.lattice]
@@ -262,9 +316,15 @@ class AdditiveClosure:
         return out
 
 
-def _gauss_reduced(b1: CycloScalar, b2: CycloScalar) -> Tuple[CycloScalar, CycloScalar]:
+def _float_row(v) -> np.ndarray:
+    """The real coordinates of an exact vector, as floats."""
+    return np.array([p for c in _coords(v) for z in (c.to_complex(),) for p in (z.real, z.imag)])
+
+
+def _gauss_reduced(basis: Sequence[CycloScalar]) -> Tuple[CycloScalar, CycloScalar]:
     """An exact Gauss reduction of a planar basis: |b1| <= |b2| and
     |b1.b2| <= |b1|^2 / 2."""
+    b1, b2 = basis
     if (b1.abs_sq() - b2.abs_sq()).sign() > 0:
         b1, b2 = b2, b1
     while True:
@@ -276,10 +336,46 @@ def _gauss_reduced(b1: CycloScalar, b2: CycloScalar) -> Tuple[CycloScalar, Cyclo
         b1, b2 = b2, b1
 
 
-def _exact_cyclo(v) -> Optional[CycloScalar]:
-    if isinstance(v, Scalar):
-        return v.exact_value if v.is_exact else None
-    return v if isinstance(v, CycloScalar) else None
+def _lll_reduced(basis: Sequence) -> list:
+    """An LLL-reduced basis (delta = 3/4) of the lattice, by exact integer
+    steps; the float R of a QR factorisation only chooses them."""
+    b = list(basis)
+    k = 1
+    while k < len(b):
+        r = np.linalg.qr(np.array([_float_row(v) for v in b[: k + 1]]).T, mode="r")
+        for j in range(k - 1, -1, -1):
+            m = round(r[j, k] / r[j, j])
+            if m:
+                b[k] = _vector([x - m * y for x, y in zip(_coords(b[k]), _coords(b[j]))])
+                r[:, k] -= m * r[:, j]
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= 0.75 * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            b[k - 1], b[k], k = b[k], b[k - 1], max(k - 1, 1)
+    return b
+
+
+def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Distances from the rows of x to the lattice with the reduced basis
+    rows `basis`, Fincke-Pohst on a box: the projection of a row onto the
+    span of L has coordinates c = x W (W the dual basis), and its nearest
+    lattice point, no farther than R, the point of the rounded coordinates,
+    has coordinates within R |W_i| of c_i."""
+    dual = np.linalg.pinv(basis)
+    coeffs = x @ dual
+    base = np.round(coeffs)
+    babai = np.linalg.norm((coeffs - base) @ basis, axis=1).max(initial=0.0)
+    reach = np.ceil(babai * np.linalg.norm(dual, axis=0) + 0.5).astype(int)
+    best = np.full(x.shape[0], np.inf)
+    for step in itertools.product(*(range(-k, k + 1) for k in reach)):
+        best = np.minimum(best, np.linalg.norm(x - (base + step) @ basis, axis=1))
+    return best
+
+
+def _exact_vector(v):
+    """The vector with CycloScalar coordinates; None if one is not exact."""
+    coords = [c.exact_value if isinstance(c, Scalar) and c.is_exact else c for c in _coords(v)]
+    return _vector(coords) if all(isinstance(c, CycloScalar) for c in coords) else None
 
 
 def _as_complex(v) -> complex:
@@ -293,63 +389,52 @@ def _c2l(z: complex) -> List[float]:
 
 
 def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
-    """Closure of the subgroup of R^2 generated by the given vectors.
+    """Closure of the subgroup of C^n = R^(2n) generated by the vectors.
 
-    Exact when every vector has coordinates in Q(sqrt(3)); otherwise a
-    numeric heuristic runs and the result carries exact=False.
+    Exact when every coordinate lies in Q(zeta), by Kronecker duality: the
+    HNF basis b_1..b_t of the group spans W of dimension d over Q(sqrt3),
+    and t = d makes it a lattice.  Otherwise the integer k with
+    sum c_j k_j = 0 for every Q(sqrt3)-relation sum c_j b_j = 0 are the
+    values phi.b_j of the dual group D, phi in W; V = W meets the
+    orthogonal of D, and L is the basis of span(D) dual to D's.  V's basis
+    is in row echelon form, except that in C a LineLattice's line keeps
+    the direction i*g, g spanning D, with a positive leading coordinate.
+    Approximate vectors take `_classify_additive_heuristic` in C and their
+    real span (a closed superset) in C^n, with exact=False.
     """
-    planar = [_exact_cyclo(v) for v in vectors]
-    if None in planar:
-        return _classify_additive_heuristic([_as_complex(v) for v in vectors])
-    gens = [p for p in planar if not p.is_zero()]
-    if not gens:
-        return AdditiveClosure()
-    d = _planar_rank(gens)
-    basis = _lattice_basis(gens)
-    t = len(basis)
-    if t == d:
-        return AdditiveClosure(lattice=tuple(basis))
-    if d == 1:
-        re = gens[0].real_part()
-        return AdditiveClosure(directions=(CYCLO_I if re.is_zero() else gens[0] / re,))
-    # d == 2 with extra abstract rank: compute the dual group D from the
-    # 2 x t matrix of the basis coordinates, over Q(sqrt3)
-    cols = [[w.real_part() for w in basis], [w.imag_part() for w in basis]]
-    left_kernel = field_nullspace(cols, *_CYCLO_FIELD)
-    int_rows: List[List[int]] = []
-    for c in left_kernel:
-        lifts, _ = _lift_rows(c)
-        int_rows += [[x[0] for x in lifts], [x[1] for x in lifts]]
-    int_rows = [r for r in int_rows if any(r)]
-    if int_rows:
-        m_basis = integer_kernel(int_rows)
-    else:
-        m_basis = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
-    m_basis = [row for row in m_basis if any(row)]
-    if not m_basis:
-        return AdditiveClosure(directions=PLANE_DIRECTIONS)
-    duals: List[CycloScalar] = []
-    for k in m_basis:
-        target = [CycloScalar.from_int(x) for x in k]
-        phi = field_solve(cols, target, *_CYCLO_FIELD)
-        if phi is None:
-            raise AssertionError("dual system inconsistent")
-        duals.append(phi[0] + CYCLO_I * phi[1])
-    dual_basis = _lattice_basis(duals)
-    rank_d = _planar_rank(duals)
-    if len(dual_basis) != rank_d:
+    exact = [_exact_vector(v) for v in vectors]
+    if None in exact:
+        coords = [[_as_complex(c) for c in _coords(v)] for v in vectors]
+        if len(coords[0]) == 1:
+            return _classify_additive_heuristic([c[0] for c in coords])
+        m = _complex_to_real(np.array(coords))
+        units = np.linalg.svd(m)[2][: np.linalg.matrix_rank(m)]
+        directions = tuple(tuple(map(_planar_float, u[0::2] + 1j * u[1::2])) for u in units)
+        return AdditiveClosure(False, directions, (), {"path": "heuristic"}, len(coords[0]))
+    n = len(_coords(exact[0])) if exact else 1
+    basis = _lattice_basis(exact)
+    reals = [_reals(b) for b in basis]
+    span = field_rref(reals, *_CYCLO_FIELD)[0]
+    if len(span) == len(basis):
+        return AdditiveClosure(lattice=tuple(basis), dim=n)
+    relations = field_nullspace([list(c) for c in zip(*reals)], *_CYCLO_FIELD)
+    parts = [[x[p] for x in _lift_rows(c)[0]] for c in relations for p in (0, 1)]
+    duals = _solve_in(span, reals, integer_kernel([r for r in parts if any(r)]))
+    dual_basis = [_reals(g) for g in _lattice_basis(duals)]
+    if len(dual_basis) != len(field_rref(dual_basis, *_CYCLO_FIELD)[0]):
         raise AssertionError("dual group of a closed subgroup must be discrete")
-    if rank_d == 0:
-        return AdditiveClosure(directions=PLANE_DIRECTIONS)
-    if rank_d == 2:
-        raise AssertionError("rank-2 dual with dense directions is impossible")
-    g = dual_basis[0]
-    transversal = g / g.abs_sq()
-    direction = CYCLO_I * g  # g turned by a quarter
-    re = direction.real_part()
-    if (direction.imag_part() if re.is_zero() else re).sign() < 0:
-        direction = -direction
-    return AdditiveClosure(directions=(direction,), lattice=(transversal,))
+    lattice = tuple(_solve_in(dual_basis, dual_basis, np.eye(len(dual_basis), dtype=int).tolist()))
+    if n == 1 and dual_basis:
+        direction = CYCLO_I * _from_reals(dual_basis[0])  # g turned by a quarter
+        re = direction.real_part()
+        if (direction.imag_part() if re.is_zero() else re).sign() < 0:
+            direction = -direction
+        return AdditiveClosure(directions=(direction,), lattice=lattice)
+    # V = W meets the orthogonal of D; a zero row when D = 0 keeps all of W
+    pairings = [[_dot(e, g) for e in span] for g in dual_basis] or [[CYCLO_ZERO] * len(span)]
+    v_rows = [_combine(a, span) for a in field_nullspace(pairings, *_CYCLO_FIELD)]
+    directions = tuple(_from_reals(row) for row in field_rref(v_rows, *_CYCLO_FIELD)[0])
+    return AdditiveClosure(directions=directions, lattice=lattice, dim=n)
 
 
 def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
@@ -503,7 +588,7 @@ class MultClosure:
     evidence: Optional[dict] = None
 
     def contains(self, w, eps: float = 1e-9) -> bool:
-        x = _exact_cyclo(w) if self.exact else None
+        x = _exact_vector(w) if self.exact else None
         if x is not None:
             return self.includes_zero if x.is_zero() else self._member(x)
         return self.distance(w) <= eps
@@ -953,7 +1038,7 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
       superset C.
     Approximate ratios go to a sampled heuristic with evidence.
     """
-    values = [_exact_cyclo(r) for r in ratios]
+    values = [_exact_vector(r) for r in ratios]
     if any(v is None for v in values):
         return _classify_mult_heuristic(ratios)
     values = [v for v in values if v != CYCLO_ONE]

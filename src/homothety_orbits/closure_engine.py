@@ -28,12 +28,13 @@ from .affine_maps import (
     point_row,
     rows_to_points,
     v_add,
+    v_exact,
     v_is_zero,
     v_scale,
     v_sub,
     v_to_complex,
 )
-from .closed_subgroups import AdditiveClosure, MultClosure
+from .closed_subgroups import AdditiveClosure, MultClosure, _complex_to_real, _lift_rows
 from .exact_algebra import (
     SCALAR_ONE,
     Scalar,
@@ -72,11 +73,6 @@ def _cell_centers(center: np.ndarray, half: float, res: int) -> np.ndarray:
 
 def _real_to_complex(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0::2] + 1j * rows[:, 1::2]
-
-
-def _complex_to_real(rows: np.ndarray) -> np.ndarray:
-    """(N, n) complex -> (N, 2n) real: re(z1), im(z1), ..., re(zn), im(zn)."""
-    return np.stack([rows.real, rows.imag], axis=2).reshape(rows.shape[0], -1)
 
 
 def _complex_projector(basis: Sequence[Point], n: int) -> np.ndarray:
@@ -327,13 +323,13 @@ class LambdaCone(ClosureDesc):
 @dataclass(frozen=True)
 class RotationCoset(ClosureDesc):
     """Finite rotation family applied to (z - apex), translated by the
-    closure of the translation subgroup T: union over k of
+    closure of the translation subgroup T in C^n: union over k of
     zeta^(step*k) * (z - apex) + apex + T-closure."""
 
     family: str = "S2"  # "S2" -> 4th roots, "S3" -> 6th roots
     point: Point = ()
     apex: Point = ()
-    translation_closure: Optional[AdditiveClosure] = None  # ambient dim 1 only
+    translation_closure: Optional[AdditiveClosure] = None  # the closure of T
     translation_generators: Tuple[Point, ...] = ()  # generate T (Schreier)
     inner_bound: Optional[Tuple[Scalar, ...]] = None
     outer_bound: Optional[Tuple[Scalar, ...]] = None
@@ -362,33 +358,24 @@ class RotationCoset(ClosureDesc):
         return tuple(v_add(self.apex, v_scale(rho, za)) for rho in self._rotations())
 
     @cached_property
-    def _offset_lifts(self) -> Optional[Tuple[Tuple[Tuple[int, ...], int], ...]]:
-        """Planar lifts of the offsets when membership is exact: ambient
-        dim 1, exact closure of T and exact offsets; else None."""
+    def _offset_lifts(self) -> Optional[Tuple[Tuple[List[List[int]], int], ...]]:
+        """Planar lifts ([numerators], denominator) of the offsets when the
+        closure of T and the offsets are exact; else None."""
         closure = self.translation_closure
-        if self.dim != 1 or closure is None or not closure.exact:
+        if closure is None or not closure.exact or not all(map(v_exact, self._offsets)):
             return None
-        if not all(o[0].is_exact for o in self._offsets):
-            return None
-        return tuple(o[0].exact_value.planar_lift() for o in self._offsets)
+        return tuple(_lift_rows([tuple(c.exact_value for c in o)]) for o in self._offsets)
 
     @cached_property
-    def _float_data(self) -> Tuple[np.ndarray, np.ndarray, Tuple[complex, ...]]:
+    def _float_data(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
         apex = np.array(v_to_complex(self.apex), dtype=np.complex128)
         za = np.array(v_to_complex(v_sub(self.point, self.apex)), dtype=np.complex128)
-        return apex, za, tuple(rho.to_complex() for rho in self._rotations())
-
-    # real span of T (ambient dim >= 2): a closed superset of its closure
-    @cached_property
-    def _span_projector(self) -> np.ndarray:
-        if not self.translation_generators:
-            return np.zeros((2 * self.dim, 2 * self.dim))
-        m = _complex_to_real(_point_rows(self.translation_generators)).T  # (2n, k)
-        return m @ np.linalg.pinv(m)
+        rotations = [rho.to_complex() for rho in self._rotations()]
+        return apex, tuple(np.array([rho * c for c in za]) for rho in rotations)
 
     def contains(self, w, eps: float = 1e-9) -> bool:
         w = as_point(w)
-        if self._offset_lifts is not None and w[0].is_exact:
+        if self._offset_lifts is not None and v_exact(w):
             return bool(self.contains_rows(np.array([point_row(w)], dtype=object), eps)[0])
         return self.distance(w) <= eps
 
@@ -398,10 +385,11 @@ class RotationCoset(ClosureDesc):
             return super().contains_rows(rows, eps)
         # lifted rows have entries up to 3 * max|row| over 2 * max|row|, and
         # w - offset = (lw * d - lo * dw) / (dw * d) is tested in the lift
-        rows = widen(max(3 * d + 2 * max(map(abs, lo)) for lo, d in lifts), rows)[0]
-        lw, dw = planar_lifts(rows[:, :4], rows[:, 4])
+        rows = widen(max(3 * d + 2 * max(map(abs, lo)) for (lo,), d in lifts), rows)[0]
+        lw, dw = planar_lifts(rows[:, :-1].reshape(rows.shape[0], -1, 4), rows[:, -1])
+        lw = lw.reshape(rows.shape[0], -1)
         member = np.zeros(rows.shape[0], dtype=bool)
-        for lo, d in lifts:
+        for (lo,), d in lifts:
             todo = np.flatnonzero(~member)
             if not todo.size:
                 break
@@ -410,19 +398,11 @@ class RotationCoset(ClosureDesc):
         return member
 
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
-        apex, za, rotations = self._float_data
+        apex, images = self._float_data
         wa = arr - apex
         out = np.full(wa.shape[0], np.inf)
-        if self.dim == 1 and self.translation_closure is not None:
-            for rho in rotations:
-                v = wa[:, 0] - rho * za[0]
-                out = np.minimum(out, self.translation_closure.distance_many(v))
-            return out
-        proj = self._span_projector
-        for rho in rotations:
-            rows = _complex_to_real(wa - rho * za)
-            res = rows - rows @ proj.T
-            out = np.minimum(out, np.linalg.norm(res, axis=1))
+        for image in images:
+            out = np.minimum(out, self.translation_closure.distance_many(wa - image))
         return out
 
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
@@ -586,19 +566,14 @@ def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
     # family is witnessed by an actual group element about that point
     schreier = profile.schreier
     unstable = profile.g1_pinned is False
-    exact_flag = (
-        profile.spec.dim == 1
-        and profile.g1_closure is not None
-        and profile.g1_closure.exact
-        and profile.exact
-    )
+    exact_flag = profile.g1_closure.exact and profile.exact
     return RotationCoset(
         provenance="Thm1.1(2)(ii)",
         exact=exact_flag,
         family=profile.sr_membership,
         point=z,
         apex=schreier.witness.center(),
-        translation_closure=profile.g1_closure if profile.spec.dim == 1 else None,
+        translation_closure=profile.g1_closure,
         translation_generators=schreier.shifts,
         inner_bound=profile.g1_inner,
         outer_bound=profile.g1_outer,
@@ -725,51 +700,35 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
             notes=tuple(notes),
         )
 
-    # crystallographic branch
-    if n == 1 and profile.g1_closure is not None:
-        g1 = profile.g1_closure
-        discrete = g1.is_discrete()
-        dense = g1.is_whole_plane()
-        # the outer sandwich lattice bounds only the pair's translations, not
-        # those a third generator adds, so discreteness comes from g1 alone
-        if profile.g1_outer is not None:
-            if profile.g1_pinned:
-                notes.append("sandwich bounds pin the translation closure")
-            else:
-                notes.append(
-                    "sandwich bounds bracket but do not pin the translation "
-                    "closure; the Schreier generators decide between them"
-                )
-        elif g1.exact:
+    # crystallographic branch: dense iff closure(T) is everything, discrete iff a lattice
+    g1 = profile.g1_closure
+    discrete = g1.is_discrete()
+    dense = g1.is_whole_plane()
+    # the outer sandwich lattice bounds only the pair's translations, not
+    # those a third generator adds, so discreteness comes from g1 alone
+    if profile.g1_outer is not None:
+        if profile.g1_pinned:
+            notes.append("sandwich bounds pin the translation closure")
+        else:
             notes.append(
-                "translation closure classified exactly from the Schreier "
-                "generators of the translation subgroup"
+                "sandwich bounds bracket but do not pin the translation "
+                "closure; the Schreier generators decide between them"
             )
-        dense_out = dense if shortcut is None else shortcut
+    elif g1.exact:
         notes.append(
-            "crystallographic ratios: orbit closures are finite unions of "
-            "translation-closure cosets (Thm1.1(2))"
+            "translation closure classified exactly from the Schreier "
+            "generators of the translation subgroup"
         )
-        return Verdicts(
-            has_dense_orbit=dense_out,
-            all_orbits_in_U_dense=dense,
-            no_discrete_orbit=_not(discrete),
-            all_orbits_closed_discrete=discrete,
-            orbits_in_U_minimal=False,
-            orbits_in_U_homeomorphic=False,
-            notes=tuple(notes),
-        )
-
+    dense_out = dense if shortcut is None else shortcut
     notes.append(
-        "crystallographic ratios in dimension >= 2: the translation subgroup "
-        "has exact Schreier generators, but its closure in R^(2n) is not "
-        "classified here; verdicts stay open"
+        "crystallographic ratios: orbit closures are finite unions of "
+        "translation-closure cosets (Thm1.1(2))"
     )
     return Verdicts(
-        has_dense_orbit=Trilean.UNKNOWN if shortcut is None else shortcut,
-        all_orbits_in_U_dense=Trilean.UNKNOWN,
-        no_discrete_orbit=Trilean.UNKNOWN,
-        all_orbits_closed_discrete=Trilean.UNKNOWN,
+        has_dense_orbit=dense_out,
+        all_orbits_in_U_dense=dense,
+        no_discrete_orbit=_not(discrete),
+        all_orbits_closed_discrete=discrete,
         orbits_in_U_minimal=False,
         orbits_in_U_homeomorphic=False,
         notes=tuple(notes),

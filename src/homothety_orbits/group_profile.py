@@ -510,11 +510,11 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
     g1_inner = None
     g1_outer = None
     g1_pinned = None
+    if schreier is not None:
+        g1_closure = classify_additive_closure(schreier.shifts)
+    elif spec.dim == 1:
+        g1_closure = _infinite_ratio_g1_closure(spec, flags.has_nonreal_ratio)
     if spec.dim == 1:
-        if schreier is None:
-            g1_closure = _infinite_ratio_g1_closure(spec, flags.has_nonreal_ratio)
-        else:
-            g1_closure = classify_additive_closure([t[0] for t in schreier.shifts])
         try:
             inner, outer = g1_lattice_bounds(spec)
             g1_inner = tuple(inner)

@@ -1,9 +1,9 @@
 """Small exact linear algebra: Hermite normal form, integer kernels, and
 generic field elimination.
 
-Everything here works on lists of lists.  Matrices are tiny (at most a few
-rows and four columns), so the classical cubic algorithms are used with no
-attempt at pivots-size control.
+Everything here works on lists of lists.  Matrices are tiny (a few rows,
+and four columns per complex coordinate of C^n), so the classical cubic
+algorithms are used with no attempt at pivots-size control.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ def field_rref(
         if row == len(mat):
             break
     return mat[:row], pivots
-
-
-def field_rank(rows: List[List], is_zero, zero, one) -> int:
-    return len(field_rref(rows, is_zero, zero, one)[1])
 
 
 def field_solve(
