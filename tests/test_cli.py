@@ -3,6 +3,7 @@ determinism, and the CSV dump path."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -23,6 +24,10 @@ from homothety_orbits.cli import (
     main,
 )
 from homothety_orbits import orbit_oracle
+from homothety_orbits.affine_maps import Homothety
+from homothety_orbits.closure_engine import ClosureDesc, RotationCoset
+from homothety_orbits.exact_algebra import parse_scalar
+from homothety_orbits.group_profile import GroupSpec, compute_profile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
@@ -45,6 +50,24 @@ def quarter_doc(tmp_path, **extra):
     }
     return write_doc(tmp_path, "group.json", doc)
 
+
+# C^2 half-turn centres, as (x, y) pairs, with s = sqrt3 and t = sqrt3*i,
+# and the (dim V, rank L) label and exact flag of the closure of T
+_S, _T = "zeta12+zeta12^11", "zeta12^2+zeta12^4"
+_SQRT3_PLANE = [("0", "0"), ("1", "0"), (_S, "0"), ("i", "0"), (_T, "0")]
+C2_HALF_TURN_SHAPES = [
+    pytest.param([("0", "0"), ("1", "0")], "V0+L1", True, id="V0+L1"),
+    pytest.param([("0", "0"), ("1", "0"), ("0", "1")], "V0+L2", True, id="V0+L2"),
+    pytest.param([("0", "0"), ("1", "0"), ("i", "0"), ("0", "1"), ("0", "i")], "V0+L4", True,
+                 id="V0+L4"),
+    pytest.param([("0", "0"), ("1", "0"), (_S, "0")], "V1+L0", True, id="V1+L0"),
+    pytest.param(_SQRT3_PLANE, "V2+L0", True, id="V2+L0"),
+    pytest.param(_SQRT3_PLANE + [("0", "1"), ("0", "i")], "V2+L2", True, id="V2+L2"),
+    pytest.param(_SQRT3_PLANE + [("0", "1"), ("0", "i"), ("0", _S), ("0", _T)], "V4+L0", True,
+                 id="V4+L0"),
+    pytest.param([("0", "0"), ("1", "1"), (_S, _S), ("i", "0")], "V1+L1", True, id="V1+L1"),
+    pytest.param([("0", "0"), ("0.5", "0"), ("0", "1.5")], "V2+L0", False, id="heuristic"),
+]
 
 # (centres, translation_closure block) of half-turn groups: every additive
 # shape, exact and heuristic, as the CLI printed it before the six shapes
@@ -321,6 +344,52 @@ class TestClassify:
         assert report["profile"]["translation_closure"] == json.loads(block)
 
 
+    @pytest.mark.parametrize("centres, shape, exact", C2_HALF_TURN_SHAPES)
+    def test_translation_closure_in_c2(self, tmp_path, capsys, centres, shape, exact):
+        # half-turns about the centres, as on the additive-c2 line of
+        # scripts/report_digest.py: their ratios are real, so the verdicts
+        # stay open (Remark 1.5), and quarter-turns about the same centres
+        # check that the verdicts follow (dim V, rank L)
+        for ratio in ("-1", "i"):
+            path = write_doc(tmp_path, "c2.json", {
+                "dim": 2,
+                "generators": [{"ratio": ratio, "center": list(c)} for c in centres],
+                "points": [["1/7", "1/7"]],
+            })
+            code = main(["classify", "--input", path])
+            report = json.loads(capsys.readouterr().out)
+            jsonschema.validate(report, SCHEMA)
+            block, verdicts = report["profile"]["translation_closure"], report["verdicts"]
+            spec = GroupSpec(2, tuple(
+                Homothety.with_center(parse_scalar(ratio), [parse_scalar(x) for x in c])
+                for c in centres
+            ))
+            profile = compute_profile(spec)
+            closure = profile.g1_closure
+            assert closure.to_report() == block
+            assert all(closure.contains(t) for t in profile.schreier.shifts)
+            dim_v, rank_l = len(closure.directions), len(closure.lattice)
+            assert block["shape"] == f"V{dim_v}+L{rank_l}"
+            if ratio == "-1":
+                assert code == EXIT_UNSUPPORTED
+                assert (block["shape"], block["exact"]) == (shape, exact)
+                assert {verdicts[k] for k in ("has_dense_orbit", "all_orbits_closed_discrete")} == {"unknown"}
+            elif not exact:
+                assert verdicts["has_dense_orbit"] == verdicts["all_orbits_closed_discrete"] == "unknown"
+            else:
+                assert verdicts["has_dense_orbit"] == ("yes" if block["shape"] == "V4+L0" else "no")
+                assert verdicts["all_orbits_closed_discrete"] == ("yes" if dim_v == 0 else "no")
+            if exact and dim_v == 0:
+                # half of a shortest lattice vector is not in the lattice
+                zero = parse_scalar("0").exact_value
+                vectors = [
+                    tuple(sum((k * b[j] for k, b in zip(ks, closure.lattice)), zero) for j in range(2))
+                    for ks in itertools.product(range(-2, 3), repeat=rank_l) if any(ks)
+                ]
+                shortest = min(vectors, key=lambda v: sum(abs(c.to_complex()) ** 2 for c in v))
+                assert closure.contains(shortest)
+                assert not closure.contains(tuple(c / 2 for c in shortest))
+
 
 class TestMalformedInput:
     def test_exit_codes(self, tmp_path, capsys):
@@ -546,6 +615,35 @@ class TestVerify:
         for block in report["evidence"]:
             assert block["evidence"]["soundness_pass"]
             assert block["evidence"]["max_violation"] <= 1e-12
+
+    def test_c2_quarter_turn_pair_verifies_exactly(self, tmp_path, capsys, monkeypatch):
+        # the C^2 reproducer of perfbench/workloads.py: the closure of T is
+        # classified exactly, so every point's membership is the integer
+        # test on the lift and never the point-by-point path
+        path = write_doc(tmp_path, "c2.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": "zeta12^9", "center": ["3/2", "-2/3"]},
+                {"ratio": "zeta12^9", "center": ["0", "3/2"]},
+            ],
+            "points": [["-2", "1"], ["-3/2", "0"], ["-1", "2"], ["-3", "-2/3"]],
+            "options": {"word_cap": 10},
+        })
+
+        def point_by_point(*args, **kwargs):
+            raise AssertionError("point-by-point membership")
+
+        monkeypatch.setattr(ClosureDesc, "contains", point_by_point)
+        monkeypatch.setattr(ClosureDesc, "contains_rows", point_by_point)
+        monkeypatch.setattr(RotationCoset, "contains", point_by_point)
+        assert main(["verify", "--input", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert [c["exact"] for c in report["closures"]] == [True] * 4
+        assert [b["evidence"]["soundness_pass"] for b in report["evidence"]] == [True] * 4
+        assert all(b["evidence"]["exact_membership"] for b in report["evidence"])
+        assert report["verdicts"]["all_orbits_closed_discrete"] == "yes"
+        assert report["verdicts"]["has_dense_orbit"] == "no"
 
 
 # ---------------------------------------------------------------------------
