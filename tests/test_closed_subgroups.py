@@ -5,6 +5,7 @@ Pinned classifications are cross-checked with small brute-force searches
 the tests, independently of the library code.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -353,6 +354,48 @@ class TestLattice2Reduction:
         desc = orbit_closure(profile, as_point([parse_scalar("0")]))
         sample = enumerate_orbit(spec, desc.point, 5)
         assert desc.distance_many(sample.array).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# nearest lattice points in C^2
+
+
+def _real_row(v) -> np.ndarray:
+    return np.array([p for c in v for z in (c.to_complex(),) for p in (z.real, z.imag)])
+
+
+class TestLatticeDistanceCn:
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_distance_matches_brute_force_on_skewed_bases(self, rng, rank):
+        # a short basis near the axes 1, i of each coordinate, then the same
+        # lattice through unimodular shears: the closure holds a long, thin
+        # basis, and brute force searches the short one
+        one, zero = CycloScalar.from_int(1), CycloScalar.from_int(0)
+        axes = [(one, zero), (CYCLO_I, zero), (zero, one), (zero, CYCLO_I)][:rank]
+
+        def near(a):
+            x = rq(Fraction(rng.randint(-2, 2), 10), Fraction(rng.randint(-1, 1), 10))
+            return a + x + CYCLO_I * Fraction(rng.randint(-2, 2), 10)
+
+        for trial in range(8):
+
+            short = [tuple(near(a) for a in axis) for axis in axes]
+            skewed = list(short)
+            for _ in range(6):
+                i, j = rng.sample(range(rank), 2)
+                k = rng.randint(-9, 9)
+                skewed[i] = tuple(a + k * b for a, b in zip(skewed[i], skewed[j]))
+            lattice = AdditiveClosure(lattice=tuple(skewed), dim=2)
+            assert lattice.shape == f"V0+L{rank}"
+            queries = np.random.default_rng(trial).normal(size=(30, 4)) * 1.5
+            got = lattice.distance_many(queries[:, 0::2] + 1j * queries[:, 1::2])
+            box = np.array(list(itertools.product(range(-8, 9), repeat=rank)))
+            points = box @ np.array([_real_row(b) for b in short])
+            for q, d in zip(queries, got):
+                gaps = np.linalg.norm(points - q, axis=1)
+                # the nearest point lies inside the box, so the search is conclusive
+                assert np.abs(box[np.argmin(gaps)]).max() < 8
+                assert d == pytest.approx(gaps.min(), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
