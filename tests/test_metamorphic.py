@@ -8,7 +8,9 @@ closure kind and `exact` flag.  Conjugating by phi(z) = alpha*z + beta keeps
 every ratio and maps the orbit closure of z to that of phi(z): the same
 answers for the mapped points, with the apex and E_G mapped by phi and T by
 alpha.  The documents are exact documents of the CLI's input grammar in
-dimensions 1 and 2.
+dimensions 1 and 2.  On a few fixed documents, `verify` must give the same
+exit code and `soundness_pass` for another generating list and for a
+conjugate.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homothety_orbits import Homothety
 from homothety_orbits.affine_maps import as_point
@@ -173,14 +175,24 @@ def planar(text: str) -> CycloScalar:
 
 def closure_generators(block) -> list:
     """Vectors whose subgroup is dense in the reported closure of T: its
-    lattice basis, and each direction of V with its sqrt3 multiple."""
+    lattice basis, and each direction of V with its sqrt3 multiple.  In
+    C they are planar vectors x + iy, in C^n points of n of them."""
     shape = block["shape"]
+    if "lattice" in block:
+        vectors = [tuple(map(planar, v)) for v in block["lattice"]]
+        directions = [tuple(map(planar, v)) for v in block["directions"]]
+        return vectors + directions + [scaled(SQRT3, d) for d in directions]
     lattice = {"Lattice1": ["generator"], "LineLattice": ["transversal"]}.get(shape, [])
     vectors = [planar(block[k]) for k in lattice] + [planar(b) for b in block.get("basis", [])]
     directions = [planar(block["direction"])] if "direction" in block else []
     if shape == "Plane":
         directions = [CycloScalar.from_int(1), CYCLO_I]
     return vectors + directions + [d * SQRT3 for d in directions]
+
+
+def scaled(a, w):
+    """a * w for a planar vector or a point w."""
+    return tuple(a * c for c in w) if isinstance(w, tuple) else a * w
 
 
 def parsed(texts):
@@ -192,6 +204,12 @@ def parsed(texts):
     documents(),
     st.sampled_from(["2", "1+i", "zeta12", "3/5+4/5i", "1+zeta12^2"]),
     st.lists(st.sampled_from(["0", "1/3", "1/2+i"]), min_size=2, max_size=2),
+)
+# a quarter-turn pair in C^2, whose closure of T is a rank-2 lattice
+@example(
+    (2, [Homothety.with_center(parse_scalar("i"), parsed(c)) for c in (["3/2", "-2/3"], ["0", "3/2"])],
+     [["-2", "1"]], 2),
+    "1+i", ["1/3", "1/2+i"],
 )
 def test_conjugation_maps_the_closures(document, alpha_text, beta_texts):
     dim, gens, points, cap = document
@@ -222,5 +240,46 @@ def test_conjugation_maps_the_closures(document, alpha_text, beta_texts):
         a = alpha.exact_value
         T = classify_additive_closure(closure_generators(t))
         T2 = classify_additive_closure(closure_generators(t2))
-        assert all(T2.contains(a * w) for w in closure_generators(t))
-        assert all(T.contains(w / a) for w in closure_generators(t2))
+        assert all(T2.contains(scaled(a, w)) for w in closure_generators(t))
+        assert all(T.contains(scaled(a.inverse(), w)) for w in closure_generators(t2))
+
+
+# ---------------------------------------------------------------------------
+# verify: soundness agrees across generating lists and conjugates
+
+
+def verify(doc):
+    """(exit code, soundness_pass of each point) of `verify` on the document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--input", path])
+    report = json.loads(out.getvalue())
+    return code, [block["evidence"]["soundness_pass"] for block in report["evidence"]]
+
+
+# (dim, (ratio, centre) of each generator, points): crystallographic groups
+# in C and C^2, and a spiral pair in C
+VERIFY_EXAMPLES = [
+    (1, [("i", ["0"]), ("zeta12^9", ["1"])], [["1/2"]]),
+    (1, [("zeta12^4", ["0"]), ("zeta12^8", ["1/3+i"])], [["1"]]),
+    (1, [("1+i", ["0"]), ("i", ["1"])], [["1/2"]]),
+    (2, [("zeta12^9", ["3/2", "-2/3"]), ("zeta12^9", ["0", "3/2"])], [["-2", "1"], ["-3/2", "0"]]),
+    (2, [("i", ["0", "0"]), ("i", ["1", "0"]), ("i", ["0", "1"])], [["1/3", "1/2"]]),
+]
+
+
+@pytest.mark.parametrize("example", VERIFY_EXAMPLES, ids=lambda e: f"C{e[0]}-{e[1][0][0]}")
+def test_verify_soundness_agrees_on_other_lists_and_conjugates(example):
+    dim, pairs, points = example
+    gens = [Homothety.with_center(parse_scalar(r), parsed(c)) for r, c in pairs]
+    code, sound = verify(to_doc(dim, gens, points, 6))
+    assert sound == [True] * len(points)
+    assert verify(to_doc(dim, reversed_list(gens), points, 6)) == (code, sound)
+    phi = Homothety(parse_scalar("1+i"), parsed(["1/3", "1/2+i"][:dim]))
+    conjugated = [phi.compose(g).compose(phi.inverse()) for g in gens]
+    mapped = [[format_scalar(c) for c in phi.apply(parsed(p))] for p in points]
+    assert verify(to_doc(dim, conjugated, mapped, 6)) == (code, sound)
