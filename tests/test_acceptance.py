@@ -33,6 +33,7 @@ from homothety_orbits.exact_algebra import (
     parse_scalar,
 )
 from homothety_orbits.group_profile import GroupSpec, compute_EG, compute_profile
+from homothety_orbits.lattices import field_nullspace, field_solve
 
 I = parse_scalar("i")
 
@@ -560,6 +561,80 @@ def _suite_duality(rng) -> int:
     return bad
 
 
+# the same involution in C^n for d = 2n real dimensions, n = 2 and 3, with
+# the annihilator and the canonical generators computed from V and L alone
+CN_TRIALS = 250
+CYCLO_FIELD = (CycloScalar.is_zero, CYCLO_ZERO, CYCLO_ONE)
+
+
+def real_coords(v) -> list:
+    return [part for c in v for part in (c.real_part(), c.imag_part())]
+
+
+def from_real_coords(r) -> tuple:
+    return tuple(r[k] + CYCLO_I * r[k + 1] for k in range(0, len(r), 2))
+
+
+def pairing(u: list, v: list):
+    return sum((a * b for a, b in zip(u, v)), CYCLO_ZERO)
+
+
+def annihilator_generators_cn(C):
+    """Generators of {w : <w, v> in Z for all v in C} for C = V + L in C^n,
+    L orthogonal to V: the basis of span(L) dual to L's, and every vector
+    of the orthogonal complement U of V + span(L) with its sqrt3 multiple
+    (so that they are dense in U)."""
+    m = 2 * C.dim
+    lattice = [real_coords(b) for b in C.lattice]
+    rows = [real_coords(d) for d in C.directions] + lattice
+    if rows:
+        complement = field_nullspace(rows, *CYCLO_FIELD)
+    else:
+        complement = [[CYCLO_ONE if i == j else CYCLO_ZERO for j in range(m)] for i in range(m)]
+    gram = [[pairing(a, b) for b in lattice] for a in lattice]
+    out = [from_real_coords([CYCLO_ZERO] * m)]
+    for i in range(len(lattice)):
+        unit = [CycloScalar.from_int(int(i == j)) for j in range(len(lattice))]
+        x = field_solve(gram, unit, *CYCLO_FIELD)
+        out.append(from_real_coords([pairing(x, col) for col in zip(*lattice)]))
+    for u in complement:
+        out += [from_real_coords(u), from_real_coords([c * SQ3 for c in u])]
+    return out
+
+
+def canonical_generators_cn(C):
+    return [*C.lattice, *C.directions, *(tuple(c * SQ3 for c in d) for d in C.directions)]
+
+
+def rand_generators_cn(rng, n: int) -> list:
+    """Random points of C^n, with sqrt3 multiples of some of them, so that
+    closures with dense directions come up too."""
+    gens = [tuple(rand_planar(rng) for _ in range(n)) for _ in range(rng.randint(1, 2 * n))]
+    for _ in range(rng.randint(0, n)):
+        gens.append(tuple(c * SQ3 for c in rng.choice(gens)))
+    return gens
+
+
+def _suite_duality_cn(rng, n: int) -> int:
+    """The duality involution in C^n: the annihilator D of C has
+    dim V_D = 2n - dim V - rank L and rank L_D = rank L, annihilating
+    twice returns C's shape, and the two closures contain each other's
+    generators."""
+    bad = 0
+    for _ in range(CN_TRIALS):
+        gens = rand_generators_cn(rng, n)
+        C = classify_additive_closure(gens)
+        D = classify_additive_closure(annihilator_generators_cn(C))
+        C2 = classify_additive_closure(annihilator_generators_cn(D))
+        v, r = len(C.directions), len(C.lattice)
+        ok = C.exact and D.exact and C2.exact and C2.shape == C.shape
+        ok = ok and D.shape == f"V{2 * n - v - r}+L{r}"
+        ok = ok and all(C2.contains(g) for g in gens)
+        ok = ok and all(C.contains(w) for w in canonical_generators_cn(C2))
+        bad += 0 if ok else 1
+    return bad
+
+
 SUITES = (
     ("field laws", _suite_field_laws),
     ("group laws", _suite_group_laws),
@@ -578,12 +653,18 @@ def test_criterion_7():
         bad = suite(random.Random(20260817 + zlib.crc32(name.encode()) % 1000))
         if bad:
             failures.append(f"{name}: {bad}/{TRIALS} failing trials")
+    for n in (2, 3):
+        name = f"duality involution in C^{n}"
+        bad = _suite_duality_cn(random.Random(20260817 + zlib.crc32(name.encode()) % 1000), n)
+        if bad:
+            failures.append(f"{name}: {bad}/{CN_TRIALS} failing trials")
     elapsed = time.time() - t0
     if elapsed > 300:
         failures.append(f"took {elapsed:.0f}s > 300s")
     ok = report(
         7,
         not failures,
-        "; ".join(failures) or f"6 suites x {TRIALS} trials in {elapsed:.0f}s",
+        "; ".join(failures)
+        or f"6 suites x {TRIALS} trials and 2 x {CN_TRIALS} in C^2, C^3 in {elapsed:.0f}s",
     )
     assert ok, failures
