@@ -22,7 +22,6 @@ Approximate ratios fall back to a numeric heuristic and are flagged.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,8 +101,7 @@ def _combine(coeffs: Sequence[CycloScalar], rows: Sequence[Sequence[CycloScalar]
 
 
 def _solve_in(span: list, rows: list, targets: Sequence[Sequence[int]]) -> list:
-    """For each target t, the vector phi in the span of the real coordinate
-    lists `span` with phi.rows[j] = t[j] for every j (a Gram system)."""
+    """Per target t, the phi in the span of `span` with phi.rows[j] = t[j]."""
     gram = [[_dot(e, r) for r in rows] for e in span]
     targets = ([CycloScalar.from_int(x) for x in t] for t in targets)
     return [_from_reals(_combine(field_solve(gram, t, *_CYCLO_FIELD), span)) for t in targets]
@@ -175,10 +173,9 @@ _RATIONAL_FIELD = (lambda x: x == 0, Fraction(0), Fraction(1))
 
 @dataclass(frozen=True)
 class AdditiveClosure:
-    """The closed subgroup V + L of C^n, n = dim: V spanned by `directions`
-    (in C none, one, or PLANE_DIRECTIONS), L the lattice with basis
-    `lattice`, orthogonal to V.  With exact=False the vectors are rational
-    approximations from a numeric heuristic, and only distances count."""
+    """The closed subgroup V + L of C^n, n = dim: V spanned by `directions`,
+    L with basis `lattice` orthogonal to V.  With exact=False the vectors are
+    rational approximations from a heuristic, and only distances count."""
 
     exact: bool = True
     directions: tuple = ()
@@ -223,10 +220,9 @@ class AdditiveClosure:
         return vanish, integral, m, bound
 
     def contains_lifts(self, nums: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Exact membership, row by row, of the vectors with coordinates
-        (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, the (x0, x1, y0, y1) of each
-        in turn in a row of the (N, 4n) integer array `nums`, den > 0 an
-        entry of `den`."""
+        """Exact membership, row by row, of the vectors whose coordinates are
+        (x0 + x1*sqrt3, y0 + y1*sqrt3) / den, with (x0, x1, y0, y1) of each in
+        turn in a row of the (N, 4n) integer array `nums`, den > 0 in `den`."""
         vanish, integral, m, bound = self._forms
         nums, den = widen(bound, nums, den)
         f = np.array(vanish, dtype=nums.dtype).reshape(-1, 4 * self.dim)
@@ -237,11 +233,9 @@ class AdditiveClosure:
 
     @cached_property
     def _floats(self) -> Tuple[List[np.ndarray], list]:
-        """An orthonormal basis of V (Gram-Schmidt on the directions), as
-        real coordinate rows, and a reduced basis of L, as complex vectors:
-        a planar one Gauss-reduced, so that the nearest lattice point to v
-        is a corner of the basis cell holding v, and one in C^n LLL-reduced,
-        which keeps the box of `_nearest_lattice_distance` small."""
+        """An orthonormal basis of V (Gram-Schmidt on the directions), as real
+        rows, and a reduced basis of L, as complex vectors: Gauss-reduced in C,
+        so the nearest point to v is a corner of v's basis cell, else LLL."""
         units: List[np.ndarray] = []
         for d in self.directions:
             w = _float_row(d)
@@ -337,8 +331,7 @@ def _gauss_reduced(basis: Sequence[CycloScalar]) -> Tuple[CycloScalar, CycloScal
 
 
 def _lll_reduced(basis: Sequence) -> list:
-    """An LLL-reduced basis (delta = 3/4) of the lattice, by exact integer
-    steps; the float R of a QR factorisation only chooses them."""
+    """An LLL-reduced basis (delta = 3/4), by exact steps chosen in floats."""
     b = list(basis)
     k = 1
     while k < len(b):
@@ -357,19 +350,30 @@ def _lll_reduced(basis: Sequence) -> list:
 
 def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Distances from the rows of x to the lattice with the reduced basis
-    rows `basis`, Fincke-Pohst on a box: the projection of a row onto the
-    span of L has coordinates c = x W (W the dual basis), and its nearest
-    lattice point, no farther than R, the point of the rounded coordinates,
-    has coordinates within R |W_i| of c_i."""
-    dual = np.linalg.pinv(basis)
-    coeffs = x @ dual
-    base = np.round(coeffs)
-    babai = np.linalg.norm((coeffs - base) @ basis, axis=1).max(initial=0.0)
-    reach = np.ceil(babai * np.linalg.norm(dual, axis=0) + 0.5).astype(int)
-    best = np.full(x.shape[0], np.inf)
-    for step in itertools.product(*(range(-k, k + 1) for k in reach)):
-        best = np.minimum(best, np.linalg.norm(x - (base + step) @ basis, axis=1))
-    return best
+    rows `basis`, by Fincke-Pohst: with basis^T = QR, the point Rc is nearer
+    to y = Q^T x than the nearest-plane point only if its partial sums of
+    squares, level by level from the last, stay within the latter's."""
+    q, r = np.linalg.qr(basis.T)
+    y, n = x @ q, x.shape[0]
+    coef, bound = np.zeros_like(y), np.zeros(n)
+    for k in reversed(range(r.shape[0])):
+        t = (y[:, k] - coef[:, k + 1 :] @ r[k, k + 1 :]) / r[k, k]
+        coef[:, k] = np.round(t)
+        bound += ((t - coef[:, k]) * r[k, k]) ** 2
+    idx, coef, part = np.arange(n), np.zeros((n, 0)), np.zeros(n)
+    for k in reversed(range(r.shape[0])):
+        t = (y[idx, k] - coef @ r[k, k + 1 :]) / r[k, k]
+        half = np.sqrt(np.maximum(bound[idx] * (1 + 1e-9) - part, 0.0)) / abs(r[k, k]) + 1e-9
+        lo = np.ceil(t - half)
+        count = np.maximum(np.floor(t + half) - lo + 1, 0).astype(int)
+        rep = np.repeat(np.arange(len(t)), count)
+        ck = lo[rep] + np.arange(len(rep)) - np.repeat(np.cumsum(count) - count, count)
+        idx, part = idx[rep], part[rep] + ((t[rep] - ck) * r[k, k]) ** 2
+        coef = np.column_stack([ck, coef[rep]])
+    best = np.full(n, np.inf)
+    np.minimum.at(best, idx, part)
+    rest = x - y @ q.T
+    return np.sqrt(best + np.einsum("ij,ij->i", rest, rest))
 
 
 def _exact_vector(v):
@@ -391,16 +395,14 @@ def _c2l(z: complex) -> List[float]:
 def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     """Closure of the subgroup of C^n = R^(2n) generated by the vectors.
 
-    Exact when every coordinate lies in Q(zeta), by Kronecker duality: the
-    HNF basis b_1..b_t of the group spans W of dimension d over Q(sqrt3),
-    and t = d makes it a lattice.  Otherwise the integer k with
-    sum c_j k_j = 0 for every Q(sqrt3)-relation sum c_j b_j = 0 are the
-    values phi.b_j of the dual group D, phi in W; V = W meets the
-    orthogonal of D, and L is the basis of span(D) dual to D's.  V's basis
-    is in row echelon form, except that in C a LineLattice's line keeps
-    the direction i*g, g spanning D, with a positive leading coordinate.
-    Approximate vectors take `_classify_additive_heuristic` in C and their
-    real span (a closed superset) in C^n, with exact=False.
+    Exact for coordinates in Q(zeta), by Kronecker duality: the HNF basis
+    b_1..b_t spans W of dimension d over Q(sqrt3); t = d makes a lattice.
+    Otherwise the integer k with sum c_j k_j = 0 for every relation
+    sum c_j b_j = 0 over Q(sqrt3) are the values phi.b_j of the dual group
+    D, phi in W; V = W meets D's orthogonal, L is the basis dual to D's.
+    V's basis is in row echelon form, but a LineLattice's line in C keeps
+    i*g (g spanning D) with a positive lead.  Approximate vectors take
+    `_classify_additive_heuristic` in C, their real span in C^n.
     """
     exact = [_exact_vector(v) for v in vectors]
     if None in exact:
@@ -426,10 +428,8 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     lattice = tuple(_solve_in(dual_basis, dual_basis, np.eye(len(dual_basis), dtype=int).tolist()))
     if n == 1 and dual_basis:
         direction = CYCLO_I * _from_reals(dual_basis[0])  # g turned by a quarter
-        re = direction.real_part()
-        if (direction.imag_part() if re.is_zero() else re).sign() < 0:
-            direction = -direction
-        return AdditiveClosure(directions=(direction,), lattice=lattice)
+        lead = next(c for c in _reals(direction) if not c.is_zero())
+        return AdditiveClosure(directions=(direction * lead.sign(),), lattice=lattice)
     # V = W meets the orthogonal of D; a zero row when D = 0 keeps all of W
     pairings = [[_dot(e, g) for e in span] for g in dual_basis] or [[CYCLO_ZERO] * len(span)]
     v_rows = [_combine(a, span) for a in field_nullspace(pairings, *_CYCLO_FIELD)]
