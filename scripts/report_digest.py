@@ -11,11 +11,12 @@ one above the closure trace's cell cap (40^4 cells) and one below it
 the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
 both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
-which take the heuristic closures, and `classify` on one such document in
+which take the approximate closures, and `classify` on one such document in
 C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
-whose translation closures take every additive shape, exact and heuristic,
-and the `additive-c2` line the same on C^2 half-turn groups whose closures
-have (dim V, rank L) from (0, 1) to (4, 0), and one with decimal centres.
+whose translation closures take every additive shape, exact and from
+decimal data, and the `additive-c2` line the same on C^2 half-turn groups
+whose closures have (dim V, rank L) from (0, 1) to (4, 0), one with decimal
+centres, and then quarter-turns about the same decimal centres.
 Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
@@ -77,6 +78,8 @@ ADDITIVE_C2_CENTRES = (
     (("0", "0"), ("1", "1"), (_S, _S), ("i", "0")),
     (("0", "0"), ("0.5", "0"), ("0", "1.5")),
 )
+# (ratio, centres) of every additive-c2 document
+ADDITIVE_C2_DOCS = tuple(("-1", c) for c in ADDITIVE_C2_CENTRES) + (("i", ADDITIVE_C2_CENTRES[-1]),)
 
 
 def numeric_doc(dim, gens, point) -> dict:
@@ -159,13 +162,13 @@ def main() -> int:
             h.update(out.encode())
         print(f"{'additive':<16} {len(ADDITIVE_CENTRES):>4} docs  {h.hexdigest()}", flush=True)
         h = hashlib.sha256()
-        for count, centres in enumerate(ADDITIVE_C2_CENTRES):
-            gens = tuple(("-1", c) for c in centres)
+        for count, (ratio, centres) in enumerate(ADDITIVE_C2_DOCS):
+            gens = tuple((ratio, c) for c in centres)
             path = write_doc(tmp, numeric_doc(2, gens, ("1/7", "1/7")))
             code, out = run_cli(cli, ["classify", "--input", path])
             h.update(f"{count}:{code}\n".encode())
             h.update(out.encode())
-        print(f"{'additive-c2':<16} {len(ADDITIVE_C2_CENTRES):>4} docs  {h.hexdigest()}", flush=True)
+        print(f"{'additive-c2':<16} {len(ADDITIVE_C2_DOCS):>4} docs  {h.hexdigest()}", flush=True)
         code, out = run_cli(cli, ["paper-examples"])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         print(f"{'paper-examples':<16} {1:>4} docs  {digest}", flush=True)
