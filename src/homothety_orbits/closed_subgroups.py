@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -46,6 +46,7 @@ from .exact_algebra import (
     CycloScalar,
     Scalar,
     Trilean,
+    UndecidableAtPrecision,
     format_scalar,
     widen,
 )
@@ -180,7 +181,7 @@ class AdditiveClosure:
     exact: bool = True
     directions: tuple = ()
     lattice: tuple = ()
-    evidence: Optional[dict] = None
+    evidence: Optional[dict] = field(default=None, compare=False)
     dim: int = 1
 
     @property
@@ -243,8 +244,11 @@ class AdditiveClosure:
                 w = w - _dot(w, u) * u
             units.append(w / np.hypot.reduce(w))
         basis = self.lattice
-        if len(basis) >= 2:
-            basis = (_gauss_reduced if self.dim == 1 else _lll_reduced)(basis)
+        if len(basis) >= 2 and self.dim == 1:
+            basis = _gauss_reduced(basis)
+        elif len(basis) >= 2:
+            reduced = _lll_reduced(np.array([_reals(b) for b in basis], dtype=object), _real_floats)
+            basis = [_from_reals(row) for row in reduced]
         return units, [_vector([c.to_complex() for c in _coords(b)]) for b in basis]
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
@@ -330,22 +334,29 @@ def _gauss_reduced(basis: Sequence[CycloScalar]) -> Tuple[CycloScalar, CycloScal
         b1, b2 = b2, b1
 
 
-def _lll_reduced(basis: Sequence) -> list:
-    """An LLL-reduced basis (delta = 3/4), by exact steps chosen in floats."""
-    b = list(basis)
+def _lll_reduced(rows: np.ndarray, floats=np.asarray) -> np.ndarray:
+    """An LLL-reduced basis (delta = 3/4) of the lattice spanned by the rows
+    of an array of numbers, floats or exact ones: integer steps on the
+    rows, each chosen in floats (`floats` reads rows as a float array)."""
+    b = rows.copy()
     k = 1
     while k < len(b):
-        r = np.linalg.qr(np.array([_float_row(v) for v in b[: k + 1]]).T, mode="r")
+        r = np.linalg.qr(floats(b[: k + 1]).T, mode="r")
         for j in range(k - 1, -1, -1):
             m = round(r[j, k] / r[j, j])
             if m:
-                b[k] = _vector([x - m * y for x, y in zip(_coords(b[k]), _coords(b[j]))])
+                b[k] = b[k] - m * b[j]
                 r[:, k] -= m * r[:, j]
         if r[k, k] ** 2 + r[k - 1, k] ** 2 >= 0.75 * r[k - 1, k - 1] ** 2:
             k += 1
         else:
-            b[k - 1], b[k], k = b[k], b[k - 1], max(k - 1, 1)
+            b[[k - 1, k]] = b[[k, k - 1]]
+            k = max(k - 1, 1)
     return b
+
+
+# the floats of an object array of real CycloScalars
+_real_floats = np.vectorize(lambda x: x.to_complex().real, otypes=[float])
 
 
 def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -401,18 +412,14 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     sum c_j b_j = 0 over Q(sqrt3) are the values phi.b_j of the dual group
     D, phi in W; V = W meets D's orthogonal, L is the basis dual to D's.
     V's basis is in row echelon form, but a LineLattice's line in C keeps
-    i*g (g spanning D) with a positive lead.  Approximate vectors take
-    `_classify_additive_heuristic` in C, their real span in C^n.
+    i*g (g spanning D) with a positive lead.  Approximate vectors take the
+    same duality in floats, `_classify_by_relations`.
     """
     exact = [_exact_vector(v) for v in vectors]
     if None in exact:
-        coords = [[_as_complex(c) for c in _coords(v)] for v in vectors]
-        if len(coords[0]) == 1:
-            return _classify_additive_heuristic([c[0] for c in coords])
-        m = _complex_to_real(np.array(coords))
-        units = np.linalg.svd(m)[2][: np.linalg.matrix_rank(m)]
-        directions = tuple(tuple(map(_planar_float, u[0::2] + 1j * u[1::2])) for u in units)
-        return AdditiveClosure(False, directions, (), {"path": "heuristic"}, len(coords[0]))
+        coords = np.array([[_as_complex(c) for c in _coords(v)] for v in vectors])
+        errors = [math.hypot(*(c.err if isinstance(c, Scalar) else 0.0 for c in _coords(v))) for v in vectors]
+        return _classify_by_relations(_complex_to_real(coords), np.array(errors))
     n = len(_coords(exact[0])) if exact else 1
     basis = _lattice_basis(exact)
     reals = [_reals(b) for b in basis]
@@ -437,104 +444,94 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     return AdditiveClosure(directions=directions, lattice=lattice, dim=n)
 
 
-def _classify_additive_heuristic(values: List[complex]) -> AdditiveClosure:
-    """Numeric best effort for generators without exact coordinates.
+# A float relation c.x = 0 among vectors x of size max|x| holds to about
+# eps * |c| * max|x|.  LLL on [I | x / (unit * max|x|)] weighs a unit of the
+# residual c.x against unit * max|x|, unit = _RESIDUAL for input vectors,
+# and a reduced row is read as a relation when its scaled residual is at
+# most _RELATION times its height max|c_j|, and as none from _NO_RELATION
+# times, if c.x also exceeds its error radius; otherwise the precision
+# cannot tell.  Over 3,000 random generator lists with coordinates in
+# Q(sqrt3) (in C, C^2 and C^3) the relations read at most 2.4e-7 and the
+# other rows at least 3.9e-3.
+_RESIDUAL, _RELATION, _NO_RELATION = 1e-9, 1e-4, 1e-3
 
-    Rank-1 case: rational-dependence test on length ratios (denominator
-    cap 10^4, residual 1e-9).  Rank-2 case: incremental basis reduction;
-    spillover to a third independent short vector marks the group as
-    non-discrete, and a grid-fill statistic separates Plane from the
-    line-shaped closures.
-    """
-    vals = [v for v in values if abs(v) > 1e-13]
-    ev: Dict[str, object] = {"path": "heuristic"}
-    if not vals:
-        return AdditiveClosure(exact=False, evidence=ev)
-    best = max(vals, key=abs)
-    dim = 1
-    for v in vals:
-        cross = abs(v.real * best.imag - v.imag * best.real)
-        if cross > 1e-10 * (abs(v) + abs(best)) ** 2:
-            dim = 2
-            break
-    if dim == 1:
-        u = best / abs(best)
-        lengths = [v.real * u.real + v.imag * u.imag for v in vals]
-        ratios = []
-        rational = True
-        for c in lengths:
-            r = c / lengths[0]
-            fr = Fraction(r).limit_denominator(10**4)
-            if abs(float(fr) - r) > 1e-9 * (1 + abs(r)):
-                rational = False
-                break
-            ratios.append(fr)
-        ev["ratio_test"] = "rational" if rational else "irrational"
-        if rational:
-            num_gcd = gcd(*(abs(f.numerator) for f in ratios)) if len(ratios) > 1 else abs(ratios[0].numerator)
-            den_lcm = 1
-            for f in ratios:
-                den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-            g = lengths[0] * num_gcd / den_lcm
-            return AdditiveClosure(exact=False, lattice=(_planar_float(g * u),), evidence=ev)
-        return AdditiveClosure(exact=False, directions=(_planar_float(u),), evidence=ev)
-    basis, discrete = _reduce_basis_2d(vals)
-    ev["reduced_rank"] = len(basis)
-    if discrete:
-        lattice = tuple(_planar_float(b) for b in basis)
-        return AdditiveClosure(exact=False, lattice=lattice, evidence=ev)
-    sums = _bounded_combinations(vals, span=7)
-    fill = _grid_fill(sums)
-    ev["grid_fill"] = fill
-    if fill >= 0.5:
-        return AdditiveClosure(exact=False, directions=PLANE_DIRECTIONS, evidence=ev)
-    # concentrate along the direction of the shortest accumulating element
-    small = min((s for s in sums if abs(s) > 1e-12), key=abs)
-    u = small / abs(small)
-    perp = [s.imag * u.real - s.real * u.imag for s in sums]
-    offsets = sorted({round(p, 7) for p in perp})
-    nonzero = [o for o in offsets if abs(o) > 1e-7]
-    if not nonzero:
-        return AdditiveClosure(exact=False, directions=(_planar_float(u),), evidence=ev)
-    step = min(abs(o) for o in nonzero)
-    if all(abs(o / step - round(o / step)) < 1e-6 for o in nonzero):
-        t = complex(-u.imag, u.real) * step
-        return AdditiveClosure(
-            exact=False, directions=(_planar_float(u),), lattice=(_planar_float(t),), evidence=ev
+
+def _integer_relations(x: np.ndarray, err: np.ndarray, unit: float = _RESIDUAL) -> Tuple[np.ndarray, int, float]:
+    """(R, height, residual) for the rows of an (m, d) float array x with
+    error radii err: the rows c of an LLL-reduced basis of Z^m with
+    c.x = 0, which span every such c, and their largest height max|c_j|
+    and relative residual |c.x| / max|x|."""
+    size = float(np.abs(x).max()) or 1.0
+    m = len(x)
+    reduced = _lll_reduced(np.hstack([np.eye(m), x / (unit * size)]))
+    coeffs = np.round(reduced[:, :m]).astype(np.int64)
+    residual = np.linalg.norm(coeffs @ x, axis=1) / size
+    height = np.abs(coeffs).max(axis=1)
+    scaled = residual / unit / height
+    rel = scaled <= _RELATION
+    if np.any(~rel & ((scaled < _NO_RELATION) | (residual * size <= np.abs(coeffs) @ err))):
+        raise UndecidableAtPrecision(
+            "cannot tell whether the translations satisfy an integer relation"
         )
-    return AdditiveClosure(exact=False, directions=PLANE_DIRECTIONS, evidence=ev)
+    return coeffs[rel], int(height[rel].max(initial=0)), float(residual[rel].max(initial=0.0))
 
 
-def _reduce_basis_2d(vals: List[complex]) -> Tuple[List[complex], bool]:
-    """Greedy integer reduction of plane vectors; (basis, still_discrete)."""
-    tol = 1e-9
-    basis: List[complex] = []
-    for v in sorted(vals, key=abs):
-        r = v
-        for _ in range(60):
-            changed = False
-            if len(basis) == 2:
-                b1, b2 = basis
-                det = b1.real * b2.imag - b1.imag * b2.real
-                if abs(det) > 1e-15:
-                    s = (r.real * b2.imag - r.imag * b2.real) / det
-                    t = (b1.real * r.imag - b1.imag * r.real) / det
-                    if round(s) or round(t):
-                        r -= round(s) * b1 + round(t) * b2
-                        changed = True
-            for b in basis:
-                n = round((r.real * b.real + r.imag * b.imag) / abs(b) ** 2)
-                if n:
-                    r -= n * b
-                    changed = True
-            if not changed:
-                break
-        if abs(r) > tol * (1 + abs(v)):
-            basis.append(r)
-            basis.sort(key=abs)
-            if len(basis) > 2:
-                return basis, False
-    return basis, True
+def _classify_by_relations(x: np.ndarray, err: np.ndarray) -> AdditiveClosure:
+    """The exact path's Kronecker duality in floats, for the rows of an
+    (m, 2n) float array x with error radii err.  With R the integer
+    relations among the rows and K a basis of R's integer kernel, the group
+    is Z^m / R, and b with x = K^T b is a Z-basis of it, spanning W; it is
+    a lattice when b is independent.  Otherwise the integer points of the
+    image of phi -> (phi.b_j)_j, phi in W, are the relations among the
+    coordinates of its orthogonal complement, and they give the dual group
+    D.  V's basis is in row echelon form, and every vector has a positive
+    lead."""
+    relations, height, residual = _integer_relations(x, err)
+    b = x
+    if len(relations):
+        kernel = np.array(integer_kernel(relations.tolist()), dtype=float).reshape(-1, len(x))
+        b = np.linalg.lstsq(kernel.T, x, rcond=None)[0]
+    u, s, vt = np.linalg.svd(b)
+    w = int(np.sum(s > _RESIDUAL * s.max(initial=0.0)))
+    directions, lattice = vt[:0], b
+    if w < len(b):
+        # the complement is as precise as b is well conditioned on W
+        dual, h, r = _integer_relations(u[:, w:], np.zeros(len(b)), _RESIDUAL * s[0] / s[w - 1])
+        height, residual = max(height, h), max(residual, r)
+        phi = (dual @ u[:, :w] / s[:w]) @ vt[:w]
+        # V = W meets the orthogonal of D, L is the basis dual to D's
+        directions = np.linalg.svd(phi @ vt[:w].T)[2][len(phi) :] @ vt[:w]
+        lattice = np.linalg.solve(phi @ phi.T, phi)
+    evidence = {"path": "relations", "height": height, "residual": residual}
+    stored = [_stored_float(row) for row in (*_echelon(directions), *_lll_reduced(lattice))]
+    v, n = len(directions), x.shape[1] // 2
+    return AdditiveClosure(False, tuple(stored[:v]), tuple(stored[v:]), evidence, n)
+
+
+def _echelon(rows: np.ndarray) -> np.ndarray:
+    """The reduced row echelon form of float rows of full rank."""
+    a = np.array(rows, dtype=float)
+    top = 0
+    for col in range(a.shape[1]):
+        if top == len(a):
+            break
+        pivot = top + int(np.argmax(np.abs(a[top:, col])))
+        if abs(a[pivot, col]) <= _RESIDUAL * np.abs(a).max():
+            continue
+        a[[top, pivot]] = a[[pivot, top]]
+        a[top] /= a[top, col]
+        others = np.arange(len(a)) != top
+        a[others] -= np.outer(a[others, col], a[top])
+        top += 1
+    return a
+
+
+def _stored_float(row: np.ndarray):
+    """A float row of R^(2n) as a vector of C^n, by `_planar_float`, with a
+    positive lead."""
+    v = _vector([_planar_float(complex(row[k], row[k + 1])) for k in range(0, len(row), 2)])
+    sign = next((c.sign() for c in _reals(v) if not c.is_zero()), 1)
+    return v if sign > 0 else _vector([-c for c in _coords(v)])
 
 
 def _planar_float(z: complex) -> CycloScalar:
@@ -542,29 +539,6 @@ def _planar_float(z: complex) -> CycloScalar:
         Fraction(z.real).limit_denominator(10**12),
         Fraction(z.imag).limit_denominator(10**12),
     )
-
-
-def _bounded_combinations(vals: List[complex], span: int) -> List[complex]:
-    sums = [0j]
-    for v in vals[:4]:
-        sums = [s + k * v for s in sums for k in range(-span, span + 1)]
-        if len(sums) > 60000:
-            sums = sums[:60000]
-    return sums
-
-
-def _grid_fill(sums: List[complex], half: float = 3.0, res: int = 24) -> float:
-    cells = set()
-    for s in sums:
-        if abs(s.real) <= half and abs(s.imag) <= half:
-            # a point on the upper edge belongs to the last cell
-            cells.add(
-                (
-                    min(int((s.real + half) / (2 * half) * res), res - 1),
-                    min(int((s.imag + half) / (2 * half) * res), res - 1),
-                )
-            )
-    return len(cells) / res**2
 
 
 # ---------------------------------------------------------------------------

@@ -635,6 +635,22 @@ def _suite_duality_cn(rng, n: int) -> int:
     return bad
 
 
+def test_float_path_agrees_with_the_exact_closure_in_cn():
+    """Criterion 7's generator lists in C^2 and C^3, 100 of each, as floats:
+    the integer relations give the exact closure's (dim V, rank L), and
+    every generator lies within 1e-9 of the approximate closure."""
+    for n in (2, 3):
+        rng = random.Random(20260817 + n)
+        for _ in range(100):
+            gens = rand_generators_cn(rng, n)
+            exact = classify_additive_closure(gens)
+            floats = [tuple(c.to_complex() for c in g) for g in gens]
+            approx = classify_additive_closure(floats)
+            assert not approx.exact and approx.evidence["path"] == "relations"
+            assert approx.shape == exact.shape, (n, gens)
+            assert all(approx.distance(g) <= 1e-9 for g in floats)
+
+
 SUITES = (
     ("field laws", _suite_field_laws),
     ("group laws", _suite_group_laws),

@@ -66,12 +66,13 @@ C2_HALF_TURN_SHAPES = [
     pytest.param(_SQRT3_PLANE + [("0", "1"), ("0", "i"), ("0", _S), ("0", _T)], "V4+L0", True,
                  id="V4+L0"),
     pytest.param([("0", "0"), ("1", "1"), (_S, _S), ("i", "0")], "V1+L1", True, id="V1+L1"),
-    pytest.param([("0", "0"), ("0.5", "0"), ("0", "1.5")], "V2+L0", False, id="heuristic"),
+    pytest.param([("0", "0"), ("0.5", "0"), ("0", "1.5")], "V0+L2", False, id="decimal"),
 ]
 
 # (centres, translation_closure block) of half-turn groups: every additive
-# shape, exact and heuristic, as the CLI printed it before the six shapes
-# became labels of one class
+# shape, exact and from decimal data, as the CLI printed it before the six
+# shapes became labels of one class; the decimal blocks as the integer
+# relations give them
 HALF_TURN_CLOSURES = [
     pytest.param(["0", "1"], (
         '{"exact": true, "generator": "[2, 0]", "generator_value": [2.0, 0.0], '
@@ -91,26 +92,26 @@ HALF_TURN_CLOSURES = [
         '{"basis": ["[2, 0]", "[0, 2]"], "basis_values": [[2.0, 0.0], [0.0, 2.0]], '
         '"exact": true, "shape": "Lattice2"}'), id="Lattice2"),
     pytest.param(["0", "0.5"], (
-        '{"evidence": {"path": "heuristic", "ratio_test": "rational"}, "exact": false, '
-        '"generator": "[-1, 0]", "generator_value": [-1.0, 0.0], "shape": "Lattice1"}'),
-        id="heuristic-Lattice1"),
+        '{"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
+        '"generator": "[1, 0]", "generator_value": [1.0, 0.0], "shape": "Lattice1"}'),
+        id="decimal-Lattice1"),
     pytest.param(["0", "0.3", "1"], (
-        '{"evidence": {"path": "heuristic", "ratio_test": "rational"}, "exact": false, '
-        '"generator": "[-1/5, 0]", "generator_value": [-0.2, 0.0], "shape": "Lattice1"}'),
-        id="heuristic-Lattice1-fifths"),
+        '{"evidence": {"height": 5, "path": "relations", "residual": 0.0}, "exact": false, '
+        '"generator": "[1/5, 0]", "generator_value": [0.2, 0.0], "shape": "Lattice1"}'),
+        id="decimal-Lattice1-fifths"),
     pytest.param(["0", "1", "1.7320508075688772"], (
-        '{"direction": "[-1, 0]", "direction_value": [-1.0, 0.0], '
-        '"evidence": {"path": "heuristic", "ratio_test": "irrational"}, "exact": false, '
-        '"shape": "LineDense"}'), id="heuristic-LineDense"),
+        '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], '
+        '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
+        '"shape": "LineDense"}'), id="decimal-LineDense"),
     pytest.param(["0", "1", "1.7320508075688772", "i"], (
         '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], '
-        '"evidence": {"grid_fill": 0.125, "path": "heuristic", "reduced_rank": 3}, '
+        '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, '
         '"exact": false, "shape": "LineLattice", "transversal": "[0, 2]", '
-        '"transversal_value": [0.0, 2.0]}'), id="heuristic-LineLattice"),
+        '"transversal_value": [0.0, 2.0]}'), id="decimal-LineLattice"),
     pytest.param(["0", "1", "0.5i"], (
-        '{"basis": ["[0, -1]", "[-2, 0]"], "basis_values": [[0.0, -1.0], [-2.0, 0.0]], '
-        '"evidence": {"path": "heuristic", "reduced_rank": 2}, "exact": false, '
-        '"shape": "Lattice2"}'), id="heuristic-Lattice2"),
+        '{"basis": ["[0, 1]", "[2, 0]"], "basis_values": [[0.0, 1.0], [2.0, 0.0]], '
+        '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
+        '"shape": "Lattice2"}'), id="decimal-Lattice2"),
 ]
 
 
@@ -299,9 +300,10 @@ class TestClassify:
         assert note.startswith("exact inputs")
         assert "four-exponentials" in note
 
-    def test_heuristic_grid_fill_is_a_fraction(self, tmp_path, capsys):
-        # a sum on the upper edge of the fill window must land in the last
-        # cell; binning it one past the grid pushed the fill to 625/576
+    def test_decimal_centre_gives_the_lattice_of_its_exact_form(self, tmp_path, capsys):
+        # with the third centre written 3/10 the exact path gives Lattice2
+        # with basis 1/5, i/5; the integer relations among the decimal
+        # translations find the same lattice, and claims on it verify
         path = write_doc(tmp_path, "decimal.json", {
             "dim": 1,
             "generators": [
@@ -314,21 +316,14 @@ class TestClassify:
         assert main(["classify", "--input", path]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, SCHEMA)
-
-        def fills(node):
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    if key == "grid_fill":
-                        yield value
-                    else:
-                        yield from fills(value)
-            elif isinstance(node, list):
-                for value in node:
-                    yield from fills(value)
-
-        found = list(fills(report))
-        assert found
-        assert all(0.0 <= f <= 1.0 for f in found)
+        block = report["profile"]["translation_closure"]
+        assert (block["shape"], block["exact"]) == ("Lattice2", False)
+        assert block["evidence"]["path"] == "relations"
+        assert sorted(block["basis_values"]) == [[0.0, 0.2], [0.2, 0.0]]
+        assert report["verdicts"]["has_dense_orbit"] == "unknown"
+        assert main(["verify", "--input", path, "--word-cap", "8"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert [b["evidence"]["soundness_pass"] for b in report["evidence"]] == [True]
 
     @pytest.mark.parametrize("centres, block", HALF_TURN_CLOSURES)
     def test_translation_closure_block_of_each_shape(self, tmp_path, capsys, centres, block):
@@ -388,6 +383,35 @@ class TestClassify:
                 shortest = min(vectors, key=lambda v: sum(abs(c.to_complex()) ** 2 for c in v))
                 assert closure.contains(shortest)
                 assert not closure.contains(tuple(c / 2 for c in shortest))
+
+
+    @pytest.mark.parametrize("ratio, shape", [("-1", "V0+L2"), ("i", "V0+L4")])
+    def test_decimal_centres_in_c2_give_the_shape_of_the_exact_form(
+        self, tmp_path, capsys, ratio, shape
+    ):
+        # half- and quarter-turns about (0, 0), (1/2, 0), (0, 3/2), written
+        # as decimals and as fractions: the same lattice, claimed exactly
+        # only from the fractions, so the decimal verdicts stay open
+        reports = []
+        for half, three_halves in (("0.5", "1.5"), ("1/2", "3/2")):
+            path = write_doc(tmp_path, "c2.json", {
+                "dim": 2,
+                "generators": [
+                    {"ratio": ratio, "center": c}
+                    for c in (["0", "0"], [half, "0"], ["0", three_halves])
+                ],
+                "points": [["1/7", "1/7"]],
+            })
+            main(["classify", "--input", path])
+            reports.append(json.loads(capsys.readouterr().out))
+        decimal, exact = reports
+        jsonschema.validate(decimal, SCHEMA)
+        block = decimal["profile"]["translation_closure"]
+        assert (block["shape"], block["exact"]) == (shape, False)
+        assert block["evidence"]["path"] == "relations"
+        assert exact["profile"]["translation_closure"]["shape"] == shape
+        assert decimal["verdicts"]["has_dense_orbit"] == "unknown"
+        assert decimal["verdicts"]["all_orbits_closed_discrete"] == "unknown"
 
 
 class TestMalformedInput:
@@ -658,6 +682,9 @@ fuzz_factors = st.one_of(
     st.integers(-30, 30).map(lambda k: f"zeta12^{k}"),
     st.tuples(st.integers(-13, 13), st.integers(1, 7)).map(lambda p: f"exp(i*pi*{p[0]}/{p[1]})"),
     st.integers(-20, 20).map(lambda k: f"{k / 8}"),
+    # decimals whose exact forms are rational or in Q(sqrt3), for the
+    # integer relations among the translations
+    st.sampled_from(["0.3", "1.7320508075688772", "-2.5"]),
     st.integers(-30, 30).map(lambda k: f"exp(i*{k / 10})"),
 )
 fuzz_scalars = st.builds(

@@ -236,11 +236,11 @@ class TestAdditivePinned:
         assert c.contains(Scalar.rational(Fraction(7, 2)))
         assert not c.contains(Scalar.rational(Fraction(1, 4)))
 
-    def test_float_inputs_take_the_heuristic_path(self):
+    def test_float_inputs_take_the_relation_path(self):
         line = classify_additive_closure([1.0, complex(math.sqrt(2), 0.0)])
         assert line.shape == "LineDense"
         assert not line.exact
-        assert line.evidence["path"] == "heuristic"
+        assert line.evidence["path"] == "relations"
         assert line.is_discrete() is Trilean.UNKNOWN
 
         strip = classify_additive_closure([1.0, complex(math.sqrt(2), 0.0), 1j])
@@ -463,7 +463,7 @@ class TestAdditiveInvariants:
         st.booleans(),
     )
     def test_array_distance_is_the_scalar_distance(self, gens, points, numeric):
-        # numeric=True sends the same generators down the heuristic path
+        # numeric=True sends the same generators down the relation path
         c = classify_additive_closure([g.to_complex() if numeric else g for g in gens])
         values = [g.to_complex() for g in gens] + points
         many = c.distance_many(np.array(values, dtype=np.complex128))
@@ -549,6 +549,16 @@ class TestArrayMembership:
         ):
             got = c.contains_lifts(n.astype(dtype), d.astype(dtype))
             assert got.dtype == bool and got.tolist() == want
+
+
+    @pytest.mark.parametrize("shape", sorted(SHAPE_GENERATORS))
+    def test_float_path_gives_the_exact_shape(self, shape):
+        # the same generators as floats take the integer relations, which
+        # must find the exact closure's shape and keep every generator
+        gens = [g.to_complex() for g in SHAPE_GENERATORS[shape]]
+        c = classify_additive_closure(gens)
+        assert (c.shape, c.exact, c.evidence["path"]) == (shape, False, "relations")
+        assert all(c.distance(g) <= 1e-9 for g in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,24 @@ class TestTranslationSandwich:
         for s in profile.g1_inner:
             assert profile.g1_closure.contains(s)
 
+    def test_closures_compare_without_their_evidence(self):
+        # g1_pinned compares the inner and outer closures with ==, which
+        # reads the closures and not the relation heights and residuals
+        # of approximate ones
+        fine = classify_additive_closure([0.2, 0.6, 1.0])
+        coarse = classify_additive_closure([0.2])
+        assert fine.evidence != coarse.evidence
+        assert fine == coarse and hash(fine) == hash(coarse)
+        # {i@0, i@1, -1@0.3} is pinned as its exact form, with 3/10
+        pinned = []
+        for centre in ("0.3", "3/10"):
+            gens = (("i", "0"), ("i", "1"), ("-1", centre))
+            spec = GroupSpec(1, tuple(
+                Homothety.with_center(parse_scalar(r), [parse_scalar(c)]) for r, c in gens
+            ))
+            pinned.append(compute_profile(spec).g1_pinned)
+        assert pinned[0] is pinned[1] is False
+
     def test_order_twelve_pair_refuses_the_sandwich(self):
         # an angle of pi/6 has order 12: Z[ratio] is dense, there is no
         # bracketing lattice, and the profile must fall through to the
