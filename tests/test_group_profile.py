@@ -167,6 +167,26 @@ class TestInvariantSubspace:
         with pytest.raises(AbelianGroup):
             compute_EG(GroupSpec(1, (Homothety.with_center(I, O(1)),)))
 
+    def test_one_non_commuting_pair_settles_a_group_with_undecided_pairs(self):
+        # two equal decimal translations cannot be proved to commute at
+        # float precision, but the rotation moves them, so the group is
+        # not abelian; with only the translations it stays undecided
+        shift = Homothety.translation([parse_scalar("1.0i")])
+        rotation = Homothety.with_center(parse_scalar("zeta12"), [parse_scalar("1-zeta12^2")])
+        assert compute_EG(GroupSpec(1, (shift, shift, rotation))).dim == 1
+        with pytest.raises(UndecidableAtPrecision):
+            compute_EG(GroupSpec(1, (shift, shift)))
+
+    def test_decimal_data_past_the_working_precision_are_undecidable(self):
+        # centres near 1e8 with parts near 1e-8: the float subspace misses
+        # a seed point by more than eps, which decimal data cannot settle
+        spec = GroupSpec(2, (
+            Homothety.with_center(parse_scalar("zeta12^3"), [parse_scalar("3.14159"), parse_scalar("1e-300")]),
+            Homothety.with_center(parse_scalar("zeta12^2"), [parse_scalar("1e8"), parse_scalar("1e-8")]),
+        ))
+        with pytest.raises(UndecidableAtPrecision):
+            compute_EG(spec)
+
     @given(st.integers(1, 2), st.data())
     def test_contains_seeds_and_is_generator_invariant(self, dim, data):
         gens = data.draw(

@@ -158,6 +158,41 @@ def test_another_generating_list_gives_the_same_answers(relation, document):
 
 
 # ---------------------------------------------------------------------------
+# decimal forms
+
+# a rational literal of the grammar, not an exponent or part of "zeta12"
+_RATIONAL_LITERAL = re.compile(r"(?<![\w^./])(\d+)(?:/(\d+))?(?![\d./])")
+
+
+def as_decimals(text: str) -> str:
+    """The scalar text with each rational literal written as a decimal."""
+    return _RATIONAL_LITERAL.sub(lambda m: repr(int(m[1]) / int(m[2] or 1)), text)
+
+
+@settings(max_examples=20)
+@given(documents())
+def test_decimal_centres_keep_the_shape_of_the_closure_of_T(document):
+    # the centres and translations written as decimals feed T's closure
+    # through the integer relations, which must find the exact shape; the
+    # ratios stay exact, since a decimal ratio is never proved a root of
+    # unity and T would then have no Schreier generators
+    dim, gens, points, cap = document
+    doc = to_doc(dim, gens, points, cap)
+    decimal = json.loads(json.dumps(doc))
+    for g in decimal["generators"]:
+        key = "translation" if "translation" in g else "center"
+        g[key] = [as_decimals(c) for c in g[key]]
+    code, report = classify(doc)
+    code2, report2 = classify(decimal)
+    assert 0 <= code2 <= 4
+    t = (report or {}).get("profile", {}).get("translation_closure")
+    if t is not None:
+        t2 = report2["profile"]["translation_closure"]
+        assert t2["shape"] == t["shape"]
+        assert not t2["exact"]
+
+
+# ---------------------------------------------------------------------------
 # conjugation
 
 
