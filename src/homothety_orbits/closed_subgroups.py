@@ -363,7 +363,11 @@ def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Distances from the rows of x to the lattice with the reduced basis
     rows `basis`, by Fincke-Pohst: with basis^T = QR, the point Rc is nearer
     to y = Q^T x than the nearest-plane point only if its partial sums of
-    squares, level by level from the last, stay within the latter's."""
+    squares, level by level from the last, stay within the latter's.  A
+    choice at level k that adds more than sum_{j<=k} r_jj^2 / 4 is also
+    passed over, as the nearest-plane completion of its prefix adds no
+    more: so a lattice with short and long vectors does not spend the
+    squares of its long levels on its short ones."""
     q, r = np.linalg.qr(basis.T)
     y, n = x @ q, x.shape[0]
     coef, bound = np.zeros_like(y), np.zeros(n)
@@ -371,10 +375,12 @@ def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
         t = (y[:, k] - coef[:, k + 1 :] @ r[k, k + 1 :]) / r[k, k]
         coef[:, k] = np.round(t)
         bound += ((t - coef[:, k]) * r[k, k]) ** 2
+    left = np.cumsum(np.diag(r) ** 2 / 4) * (1 + 1e-9)
     idx, coef, part = np.arange(n), np.zeros((n, 0)), np.zeros(n)
     for k in reversed(range(r.shape[0])):
         t = (y[idx, k] - coef @ r[k, k + 1 :]) / r[k, k]
-        half = np.sqrt(np.maximum(bound[idx] * (1 + 1e-9) - part, 0.0)) / abs(r[k, k]) + 1e-9
+        slack = np.minimum(bound[idx] * (1 + 1e-9) - part, left[k])
+        half = np.sqrt(np.maximum(slack, 0.0)) / abs(r[k, k]) + 1e-9
         lo = np.ceil(t - half)
         count = np.maximum(np.floor(t + half) - lo + 1, 0).astype(int)
         rep = np.repeat(np.arange(len(t)), count)

@@ -398,6 +398,29 @@ class TestLatticeDistanceCn:
                 assert d == pytest.approx(gaps.min(), abs=1e-9)
 
 
+    def test_short_and_long_vectors_stay_a_small_search(self):
+        # two short vectors in the first two coordinates and two of length
+        # about 4e8 that lean into them: the nearest-plane bound is of the
+        # long vectors' size, and spending it on the short levels once asked
+        # for some 10^10 candidates.  Brute force: the long coefficients near
+        # their real solution, then the short block, which spans the first
+        # two coordinates only
+        short = np.array([[1.0, 0, 0, 0], [0.5, 0.9, 0, 0]])
+        long = np.array([[0.1, 0, 4e8, 0], [0, 0.05, 2e8, 3.8e8]])
+        queries = np.random.default_rng(3).uniform(-1e9, 1e9, size=(40, 4))
+        got = closed_subgroups._nearest_lattice_distance(queries, np.vstack([short, long]))
+        box = np.array(list(itertools.product(range(-3, 4), repeat=2)))
+        for q, d in zip(queries, got):
+            centre = np.round(np.linalg.solve(long[:, 2:].T, q[2:]))
+            best = np.inf
+            for c in centre + box:
+                rest = q - c @ long
+                near = np.round(np.linalg.solve(short[:, :2].T, rest[:2]))
+                gaps = np.linalg.norm(rest[:2] - (near + box) @ short[:, :2], axis=1)
+                best = min(best, math.hypot(gaps.min(), *rest[2:]))
+            assert d == pytest.approx(best, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # additive closures: invariants
 
