@@ -9,7 +9,9 @@ Hermite normal form gives the abstract Z-rank, and Kronecker duality (the
 closure is the annihilator of the dual group D = {phi : phi.v in Z for all
 generators v}) reduces the classification to integer kernels and small
 systems over Q(sqrt(3)).  Membership of an exact vector is then one
-integer test on its lift.
+integer test on its lift.  Approximate vectors take the same duality in
+floats, its integer steps the integer relations that LLL finds among the
+vectors at a 1e-9 residual; the result is flagged as not exact.
 
 Multiplicative side: the closure of a subgroup of C* generated by exact
 ratios (elements of Q(zeta12)) is read through the log-polar map, from the
@@ -176,7 +178,9 @@ _RATIONAL_FIELD = (lambda x: x == 0, Fraction(0), Fraction(1))
 class AdditiveClosure:
     """The closed subgroup V + L of C^n, n = dim: V spanned by `directions`,
     L with basis `lattice` orthogonal to V.  With exact=False the vectors are
-    rational approximations from a heuristic, and only distances count."""
+    rational approximations of float ones, found through integer relations,
+    and only distances count.  `evidence` says how the closure was found,
+    and is not part of ==."""
 
     exact: bool = True
     directions: tuple = ()
@@ -424,8 +428,8 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     exact = [_exact_vector(v) for v in vectors]
     if None in exact:
         coords = np.array([[_as_complex(c) for c in _coords(v)] for v in vectors])
-        errors = [math.hypot(*(c.err if isinstance(c, Scalar) else 0.0 for c in _coords(v))) for v in vectors]
-        return _classify_by_relations(_complex_to_real(coords), np.array(errors))
+        errors = [[c.err if isinstance(c, Scalar) else 0.0 for c in _coords(v)] for v in vectors]
+        return _classify_by_relations(_complex_to_real(coords), np.hypot.reduce(errors, axis=1))
     n = len(_coords(exact[0])) if exact else 1
     basis = _lattice_basis(exact)
     reals = [_reals(b) for b in basis]
@@ -462,7 +466,9 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
 _RESIDUAL, _RELATION, _NO_RELATION = 1e-9, 1e-4, 1e-3
 
 
-def _integer_relations(x: np.ndarray, err: np.ndarray, unit: float = _RESIDUAL) -> Tuple[np.ndarray, int, float]:
+def _integer_relations(
+    x: np.ndarray, err: np.ndarray, unit: float = _RESIDUAL
+) -> Tuple[np.ndarray, int, float]:
     """(R, height, residual) for the rows of an (m, d) float array x with
     error radii err: the rows c of an LLL-reduced basis of Z^m with
     c.x = 0, which span every such c, and their largest height max|c_j|

@@ -279,7 +279,8 @@ def compute_EG(spec: GroupSpec) -> AffineSubspace:
     for what, points in (("lost a seed point", seeds), ("is not generator-invariant", images)):
         if not all(sub.contains(p, eps) for p in points):
             # approximate data fail this check when eps is below their rounding
-            raise (AssertionError if exact else UndecidableAtPrecision)(f"invariant subspace {what}")
+            error = AssertionError if exact else UndecidableAtPrecision
+            raise error(f"invariant subspace {what}")
     return sub
 
 

@@ -180,9 +180,9 @@ class TestInvariantSubspace:
     def test_decimal_data_past_the_working_precision_are_undecidable(self):
         # centres near 1e8 with parts near 1e-8: the float subspace misses
         # a seed point by more than eps, which decimal data cannot settle
-        spec = GroupSpec(2, (
-            Homothety.with_center(parse_scalar("zeta12^3"), [parse_scalar("3.14159"), parse_scalar("1e-300")]),
-            Homothety.with_center(parse_scalar("zeta12^2"), [parse_scalar("1e8"), parse_scalar("1e-8")]),
+        spec = GroupSpec(2, tuple(
+            Homothety.with_center(parse_scalar(r), [parse_scalar(c) for c in centre])
+            for r, centre in (("zeta12^3", ("3.14159", "1e-300")), ("zeta12^2", ("1e8", "1e-8")))
         ))
         with pytest.raises(UndecidableAtPrecision):
             compute_EG(spec)
