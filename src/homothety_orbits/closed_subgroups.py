@@ -521,7 +521,9 @@ def _classify_by_relations(x: np.ndarray, err: np.ndarray) -> AdditiveClosure:
 
 
 def _echelon(rows: np.ndarray) -> np.ndarray:
-    """The reduced row echelon form of float rows of full rank."""
+    """The reduced row echelon form of float rows of full rank, pivoting on
+    the largest entry of each column (`field_rref` takes the first nonzero
+    one, which is exact only in exact arithmetic)."""
     a = np.array(rows, dtype=float)
     top = 0
     for col in range(a.shape[1]):

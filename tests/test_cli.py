@@ -385,13 +385,12 @@ class TestClassify:
                 assert not closure.contains(tuple(c / 2 for c in shortest))
 
 
-    @pytest.mark.parametrize("ratio, shape", [("-1", "V0+L2"), ("i", "V0+L4")])
-    def test_decimal_centres_in_c2_give_the_shape_of_the_exact_form(
-        self, tmp_path, capsys, ratio, shape
-    ):
-        # half- and quarter-turns about (0, 0), (1/2, 0), (0, 3/2), written
-        # as decimals and as fractions: the same lattice, claimed exactly
-        # only from the fractions, so the decimal verdicts stay open
+    def test_decimal_quarter_turns_in_c2_give_the_shape_of_the_exact_form(self, tmp_path, capsys):
+        # quarter-turns about (0, 0), (1/2, 0), (0, 3/2), written as decimals
+        # and as fractions: the same lattice, claimed exactly only from the
+        # fractions, so the decimal verdicts stay open (the half-turns are
+        # the "decimal" row of C2_HALF_TURN_SHAPES)
+        ratio, shape = "i", "V0+L4"
         reports = []
         for half, three_halves in (("0.5", "1.5"), ("1/2", "3/2")):
             path = write_doc(tmp_path, "c2.json", {

@@ -189,7 +189,8 @@ def test_decimal_centres_keep_the_shape_of_the_closure_of_T(document):
     if t is not None:
         t2 = report2["profile"]["translation_closure"]
         assert t2["shape"] == t["shape"]
-        assert not t2["exact"]
+        # a document with no rational literal there stays exact
+        assert t2["exact"] == (t["exact"] and decimal == doc)
 
 
 # ---------------------------------------------------------------------------
