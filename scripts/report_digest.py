@@ -11,8 +11,8 @@ one above the closure trace's cell cap (40^4 cells) and one below it
 the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
 both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
-which take the approximate closures, and `classify` on one such document in
-C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
+which take the approximate closures (an order-7 rotation pair among them),
+and `classify` on two such documents in C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
 whose translation closures take every additive shape, exact and from
 decimal data, and the `additive-c2` line the same on C^2 half-turn groups
 whose closures have (dim V, rank L) from (0, 1) to (4, 0), one with decimal
@@ -51,8 +51,12 @@ NUMERIC_DOCS = (
     ("additive", 1, (("i", ("0",)), ("i", ("1",)), ("-1", ("0.3",))), ("0.25",)),
     ("spiral", 1, (("1.5+0.5i", ("0",)), ("i", ("1",))), ("0.5",)),
     ("translation", 1, (("1", ("1",)), ("exp(i*1)", ("0",))), ("0",)),
+    ("order-7", 1, (("exp(i*pi*2/7)", ("0",)), ("exp(i*pi*2/7)", ("1",))), ("1/3",)),
 )
-NUMERIC_C2_DOC = ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1"))
+NUMERIC_C2_DOCS = (
+    ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1")),
+    ("rays-c2", 2, (("2.0", ("0", "0")), ("3.0", ("1", "0.5")), ("i", ("1/3", "0"))), ("0.5", "1")),
+)
 # half-turn centres: Lattice1 (twice), LineDense, LineLattice and Lattice2
 # exactly, then the same five shapes from decimal data
 ADDITIVE_CENTRES = (
@@ -145,7 +149,7 @@ def main() -> int:
                     count += 1
         print(f"{'verify-c2':<16} {count:>4} docs  {h.hexdigest()}", flush=True)
         h = hashlib.sha256()
-        runs = [(d, ["classify"]) for d in NUMERIC_DOCS + (NUMERIC_C2_DOC,)]
+        runs = [(d, ["classify"]) for d in NUMERIC_DOCS + NUMERIC_C2_DOCS]
         runs += [(d, ["verify", "--word-cap", "8"]) for d in NUMERIC_DOCS]
         for count, ((family, dim, gens, point), argv) in enumerate(runs):
             path = write_doc(tmp, numeric_doc(dim, gens, point))
