@@ -614,6 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UndecidableAtPrecision, UncertainZero) as exc:
         print(f"undecidable at working precision: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
+    except OverflowError as exc:  # a float step past float range
+        print(f"undecidable at working precision: float overflow ({exc})", file=sys.stderr)
+        return EXIT_UNDECIDABLE
     except AbelianGroup as exc:
         print(f"malformed input: abelian group ({exc})", file=sys.stderr)
         return EXIT_MALFORMED

@@ -212,7 +212,7 @@ def _orthogonalize(basis: List[Point], exact: bool) -> List[Point]:
             w = v_sub(w, v_scale(num / den, u))
         if v_is_zero(w) is not Trilean.YES:
             if not exact:
-                norm = abs(sum(abs(c) ** 2 for c in v_to_complex(w))) ** 0.5
+                norm = math.hypot(*(abs(c) for c in v_to_complex(w)))
                 if norm == 0.0:
                     raise UndecidableAtPrecision("cannot resolve whether E_G gains a direction")
                 w = v_scale(Scalar.approx(complex(1.0 / norm, 0.0), 0.0), w)

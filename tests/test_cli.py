@@ -799,6 +799,12 @@ UNCERTAIN_DIVISOR = ('{"dim": 2, "generators": [{"ratio": "exp(i*1.1)", "center"
 # a JSON boolean option, once read as eps 1.0; now exit 1
 BOOLEAN_EPS = ('{"dim": 1, "generators": [{"ratio": "i", "center": ["0"]}, '
                '{"ratio": "i", "center": ["1"]}], "options": {"eps": true}}', [])
+# a ratio of 1e300: the norm of an E_G direction overflowed when squared,
+# and verify's harvest meets a commutator past float range (now exit 3)
+HUGE_RATIO = ('{"dim": 3, "generators": [{"ratio": "1e300", "center": ["i", "i", "i"]}, '
+              '{"ratio": "i", "center": ["i", "i", "i"]}, '
+              '{"ratio": "1", "translation": ["i", "i", "i"]}], "options": {"word_cap": 0, "grid": 2}}',
+              ["--point=i,i,i"])
 
 
 class TestInputGrammarFuzz:
@@ -807,6 +813,8 @@ class TestInputGrammarFuzz:
     @example("classify", FLAT_DIRECTION)
     @example("verify", UNCERTAIN_DIVISOR)
     @example("verify", BOOLEAN_EPS)
+    @example("classify", HUGE_RATIO)
+    @example("verify", HUGE_RATIO)
     def test_every_document_ends_in_an_exit_code(self, command, run):
         text, flags = run
         with tempfile.TemporaryDirectory() as tmp:
