@@ -18,7 +18,10 @@ ratios (elements of Q(zeta12)) is read through the log-polar map, from the
 exponent vectors of the squared moduli over the primes and the unit of
 Z[sqrt(3)] and the arguments in units of pi/12.  It is decided exactly
 except in one case of four-exponentials type, which is reported as such.
-Approximate ratios fall back to a numeric heuristic and are flagged.
+Approximate ratios map to the rows (log|w|, arg w / 2pi), and with (0, 1)
+they generate a subgroup of R^2 whose closure V + L the additive side's
+relation routine gives; each (V, L) is one of the shapes of the exact
+side, flagged as not exact.
 """
 
 from __future__ import annotations
@@ -423,13 +426,18 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     D, phi in W; V = W meets D's orthogonal, L is the basis dual to D's.
     V's basis is in row echelon form, but a LineLattice's line in C keeps
     i*g (g spanning D) with a positive lead.  Approximate vectors take the
-    same duality in floats, `_classify_by_relations`.
+    same duality in floats, `_closure_by_relations`, and every vector is
+    stored with a positive lead.
     """
     exact = [_exact_vector(v) for v in vectors]
     if None in exact:
         coords = np.array([[_as_complex(c) for c in _coords(v)] for v in vectors])
         errors = [[c.err if isinstance(c, Scalar) else 0.0 for c in _coords(v)] for v in vectors]
-        return _classify_by_relations(_complex_to_real(coords), np.hypot.reduce(errors, axis=1))
+        x, err = _complex_to_real(coords), np.hypot.reduce(errors, axis=1)
+        directions, lattice, evidence = _closure_by_relations(x, err, "translations")
+        stored = [_stored_float(row) for row in (*directions, *lattice)]
+        v, n = len(directions), coords.shape[1]
+        return AdditiveClosure(False, tuple(stored[:v]), tuple(stored[v:]), evidence, n)
     n = len(_coords(exact[0])) if exact else 1
     basis = _lattice_basis(exact)
     reals = [_reals(b) for b in basis]
@@ -466,13 +474,12 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
 _RESIDUAL, _RELATION, _NO_RELATION = 1e-9, 1e-4, 1e-3
 
 
-def _integer_relations(
-    x: np.ndarray, err: np.ndarray, unit: float = _RESIDUAL
-) -> Tuple[np.ndarray, int, float]:
+def _integer_relations(x, err, what: str, unit: float = _RESIDUAL) -> Tuple[np.ndarray, int, float]:
     """(R, height, residual) for the rows of an (m, d) float array x with
     error radii err: the rows c of an LLL-reduced basis of Z^m with
     c.x = 0, which span every such c, and their largest height max|c_j|
-    and relative residual |c.x| / max|x|."""
+    and relative residual |c.x| / max|x|.  `what` names the rows in the
+    message of an undecidable row."""
     size = float(np.abs(x).max()) or 1.0
     m = len(x)
     reduced = _lll_reduced(np.hstack([np.eye(m), x / (unit * size)]))
@@ -482,23 +489,21 @@ def _integer_relations(
     scaled = residual / unit / height
     rel = scaled <= _RELATION
     if np.any(~rel & ((scaled < _NO_RELATION) | (residual * size <= np.abs(coeffs) @ err))):
-        raise UndecidableAtPrecision(
-            "cannot tell whether the translations satisfy an integer relation"
-        )
+        raise UndecidableAtPrecision(f"cannot tell whether the {what} satisfy an integer relation")
     return coeffs[rel], int(height[rel].max(initial=0)), float(residual[rel].max(initial=0.0))
 
 
-def _classify_by_relations(x: np.ndarray, err: np.ndarray) -> AdditiveClosure:
-    """The exact path's Kronecker duality in floats, for the rows of an
-    (m, 2n) float array x with error radii err.  With R the integer
-    relations among the rows and K a basis of R's integer kernel, the group
-    is Z^m / R, and b with x = K^T b is a Z-basis of it, spanning W; it is
-    a lattice when b is independent.  Otherwise the integer points of the
-    image of phi -> (phi.b_j)_j, phi in W, are the relations among the
-    coordinates of its orthogonal complement, and they give the dual group
-    D.  V's basis is in row echelon form, and every vector has a positive
-    lead."""
-    relations, height, residual = _integer_relations(x, err)
+def _closure_by_relations(x, err, what: str) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """(directions, lattice, evidence) of the closure V + L of the group the
+    rows of an (m, d) float array x (error radii err) generate, by the exact
+    path's Kronecker duality in floats; V in reduced row echelon form, L
+    LLL-reduced.  With R the integer relations among the rows and K a basis
+    of R's integer kernel, the group is Z^m / R, and b with x = K^T b is a
+    Z-basis of it, spanning W; it is a lattice when b is independent.
+    Otherwise the integer points of the image of phi -> (phi.b_j)_j, phi in
+    W, are the relations among the coordinates of its orthogonal complement,
+    and they give the dual group D."""
+    relations, height, residual = _integer_relations(x, err, what)
     b = x
     if len(relations):
         kernel = np.array(integer_kernel(relations.tolist()), dtype=float).reshape(-1, len(x))
@@ -508,16 +513,15 @@ def _classify_by_relations(x: np.ndarray, err: np.ndarray) -> AdditiveClosure:
     directions, lattice = vt[:0], b
     if w < len(b):
         # the complement is as precise as b is well conditioned on W
-        dual, h, r = _integer_relations(u[:, w:], np.zeros(len(b)), _RESIDUAL * s[0] / s[w - 1])
+        unit = _RESIDUAL * s[0] / s[w - 1]
+        dual, h, r = _integer_relations(u[:, w:], np.zeros(len(b)), what, unit)
         height, residual = max(height, h), max(residual, r)
         phi = (dual @ u[:, :w] / s[:w]) @ vt[:w]
         # V = W meets the orthogonal of D, L is the basis dual to D's
         directions = np.linalg.svd(phi @ vt[:w].T)[2][len(phi) :] @ vt[:w]
         lattice = np.linalg.solve(phi @ phi.T, phi)
     evidence = {"path": "relations", "height": height, "residual": residual}
-    stored = [_stored_float(row) for row in (*_echelon(directions), *_lll_reduced(lattice))]
-    v, n = len(directions), x.shape[1] // 2
-    return AdditiveClosure(False, tuple(stored[:v]), tuple(stored[v:]), evidence, n)
+    return _echelon(directions), _lll_reduced(lattice), evidence
 
 
 def _echelon(rows: np.ndarray) -> np.ndarray:
@@ -564,8 +568,11 @@ def _planar_float(z: complex) -> CycloScalar:
 # Z[sqrt3] (a Euclidean domain) and, last, the exponent of the unit 2+sqrt3.
 # The argument is a multiple of pi/12 exactly when (w / conj w)^12 = 1, since
 # the roots of unity of Q(zeta) are the 12th roots; otherwise arg w / pi is
-# irrational.  `distance_many` takes a complex array and `distance` is its
-# one-point case; exact membership of an exact value never reads a float.
+# irrational.  Approximate ratios are read through w -> (log|w|, arg w / 2pi)
+# in floats, by the relation routine of the additive side, and their
+# closures store floats and angles of any order.  `distance_many` takes a
+# complex array and `distance` is its one-point case; exact membership of an
+# exact value never reads a float.
 
 
 @dataclass(frozen=True)
@@ -593,14 +600,10 @@ class MultClosure:
         return float(self.distance_many(np.array([_as_complex(w)], dtype=np.complex128))[0])
 
     def is_whole_plane(self) -> Trilean:
-        return Trilean.NO if self.exact else Trilean.UNKNOWN
+        return Trilean.NO
 
     def to_report(self) -> dict:
-        out = {
-            "shape": self.shape,
-            "exact": self.exact,
-            "includes_zero": self.includes_zero,
-        }
+        out = {"shape": self.shape, "exact": self.exact, "includes_zero": self.includes_zero}
         if self.evidence:
             out["evidence"] = self.evidence
         return out
@@ -608,21 +611,26 @@ class MultClosure:
 
 @dataclass(frozen=True)
 class FiniteCyclic(MultClosure):
+    """The roots of unity of the given order."""
+
     order: int = 1
-    generator_log: int = 0  # generator is zeta^generator_log
     shape: str = "FiniteCyclic"
     exact: bool = True
     includes_zero: bool = False
 
     def elements(self) -> List[complex]:
-        return [
-            ZETA_POWERS[(self.generator_log * j) % 12].to_complex()
-            for j in range(self.order)
-        ]
+        if 12 % self.order:
+            return [cmath.exp(2j * math.pi * j / self.order) for j in range(self.order)]
+        return [ZETA_POWERS[self._step * j % 12].to_complex() for j in range(self.order)]
+
+    @cached_property
+    def _step(self) -> int:
+        """The generator's power of zeta12, when the order divides 12."""
+        return 12 // self.order
 
     def _member(self, w: CycloScalar) -> bool:
         k = w.root_of_unity_log()
-        return k is not None and k % gcd(self.generator_log or 12, 12) == 0
+        return k is not None and k % self._step == 0
 
     @cached_property
     def _element_array(self) -> np.ndarray:
@@ -635,22 +643,24 @@ class FiniteCyclic(MultClosure):
     def to_report(self) -> dict:
         out = super().to_report()
         out["order"] = self.order
-        out["generator"] = f"zeta12^{self.generator_log}"
+        root = f"zeta12^{self._step % 12}"
+        out["generator"] = f"exp(i*pi*2/{self.order})" if 12 % self.order else root
         return out
 
 
 @dataclass(frozen=True)
 class RaysDiscrete(MultClosure):
-    """The discrete closure {0} u generator^Z * <zeta^root_step>.
+    """The discrete closure {0} u generator^Z * <exp(2 pi i / root_order)>.
 
-    `generator` has modulus > 1 and generates the moduli of the group; when
-    its argument is a multiple of pi/12 it is reduced into [0, root_step*pi/6).
-    The argument may be irrational (a discrete spiral): membership of w goes
-    through the exponent vectors, |w|^2 = |generator|^(2m), and the test
-    w * generator^(-m) in <zeta^root_step>."""
+    `generator` has modulus > 1 and generates the moduli of the group; its
+    argument is reduced into [0, 2 pi / root_order) when it is a multiple of
+    pi/12 or the closure is not exact (`generator` is then complex).  An
+    exact argument may be irrational (a discrete spiral): w is a member when
+    |w|^2 = |generator|^(2m), read on exponent vectors, and w * generator^(-m)
+    is a root."""
 
     generator: CycloScalar = None
-    root_step: int = 12
+    root_order: int = 1
     shape: str = "RaysDiscrete"
     exact: bool = True
     includes_zero: bool = True
@@ -665,7 +675,13 @@ class RaysDiscrete(MultClosure):
 
     @property
     def modulus_base(self) -> float:
-        return math.sqrt(self.modulus_base_sq.to_complex().real)
+        g = self.generator
+        return math.sqrt(g.abs_sq().to_complex().real) if self.exact else abs(g)
+
+    @cached_property
+    def _root_step(self) -> int:
+        """The roots' generator as a power of zeta12 (exact closures)."""
+        return 12 // self.root_order
 
     @cached_property
     def angle_log(self) -> Optional[int]:
@@ -676,7 +692,7 @@ class RaysDiscrete(MultClosure):
     def angle_order(self) -> Optional[int]:
         if self.angle_log is None:
             return None
-        return 24 // gcd(24, self.angle_log, 2 * self.root_step)
+        return 24 // gcd(24, self.angle_log, 2 * self._root_step)
 
     @property
     def hnf_rows(self) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
@@ -684,19 +700,19 @@ class RaysDiscrete(MultClosure):
         pairs of the group, or None when the argument is irrational."""
         if self.angle_log is None:
             return None
-        return ((1, self.angle_log), (0, 2 * self.root_step))
+        return ((1, self.angle_log), (0, 2 * self._root_step))
 
     def _member(self, w: CycloScalar) -> bool:
         m = _modulus_multiple(w, self._modulus_basis)
         if m is None:
             return False
         k = (w * self.generator ** (-m)).root_of_unity_log()
-        return k is not None and k % self.root_step == 0
+        return k is not None and k % self._root_step == 0
 
     @cached_property
     def _floats(self) -> Tuple[float, float, float]:
-        g = self.generator.to_complex()
-        return abs(g), math.atan2(g.imag, g.real), math.tau * self.root_step / 12
+        g = _as_complex(self.generator)
+        return abs(g), math.atan2(g.imag, g.real), math.tau / self.root_order
 
     def distance_many(self, xi: np.ndarray) -> np.ndarray:
         """The nearest of 0 and the points on the circles |w| = rho^m.
@@ -735,6 +751,10 @@ class RaysDiscrete(MultClosure):
     def to_report(self) -> dict:
         out = super().to_report()
         out["modulus_ratio"] = self.modulus_base
+        if not self.exact:
+            out["generator"] = format_scalar(Scalar.approx(self.generator))
+            out["root_order"] = self.root_order
+            return out
         out["generator"] = format_scalar(Scalar(self.generator))
         if self.angle_log is not None:
             out["angle_order"] = self.angle_order
@@ -744,8 +764,9 @@ class RaysDiscrete(MultClosure):
 
 @dataclass(frozen=True)
 class Circles(MultClosure):
-    """Full circles |w| = rho^m, m in Z, and 0, with rho^2 = modulus_base_sq;
-    with no modulus_base_sq (every ratio of modulus 1) only the unit circle."""
+    """Full circles |w| = rho^m, m in Z, and 0, with rho^2 = modulus_base_sq
+    (a float when the closure is not exact); with no modulus_base_sq (every
+    ratio of modulus 1) only the unit circle."""
 
     modulus_base_sq: Optional[CycloScalar] = None
     shape: str = "Circles"
@@ -756,6 +777,10 @@ class Circles(MultClosure):
     def _modulus_basis(self):
         return _exponent_basis(self.modulus_base_sq)
 
+    @cached_property
+    def modulus_ratio(self) -> float:
+        return math.sqrt(_as_complex(self.modulus_base_sq).real)
+
     def _member(self, w: CycloScalar) -> bool:
         if self.modulus_base_sq is None:
             return w.abs_sq() == CYCLO_ONE
@@ -765,7 +790,7 @@ class Circles(MultClosure):
         r = np.hypot(xi.real, xi.imag)
         if self.modulus_base_sq is None:
             return np.abs(r - 1.0)
-        rho = math.sqrt(self.modulus_base_sq.to_complex().real)
+        rho = self.modulus_ratio
         live = r > 0
         inner = rho ** np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
         d = np.minimum(np.abs(r - inner), np.abs(rho * inner - r))
@@ -774,27 +799,31 @@ class Circles(MultClosure):
     def to_report(self) -> dict:
         out = super().to_report()
         if self.modulus_base_sq is not None:
-            out["modulus_ratio"] = math.sqrt(self.modulus_base_sq.to_complex().real)
+            out["modulus_ratio"] = self.modulus_ratio
         return out
 
 
 @dataclass(frozen=True)
 class RaysDense(MultClosure):
-    """Union of full rays at the angles angle_step * j * pi/12, and 0."""
+    """Union of full rays at the angles 2 pi j / angle_order, and 0."""
 
     angle_order: int = 1
-    angle_step: int = 24
     shape: str = "RaysDense"
     exact: bool = True
     includes_zero: bool = True
 
+    @cached_property
+    def _angle_step(self) -> int:
+        """The angle between rays in units of pi/12 (exact closures)."""
+        return 24 // self.angle_order
+
     def _member(self, w: CycloScalar) -> bool:
         a = _angle_pi12(w)
-        return a is not None and a % self.angle_step == 0
+        return a is not None and a % self._angle_step == 0
 
     @cached_property
     def _directions(self) -> np.ndarray:
-        angles = np.arange(0, 24, self.angle_step) * (math.pi / 12)
+        angles = np.arange(self.angle_order) * (24 / self.angle_order) * (math.pi / 12)
         return np.cos(angles) + 1j * np.sin(angles)
 
     def distance_many(self, xi: np.ndarray) -> np.ndarray:
@@ -813,9 +842,9 @@ class RaysDense(MultClosure):
 
 @dataclass(frozen=True)
 class WholePlane(MultClosure):
-    """All of C.  With exact=False, shape "Unknown": a closure this
-    classifier does not decide, described by its superset C, so that no
-    orbit point is ever rejected."""
+    """All of C.  With exact=False and shape "Unknown": a closure this
+    classifier does not decide or does not represent, described by its
+    superset C, so that no orbit point is ever rejected."""
 
     shape: str = "Plane"
     exact: bool = True
@@ -829,40 +858,6 @@ class WholePlane(MultClosure):
 
     def is_whole_plane(self) -> Trilean:
         return Trilean.YES if self.exact else Trilean.UNKNOWN
-
-
-@dataclass(frozen=True)
-class HeuristicMult(MultClosure):
-    """Evidence-based description; `dense_angles` records that sampled
-    arguments equidistribute, not that the planar closure is all of C."""
-
-    samples: Tuple[complex, ...] = ()
-    shape: str = "Unknown"
-    exact: bool = False
-    includes_zero: bool = False
-
-    @cached_property
-    def _sample_array(self) -> np.ndarray:
-        return np.array(self.samples, dtype=np.complex128)
-
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        best = np.hypot(xi.real, xi.imag) if self.includes_zero else np.full(xi.shape, np.inf)
-        s = self._sample_array
-        if s.size:
-            # np.hypot, not np.abs: it is bit for bit the abs() of a complex;
-            # queries go in blocks of about 2^20 differences
-            block = max(1, 2**20 // s.size)
-            for i in range(0, xi.shape[0], block):
-                d = xi[i : i + block, None] - s[None, :]
-                best[i : i + block] = np.minimum(
-                    best[i : i + block], np.hypot(d.real, d.imag).min(axis=1)
-                )
-        return best
-
-    def is_whole_plane(self) -> Trilean:
-        if self.shape == "HeuristicDiscrete":
-            return Trilean.NO
-        return Trilean.UNKNOWN
 
 
 # -- arithmetic of Q(sqrt3) and Z[sqrt3] ------------------------------------
@@ -1024,21 +1019,18 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
       is a multiple of pi/12, and otherwise shape "Unknown" with exact=False
       and its reason: a four-exponentials question, described by the
       superset C.
-    Approximate ratios go to a sampled heuristic with evidence.
+    Approximate ratios take the closure of their log-polar image,
+    `_classify_mult_by_relations`, and are flagged as not exact.
     """
     values = [_exact_vector(r) for r in ratios]
     if any(v is None for v in values):
-        return _classify_mult_heuristic(ratios)
+        return _classify_mult_by_relations(ratios)
     values = [v for v in values if v != CYCLO_ONE]
     moduli = [v.abs_sq() for v in values]
     primes = sorted({p for q in moduli for p in _prime_support(q)})
     width = len(primes) + 1
-    rows = hnf(
-        [
-            _exponents(q, primes) + [int(i == j) for j in range(len(values))]
-            for i, q in enumerate(moduli)
-        ]
-    )
+    units = np.eye(len(values), dtype=int).tolist()
+    rows = hnf([_exponents(q, primes) + u for q, u in zip(moduli, units)])
     modulus_rows = [row for row in rows if any(row[:width])]
     circle = [_word(values, row[width:]) for row in rows if not any(row[:width])]
     logs = [u.root_of_unity_log() for u in circle]
@@ -1049,13 +1041,11 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
         angles = [_angle_pi12(v) for v in values]
         if None in angles:
             return WholePlane(shape="Unknown", exact=False, evidence={"reason": _FOUR_EXPONENTIALS})
-        step = gcd(24, *angles)
-        return RaysDense(angle_order=24 // step, angle_step=step)
+        return RaysDense(angle_order=24 // gcd(24, *angles))
     if rank == 0:
         if None in logs:
             return Circles(includes_zero=False)
-        g = gcd(12, *logs)
-        return FiniteCyclic(order=12 // g, generator_log=g % 12)
+        return FiniteCyclic(order=12 // gcd(12, *logs))
     generator = _word(values, modulus_rows[0][width:])
     if (generator.abs_sq() - 1).sign() < 0:
         generator = generator.inverse()
@@ -1065,69 +1055,44 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     a = _angle_pi12(generator)
     if a is not None:
         generator = generator * ZETA_POWERS[(-g * (a // (2 * g))) % 12]
-    return RaysDiscrete(generator=generator, root_step=g)
+    return RaysDiscrete(generator=generator, root_order=12 // g)
 
 
-def _classify_mult_heuristic(ratios: Sequence) -> MultClosure:
-    vals = [_as_complex(r) for r in ratios]
-    vals = [v for v in vals if abs(v - 1.0) > 1e-15]
-    if not vals:
-        return FiniteCyclic(order=1, generator_log=0)
-    samples = {1.0 + 0j}
-    frontier = [1.0 + 0j]
-    level = 0
-    # deep levels are cheap for few generators and sharpen the angle
-    # statistics; the sample cap bounds the many-generator blowup
-    while frontier and level < 200 and len(samples) < 40000:
-        level += 1
-        nxt = []
-        for s in frontier:
-            for v in vals:
-                for w in (s * v, s / v):
-                    key = complex(round(w.real, 12), round(w.imag, 12))
-                    if key not in samples and len(samples) < 40000:
-                        samples.add(key)
-                        nxt.append(w)
-        frontier = nxt
-    pts = sorted(samples, key=lambda z: (z.real, z.imag))
-    angles = sorted((cmath.phase(z) % math.tau) / math.tau for z in pts)
-    n = len(angles)
-    disc = max(
-        max(abs((i + 1) / n - a), abs(a - i / n)) for i, a in enumerate(angles)
-    )
-    logmods = sorted(math.log(abs(z)) for z in pts if abs(z) > 0)
-    mod_spread = logmods[-1] - logmods[0] if logmods else 0.0
-    includes_zero = any(abs(abs(v) - 1.0) > 1e-9 for v in vals)
-    ev = {
-        "path": "heuristic",
-        "samples": len(pts),
-        "angle_discrepancy": round(disc, 6),
-        "log_modulus_spread": round(mod_spread, 6),
-    }
-    if disc < 0.05:
-        return HeuristicMult(
-            shape="HeuristicDense",
-            includes_zero=includes_zero,
-            evidence=ev,
-            samples=tuple(pts),
-        )
-    # angles concentrate: check gap stability for discreteness evidence
-    gaps = []
-    for frac in (0.5, 1.0):
-        sub = pts[: max(2, int(len(pts) * frac))]
-        best = math.inf
-        for i, a in enumerate(sub[: min(len(sub), 400)]):
-            for b in sub[i + 1 : min(len(sub), 400)]:
-                best = min(best, abs(a - b))
-        gaps.append(best)
-    ev["min_gap_trend"] = [round(g, 9) for g in gaps]
-    if gaps[-1] > 1e-6 and abs(gaps[0] - gaps[-1]) < 1e-9:
-        return HeuristicMult(
-            shape="HeuristicDiscrete",
-            includes_zero=includes_zero,
-            evidence=ev,
-            samples=tuple(pts),
-        )
-    return HeuristicMult(
-        shape="Unknown", includes_zero=includes_zero, evidence=ev, samples=tuple(pts)
-    )
+def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
+    """The closure of Lambda read off the closure V + L of its log-polar
+    image w -> (log|w|, arg w / 2pi), with (0, 1) added for the turn, by the
+    relation routine of the additive side.  V's basis is in row echelon
+    form, so its pivot tells the coordinate axes from other lines; L of
+    rank 1 next to V = 0 or the first axis is Z(0, 1/k)."""
+    z = np.array([_as_complex(r) for r in ratios], dtype=np.complex128)
+    r = np.abs(z)
+    x = np.vstack([np.column_stack([np.log(r), np.angle(z) / math.tau]), [[0.0, 1.0]]])
+    err = [(q.err if isinstance(q, Scalar) else 0.0) / m for q, m in zip(ratios, r)]
+    directions, lattice, evidence = _closure_by_relations(x, np.array(err + [0.0]), "ratios")
+    found = {"exact": False, "evidence": evidence}
+    if len(directions) == 2:
+        return WholePlane(**found)
+    if len(directions) == 1:
+        (a, b) = directions[0]
+        if a != 1.0:  # no pivot on the first coordinate: V = span(0, 1)
+            if not len(lattice):
+                return Circles(includes_zero=False, **found)
+            return Circles(modulus_base_sq=math.exp(2 * abs(lattice[0][0])), **found)
+        if abs(b) <= _RESIDUAL:
+            return RaysDense(angle_order=round(1 / abs(lattice[0][1])), **found)
+        reason = "the closure is a finite union of logarithmic spirals, not represented here"
+        return WholePlane(shape="Unknown", exact=False, evidence={**evidence, "reason": reason})
+    if len(lattice) == 1:
+        return FiniteCyclic(order=round(1 / abs(lattice[0][1])), **found)
+    # (0, 1) = c1 l1 + c2 l2, so (0, 1/k) with k = gcd(c1, c2) spans L meet
+    # {0} x R, and u1 l1 + u2 l2 with u2 c1 - u1 c2 = k completes it
+    c1, c2 = (int(c) for c in np.round(np.linalg.solve(lattice.T, [0.0, 1.0])))
+    k = gcd(c1, c2)
+    p, q = c1 // k, c2 // k
+    u2 = pow(p, -1, abs(q)) if q else p
+    u1 = (u2 * p - 1) // q if q else 0
+    a, b = u1 * lattice[0] + u2 * lattice[1]
+    if a < 0:
+        a, b = -a, -b
+    generator = cmath.exp(complex(a, math.tau * (b % (1 / k))))
+    return RaysDiscrete(generator=generator, root_order=k, **found)

@@ -5,8 +5,9 @@ orbit closure (whole space, invariant affine subspace, scaled cone over it,
 or a finite union of rotated lattice cosets), each with a membership
 predicate, a distance function, a window trace and a sampler, so the
 brute-force oracle can cross-examine every claim.  Global verdicts (dense orbit, discrete orbit,
-minimality) are three-valued: whenever a heuristic classifier feeds a
-hypothesis, the answer is "unknown", never a silent "no".
+minimality) are three-valued: where a closure leaves a hypothesis open (an
+approximate closure that reads as the whole plane, or an exact one of
+four-exponentials type), the answer is "unknown", never a silent "no".
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 from unittest import mock
 
 import jsonschema
@@ -299,6 +300,30 @@ class TestClassify:
         (note,) = [n for n in notes if "ratio closure is undecided" in n]
         assert note.startswith("exact inputs")
         assert "four-exponentials" in note
+
+    def test_decimal_spiral_in_c2_gives_the_verdicts_of_its_exact_form(self, tmp_path, capsys):
+        # 1.5+0.5i and i: the integer relations among (log|w|, arg w / 2pi)
+        # find the discrete rays of the exact form, so E_G (a hyperplane)
+        # gives no dense orbit
+        reports = []
+        for spiral, y in (("1.5+0.5i", "0.5"), ("3/2+1/2i", "1/2")):
+            path = write_doc(tmp_path, "spiral.json", {
+                "dim": 2,
+                "generators": [
+                    {"ratio": spiral, "center": ["0", "0"]},
+                    {"ratio": "i", "center": ["1", y]},
+                ],
+                "points": [["1/2", "1"]],
+            })
+            assert main(["classify", "--input", path]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        decimal, exact = reports
+        lam = decimal["profile"]["lambda_closure"]
+        assert (lam["shape"], lam["exact"], lam["root_order"]) == ("RaysDiscrete", False, 4)
+        assert exact["profile"]["lambda_closure"]["shape"] == "RaysDiscrete"
+        assert decimal["verdicts"]["has_dense_orbit"] == "no"
+        decimal["verdicts"]["notes"] = exact["verdicts"]["notes"]
+        assert decimal["verdicts"] == exact["verdicts"]
 
     def test_decimal_centre_gives_the_lattice_of_its_exact_form(self, tmp_path, capsys):
         # with the third centre written 3/10 the exact path gives Lattice2
@@ -617,6 +642,26 @@ class TestVerify:
         assert captured.out == ""
         assert "beyond float range" in captured.err
 
+    def test_dim_4_spiral_verifies_quickly(self, tmp_path, capsys):
+        # an irrational-angle ratio in C^4: 4^8 window cells are traced
+        # against the closure of Lambda, a discrete spiral; measured against
+        # 40,000 sampled ratios, the trace once took about 20 s
+        path = write_doc(tmp_path, "dim4.json", {
+            "dim": 4,
+            "generators": [
+                {"ratio": "-exp(i*3.0)*7/2i", "center": ["0", "0", "0", "0"]},
+                {"ratio": "i", "center": ["1", "0", "1/2", "0"]},
+            ],
+            "points": [["1/3", "1", "0", "1/2"]],
+        })
+        start = time.perf_counter()
+        assert main(["verify", "--input", path, "--word-cap", "3", "--grid", "4"]) == EXIT_OK
+        assert time.perf_counter() - start < 10.0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        lam = report["closures"][0]["lambda_closure"]
+        assert (lam["shape"], lam["exact"]) == ("RaysDiscrete", False)
+
     @pytest.mark.parametrize("cap", [6, 10, 14])
     def test_c2_quarter_turn_pair_is_sound_at_every_word_cap(
         self, tmp_path, capsys, cap
@@ -722,8 +767,8 @@ def fuzz_runs(draw):
     if draw(st.booleans()):
         doc["points"] = [point() for _ in range(draw(st.integers(0, 2)))]
     options, flags = {}, []
-    # grid^(2 dim) cells stay at most 729 (a heuristic closure measures each
-    # against 40,000 sampled ratios)
+    # grid^(2 dim) cells stay at most 729, so that tracing each claim over
+    # the window keeps an example short
     grids = st.integers(2, {1: 4, 2: 3, 3: 3, 4: 2}[dim])
     for key, flag, small in (("word_cap", "--word-cap", st.integers(0, 3)), ("grid", "--grid", grids)):
         value = draw(small)

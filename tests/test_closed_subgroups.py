@@ -5,6 +5,7 @@ Pinned classifications are cross-checked with small brute-force searches
 the tests, independently of the library code.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import assume, given, strategies as st
 
 from homothety_orbits.exact_algebra import (
     CYCLO_I,
+    ZETA_POWERS,
     CycloScalar,
     Scalar,
     Trilean,
@@ -26,6 +28,9 @@ from homothety_orbits.lattices import hnf
 from homothety_orbits import closed_subgroups
 from homothety_orbits.closed_subgroups import (
     AdditiveClosure,
+    FiniteCyclic,
+    RaysDense,
+    RaysDiscrete,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
@@ -592,7 +597,7 @@ class TestMultiplicativePinned:
     def test_fourth_roots_of_unity(self):
         c = classify_multiplicative_closure([parse_scalar("i")])
         assert c.shape == "FiniteCyclic"
-        assert c.order == 4 and c.generator_log == 3
+        assert c.order == 4 and c.to_report()["generator"] == "zeta12^3"
         assert not c.includes_zero
         elems = sorted((round(z.real, 9), round(z.imag, 9)) for z in c.elements())
         assert elems == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
@@ -641,14 +646,40 @@ class TestMultiplicativePinned:
         assert c.distance(complex(-1.0, 0.0)) == pytest.approx(1.0)
         assert c.is_whole_plane() is Trilean.NO
 
-    def test_irrational_angle_goes_heuristic(self):
+    # approximate ratios: shape, the order field that shape reports, and
+    # is_whole_plane, from the closure of the log-polar image
+    @pytest.mark.parametrize(
+        "names, shape, order, whole",
+        [
+            (("2*exp(i*1.0)",), "RaysDiscrete", ("root_order", 1), Trilean.NO),
+            (("exp(i*pi*2/7)",), "FiniteCyclic", ("order", 7), Trilean.NO),
+            (("2.0", "3.0", "i"), "RaysDense", ("angle_order", 4), Trilean.NO),
+            (("1.5+0.5i", "1.5-0.5i"), "Circles", None, Trilean.NO),
+            (("2.0", "3.0", "exp(i*1.0)"), "Plane", None, Trilean.UNKNOWN),
+            (("-1.0",), "FiniteCyclic", ("order", 2), Trilean.NO),
+        ],
+    )
+    def test_approximate_ratios_take_the_relations(self, names, shape, order, whole):
+        ratios = [parse_scalar(n) for n in names]
+        c = classify_multiplicative_closure(ratios)
+        assert (c.shape, c.exact, c.evidence["path"]) == (shape, False, "relations")
+        assert c.is_whole_plane() is whole
+        if order is not None:
+            assert getattr(c, order[0]) == order[1]
+        assert all(c.distance(r) <= 1e-9 for r in ratios)
+
+    def test_an_order_seven_generator_reads_back(self):
+        c = classify_multiplicative_closure([parse_scalar("exp(i*pi*2/7)")])
+        g = parse_scalar(c.to_report()["generator"])
+        assert abs(g.to_complex() - cmath.exp(2j * math.pi / 7)) < 1e-15
+        assert c.distance(g) <= 1e-15 and c.distance(1j) > 0.2
+
+    def test_a_discrete_spiral_from_decimals(self):
+        # {2 e^(in)} and 0: the generator itself, and no roots but 1
         c = classify_multiplicative_closure([parse_scalar("2*exp(i*1.0)")])
-        assert c.shape == "HeuristicDense"
-        assert not c.exact
-        assert c.includes_zero
-        assert c.evidence["path"] == "heuristic"
-        assert c.evidence["angle_discrepancy"] < 0.05
-        assert c.is_whole_plane() is Trilean.UNKNOWN
+        assert c.includes_zero and c.root_order == 1
+        assert abs(c.generator - 2 * cmath.exp(1j)) < 1e-12
+        assert c.distance(4 * cmath.exp(2j)) <= 1e-9 and c.distance(-2) > 0.1
 
     def test_trivial_inputs(self):
         for ratios in ([], [Scalar.integer(1)]):
@@ -705,7 +736,7 @@ class TestMultiplicativeLogPolar:
         xi = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
         xi *= np.exp(rng.uniform(-2, 2, 200))
         g = c.generator.to_complex()
-        roots = np.exp(1j * np.pi * c.root_step * np.arange(12 // c.root_step) / 6)
+        roots = np.exp(2j * np.pi * np.arange(c.root_order) / c.root_order)
         points = np.append((g ** np.arange(-300.0, 300.0)[:, None] * roots).ravel(), 0)
         brute = np.abs(xi[:, None] - points[None, :]).min(axis=1)
         assert np.allclose(c.distance_many(xi), brute, rtol=0, atol=1e-10)
@@ -774,6 +805,8 @@ EXACT_POOL = {
     "1/3": 0,
 }
 DISCRETE_MODULI = ("FiniteCyclic", "RaysDiscrete", "Circles")
+# the order field of each shape that has one
+ORDER_FIELD = {"FiniteCyclic": "order", "RaysDense": "angle_order", "RaysDiscrete": "root_order"}
 
 
 class TestMultiplicativeExactPool:
@@ -782,12 +815,12 @@ class TestMultiplicativeExactPool:
         st.data(),
     )
     def test_words_belong_and_foreign_factors_do_not(self, names, data):
-        heuristic = mock.patch.object(
+        relations = mock.patch.object(
             closed_subgroups,
-            "_classify_mult_heuristic",
-            side_effect=AssertionError("exact input reached the heuristic"),
+            "_classify_mult_by_relations",
+            side_effect=AssertionError("exact input reached the relations"),
         )
-        with heuristic:
+        with relations:
             c = mult(*names)
         assert c.exact or c.shape == "Unknown"
         values = [parse_scalar(n).exact_value for n in names]
@@ -814,6 +847,33 @@ class TestMultiplicativeExactPool:
             if c.shape == "RaysDense":
                 expect = gcd(24, *(EXACT_POOL[n] for n in names)) == 1
             assert c.contains(Scalar(w * eta)) is expect
+
+    @given(st.lists(st.sampled_from(sorted(EXACT_POOL)), min_size=1, max_size=3, unique=True))
+    def test_float_ratios_give_the_exact_shape(self, names):
+        # the four-exponentials case has no exact shape to compare with
+        c = mult(*names)
+        assume(c.shape != "Unknown")
+        floats = [Scalar.approx(parse_scalar(n).to_complex()) for n in names]
+        f = classify_multiplicative_closure(floats)
+        assert (f.shape, f.exact, f.includes_zero) == (c.shape, False, c.includes_zero)
+        if c.shape in ORDER_FIELD:
+            key = ORDER_FIELD[c.shape]
+            assert getattr(f, key) == getattr(c, key)
+        assert all(f.distance(r) <= 1e-9 for r in floats)
+
+    def test_orders_on_the_pi12_grid_keep_the_bits_of_their_floats(self):
+        # angles of any order are whole turns over an integer; an order on
+        # the grid of the exact closures gives the floats it gave in units
+        # of pi/12
+        for order in (1, 2, 3, 4, 6, 8, 12, 24):
+            angles = np.arange(0, 24, 24 // order) * (math.pi / 12)
+            rays = RaysDense(angle_order=order)
+            assert np.array_equal(rays._directions, np.cos(angles) + 1j * np.sin(angles))
+        for order in (1, 2, 3, 4, 6, 12):
+            roots = [ZETA_POWERS[12 // order * j % 12].to_complex() for j in range(order)]
+            assert FiniteCyclic(order=order).elements() == roots
+            spiral = RaysDiscrete(generator=parse_scalar("2").exact_value, root_order=order)
+            assert spiral._floats[2] == math.tau * (12 // order) / 12
 
 
 # ---------------------------------------------------------------------------

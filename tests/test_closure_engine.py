@@ -619,11 +619,10 @@ class TestRotationPairClassifier:
 
     @pytest.mark.parametrize("first", GENERIC_ANGLES)
     def test_thm_1_2_with_a_generic_angle(self, first):
-        # a generic angle takes the multiplicative heuristic, which is slow,
-        # so it meets every angle with one centre form only
-        for second in SIXTH_ANGLES + GENERIC_ANGLES:
-            _check_thm_1_2(first, second, PAIR_CENTRES[0])
-            _check_thm_1_2(second, first, PAIR_CENTRES[0])
+        # a generic angle meets every angle, with each centre form
+        for second, centres in itertools.product(SIXTH_ANGLES + GENERIC_ANGLES, PAIR_CENTRES):
+            _check_thm_1_2(first, second, centres)
+            _check_thm_1_2(second, first, centres)
 
 
 # ---------------------------------------------------------------------------

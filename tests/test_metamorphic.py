@@ -7,7 +7,10 @@ closure of T, the same dimension of E_G and, point by point, the same
 closure kind and `exact` flag.  Conjugating by phi(z) = alpha*z + beta keeps
 every ratio and maps the orbit closure of z to that of phi(z): the same
 answers for the mapped points, with the apex and E_G mapped by phi and T by
-alpha.  The documents are exact documents of the CLI's input grammar in
+alpha.  Written with decimals in place of its rational literals, a document
+keeps the shape of the closure of T and, with its ratios written so too,
+the shape of the closure of Lambda and every verdict both forms decide.
+The documents are exact documents of the CLI's input grammar in
 dimensions 1 and 2.  On a few fixed documents, `verify` must give the same
 exit code and `soundness_pass` for another generating list and for a
 conjugate.
@@ -191,6 +194,38 @@ def test_decimal_centres_keep_the_shape_of_the_closure_of_T(document):
         assert t2["shape"] == t["shape"]
         # a document with no rational literal there stays exact
         assert t2["exact"] == (t["exact"] and decimal == doc)
+
+
+def decided(verdicts) -> dict:
+    """The verdicts of a report that are decided, without their notes."""
+    return {k: v for k, v in verdicts.items() if k != "notes" and v != "unknown"}
+
+
+@settings(max_examples=20)
+@given(documents())
+def test_decimal_ratios_keep_the_closure_of_Lambda_and_the_verdicts(document):
+    # every rational literal written as a decimal, in the ratios too: the
+    # integer relations among (log|w|, arg w / 2pi) must find the shape of
+    # Lambda's exact closure, where that has one, and a verdict both forms
+    # decide must agree; a decimal form may exit with any code from 0 to 4
+    dim, gens, points, cap = document
+    doc = to_doc(dim, gens, points, cap)
+    decimal = json.loads(json.dumps(doc))
+    for g in decimal["generators"]:
+        g["ratio"] = as_decimals(g["ratio"])
+        key = "translation" if "translation" in g else "center"
+        g[key] = [as_decimals(c) for c in g[key]]
+    code, report = classify(doc)
+    code2, report2 = classify(decimal)
+    assert 0 <= code2 <= 4
+    if code2 != 0 or code != 0:
+        return
+    lam = report["profile"]["lambda_closure"]
+    lam2 = report2["profile"]["lambda_closure"]
+    if lam["shape"] != "Unknown":
+        assert lam2["shape"] == lam["shape"]
+    both = decided(report["verdicts"]).keys() & decided(report2["verdicts"]).keys()
+    assert {k: report2["verdicts"][k] for k in both} == {k: report["verdicts"][k] for k in both}
 
 
 # ---------------------------------------------------------------------------
