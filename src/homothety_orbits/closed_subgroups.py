@@ -1073,7 +1073,7 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     if len(directions) == 2:
         return WholePlane(**found)
     if len(directions) == 1:
-        (a, b) = directions[0]
+        a, b = directions[0]
         if a != 1.0:  # no pivot on the first coordinate: V = span(0, 1)
             if not len(lattice):
                 return Circles(includes_zero=False, **found)
