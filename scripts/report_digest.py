@@ -16,7 +16,14 @@ and `classify` on two such documents in C^2.  The `additive` line runs `classify
 whose translation closures take every additive shape, exact and from
 decimal data, and the `additive-c2` line the same on C^2 half-turn groups
 whose closures have (dim V, rank L) from (0, 1) to (4, 0), one with decimal
-centres, and then quarter-turns about the same decimal centres.
+centres, and then quarter-turns about the same decimal centres.  The
+`lambda` line runs `classify` and `verify --word-cap 6 --grid 8` on one
+C^2 document per shape of the closure of Lambda, each in exact and in
+decimal form, whose orbit closures are cones over that closure: finite
+roots, discrete rays ({10001/10000i, i} and its decimal neighbour
+{1.00001i, i}), circles with and without 0, dense rays, the plane, the
+four-exponentials `Unknown` case, and, from decimal data only, the order-7
+rotation pair and a union of logarithmic spirals.
 Two checkouts print the same digests
 exactly when their reports are byte-identical, so comparing a change with
 its parent takes one command per checkout:
@@ -56,6 +63,24 @@ NUMERIC_DOCS = (
 NUMERIC_C2_DOCS = (
     ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1")),
     ("rays-c2", 2, (("2.0", ("0", "0")), ("3.0", ("1", "0.5")), ("i", ("1/3", "0"))), ("0.5", "1")),
+)
+# (name, exact generators, decimal generators) of the lambda line, each
+# generator a (ratio, centre) in C^2, and None for a form with no
+# document: the centres lie on one complex line E, so that the closures
+# of the points (1/2, 1) and (0.5, 1) off it are cones over Lambda
+LAMBDA_CENTRES = ((("0", "0"), ("1", "1/2"), ("1/2", "1/4")), (("0", "0"), ("1", "0.5"), ("0.5", "0.25")))
+LAMBDA_POINTS = (("1/2", "1"), ("0.5", "1"))
+_SPIRAL = ("2*exp(i*1.0)", "2.665144142690225*exp(i*1.4142135623730951)")  # 2^sqrt2, sqrt2
+LAMBDA_DOCS = (
+    ("finite", ("i", "zeta12^2"), ("1.0i", "0.5+0.8660254037844386i")),
+    ("rays-discrete", ("10001/10000i", "i"), ("1.00001i", "i")),
+    ("circles", ("2+i", "2-i"), ("2.0+1.0i", "2.0-1.0i")),
+    ("unit-circle", ("3/5+4/5i", "i"), ("0.6+0.8i", "i")),
+    ("rays-dense", ("2", "3i"), ("2.0", "3.0i")),
+    ("plane", ("3/5+4/5i", "2", "3"), ("0.6+0.8i", "2.0", "3.0")),
+    ("unknown", ("2+i", "3"), ("2.0+1.0i", "3.0")),
+    ("order-7", None, ("exp(i*pi*2/7)", "exp(i*pi*2/7)")),
+    ("spirals", None, _SPIRAL),
 )
 # half-turn centres: Lattice1 (twice), LineDense, LineLattice and Lattice2
 # exactly, then the same five shapes from decimal data
@@ -157,6 +182,19 @@ def main() -> int:
             h.update(f"{count}:{family}:{argv[0]}:{code}\n".encode())
             h.update(out.encode())
         print(f"{'numeric':<16} {len(runs):>4} docs  {h.hexdigest()}", flush=True)
+        h = hashlib.sha256()
+        count = 0
+        for family, *forms in LAMBDA_DOCS:
+            for form, ratios, centres, point in zip(("exact", "decimal"), forms, LAMBDA_CENTRES, LAMBDA_POINTS):
+                if ratios is None:
+                    continue
+                path = write_doc(tmp, numeric_doc(2, tuple(zip(ratios, centres)), point))
+                for argv in (["classify"], ["verify", "--word-cap", "6", "--grid", "8"]):
+                    code, out = run_cli(cli, argv + ["--input", path])
+                    h.update(f"{count}:{family}:{form}:{argv[0]}:{code}\n".encode())
+                    h.update(out.encode())
+                    count += 1
+        print(f"{'lambda':<16} {count:>4} docs  {h.hexdigest()}", flush=True)
         h = hashlib.sha256()
         for count, centres in enumerate(ADDITIVE_CENTRES):
             gens = tuple(("-1", (c,)) for c in centres)
