@@ -1094,5 +1094,8 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     a, b = u1 * lattice[0] + u2 * lattice[1]
     if a < 0:
         a, b = -a, -b
-    generator = cmath.exp(complex(a, math.tau * (b % (1 / k))))
+    # the argument reduced into [0, 2pi/k), to 0 when it is a multiple of
+    # 2pi/k within the relations' precision, as the exact path reduces it
+    b = 0.0 if abs(b * k - round(b * k)) <= _RESIDUAL else b % (1 / k)
+    generator = cmath.exp(complex(a, math.tau * b))
     return RaysDiscrete(generator=generator, root_order=k, **found)
