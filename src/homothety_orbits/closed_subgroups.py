@@ -562,25 +562,77 @@ def _planar_float(z: complex) -> CycloScalar:
 # ---------------------------------------------------------------------------
 # multiplicative closures
 #
-# Exact ratios lie in Q(zeta)*, and a closure is read through the log-polar
-# map w -> (log|w|, arg w).  The squared modulus |w|^2 is a positive element
-# of Q(sqrt3), recorded by its exponent vector: one valuation per prime of
-# Z[sqrt3] (a Euclidean domain) and, last, the exponent of the unit 2+sqrt3.
-# The argument is a multiple of pi/12 exactly when (w / conj w)^12 = 1, since
-# the roots of unity of Q(zeta) are the 12th roots; otherwise arg w / pi is
-# irrational.  Approximate ratios are read through w -> (log|w|, arg w / 2pi)
-# in floats, by the relation routine of the additive side, and their
-# closures store floats and angles of any order.  `distance_many` takes a
-# complex array and `distance` is its one-point case; exact membership of an
-# exact value never reads a float.
+# Every closed subgroup of C* is the image of a closed subgroup V + L +
+# Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t), and one class holds every
+# closure of Lambda so: V by float rows (s, t) that span it, and L by
+# generators that span it with (0, 1).  The shape label is read off
+# (dim V, rank L) and the line V: the t-axis gives circles and the s-axis
+# rays.  An exact closure holds each generator as its value w in Q(zeta)*,
+# which stands for (log|w|, arg w / 2pi); an approximate one holds (s, t)
+# floats.
+#
+# Exact ratios lie in Q(zeta)*, and are read through the same map.  The
+# squared modulus |w|^2 is a positive element of Q(sqrt3), recorded by its
+# exponent vector: one valuation per prime of Z[sqrt3] (a Euclidean domain)
+# and, last, the exponent of the unit 2+sqrt3.  The argument is a multiple
+# of pi/12 exactly when (w / conj w)^12 = 1, since the roots of unity of
+# Q(zeta) are the 12th roots; otherwise arg w / pi is irrational.
+# Approximate ratios are read through w -> (log|w|, arg w / 2pi) in floats,
+# by the relation routine of the additive side, and their closures have
+# angles of any order.  `distance_many` takes a complex array and `distance`
+# is its one-point case; exact membership of an exact value never reads a
+# float.
+
+
+_S_AXIS, _T_AXIS = (1.0, 0.0), (0.0, 1.0)
+_PLANE = (_S_AXIS, _T_AXIS)
 
 
 @dataclass(frozen=True)
 class MultClosure:
-    shape: str
-    exact: bool
-    includes_zero: bool
-    evidence: Optional[dict] = None
+    """The closure exp(V + L + Z(0, 1)) in C of a subgroup of C*: V spanned
+    by the float rows (s, t) of `directions`, L spanned with (0, 1) by the
+    `lattice` generators, each an exact value w (for (log|w|, arg w / 2pi))
+    or, with exact=False, an (s, t) pair of floats.  The classifiers give
+    each shape one form of (V, L): a root (FiniteCyclic), a generator of
+    modulus > 1 and a root (RaysDiscrete), the t-axis with a generator or
+    none (Circles), the s-axis with a value on the first ray (RaysDense), or
+    the plane.  The plane
+    with a `reason` in the evidence is shape "Unknown": a closure this
+    classifier does not decide, described by its superset C, so that no
+    orbit point is ever rejected.  `evidence` is not part of ==."""
+
+    exact: bool = True
+    directions: tuple = ()
+    lattice: tuple = ()
+    evidence: Optional[dict] = field(default=None, compare=False)
+
+    @property
+    def shape(self) -> str:
+        if len(self.directions) == 2:
+            return "Unknown" if "reason" in (self.evidence or {}) else "Plane"
+        if not self.directions:
+            return "RaysDiscrete" if len(self.lattice) == 2 else "FiniteCyclic"
+        s, t = self.directions[0]
+        return "Circles" if s == 0 else "RaysDense"
+
+    @cached_property
+    def _rows(self) -> List[Tuple[float, float]]:
+        """(s, t) of each lattice generator; t in (0, 1] for exact values."""
+        if self.exact:
+            return [_log_polar(w) for w in self.lattice]
+        return [(float(s), float(t)) for s, t in self.lattice]
+
+    @property
+    def includes_zero(self) -> bool:
+        """Whether some vector of V or L has s != 0: then 0 is a limit."""
+        return any(s != 0 for s, _ in (*self.directions, *self._rows))
+
+    @property
+    def _order(self) -> int:
+        """1/t of the last generator: the order of the roots, or the number
+        of rays."""
+        return round(1 / self._rows[-1][1])
 
     def contains(self, w, eps: float = 1e-9) -> bool:
         x = _exact_vector(w) if self.exact else None
@@ -588,276 +640,212 @@ class MultClosure:
             return self.includes_zero if x.is_zero() else self._member(x)
         return self.distance(w) <= eps
 
+    @cached_property
+    def _modulus_basis(self):
+        return _exponent_basis(self.lattice[0].abs_sq())
+
     def _member(self, w: CycloScalar) -> bool:
-        """Exact membership of a nonzero exact value."""
-        raise NotImplementedError
+        """Exact membership of a nonzero exact value: |w|^2 a power of the
+        generator's, read on exponent vectors, then w over that power a root
+        of the closure's order; on rays, arg w a multiple of the first
+        ray's, in units of pi/12."""
+        if len(self.directions) == 2:
+            return True
+        if self.directions == (_S_AXIS,):
+            a = _angle_pi12(w)
+            return a is not None and a % (_angle_pi12(self.lattice[0]) or 24) == 0
+        m = 0
+        if self.includes_zero:
+            m = _modulus_multiple(w, self._modulus_basis)
+            if m is None:
+                return False
+        elif w.abs_sq() != CYCLO_ONE:
+            return False
+        if self.directions:  # circles: every argument
+            return True
+        k = (w * self.lattice[0] ** (-m) if m else w).root_of_unity_log()
+        return k is not None and k % (self.lattice[-1].root_of_unity_log() or 12) == 0
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """The points of a finite closure, by powers of zeta12 when its order
+        divides 12."""
+        k = self._order
+        if 12 % k:
+            return np.array([cmath.exp(2j * math.pi * j / k) for j in range(k)])
+        return np.array([ZETA_POWERS[12 // k * j % 12].to_complex() for j in range(k)])
+
+    @cached_property
+    def _lines(self) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """(e, h, discrete): the image of V + L + Z(0, 1) in the metric
+        (s, 2 pi t) is the union over j of the lines j*h + R*e, or of their
+        points j*h + Z*e when V = 0, (e, h) then an LLL-reduced basis of L."""
+        rows = np.array([(s, math.tau * t) for s, t in self._rows])
+        if self.directions:
+            ((s, t),) = self.directions
+            return np.array([s, math.tau * t]), rows[0], False
+        e, h = _lll_reduced(rows)
+        return e, h, True
 
     def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        """Distances to the closure from a 1-d array of complex numbers."""
-        raise NotImplementedError
+        """Distances to the closure from a 1-d array of complex numbers.
+
+        A closure without 0 lies on the unit circle: the distance to the
+        circle, or to the nearest root.  Otherwise |q - p| = |q| |p/q - 1|,
+        and `_nearest_on_lines` gives the least |exp(w - w_q) - 1| over the
+        points w of the log-polar image, w_q = (log|q|, arg q), starting
+        from 1 for the point 0."""
+        r = np.hypot(xi.real, xi.imag)
+        if len(self.directions) == 2:
+            return np.zeros(xi.shape[0])
+        if not self.includes_zero:
+            if self.directions:
+                return np.abs(r - 1.0)
+            d = xi[:, None] - self._roots[None, :]
+            return np.hypot(d.real, d.imag).min(axis=1)
+        live = r > 0
+        wq = np.column_stack([np.log(np.where(live, r, 1.0)), np.arctan2(xi.imag, xi.real)])
+        return np.where(live, r * _nearest_on_lines(wq, *self._lines), 0.0)
 
     def distance(self, w) -> float:
         return float(self.distance_many(np.array([_as_complex(w)], dtype=np.complex128))[0])
 
     def is_whole_plane(self) -> Trilean:
-        return Trilean.NO
+        if len(self.directions) < 2:
+            return Trilean.NO
+        return Trilean.YES if self.exact else Trilean.UNKNOWN
 
     def to_report(self) -> dict:
         out = {"shape": self.shape, "exact": self.exact, "includes_zero": self.includes_zero}
         if self.evidence:
             out["evidence"] = self.evidence
+        shape = self.shape
+        if shape == "FiniteCyclic":
+            k = out["order"] = self._order
+            out["generator"] = f"exp(i*pi*2/{k})" if 12 % k else f"zeta12^{12 // k % 12}"
+        elif shape == "RaysDense":
+            out["angle_order"] = self._order
+        elif self.lattice:  # RaysDiscrete and Circles with 0
+            g = self.lattice[0]
+            if not self.exact:
+                s, t = self._rows[0]
+                g = cmath.exp(complex(s, math.tau * t))
+            out["modulus_ratio"] = math.sqrt(g.abs_sq().to_complex().real) if self.exact else abs(g)
+            if shape == "Circles":
+                return out
+            if not self.exact:
+                out["generator"] = format_scalar(Scalar.approx(g))
+                out["root_order"] = self._order
+                return out
+            out["generator"] = format_scalar(Scalar(g))
+            a, step = _angle_pi12(g), 12 // self._order
+            if a is not None:
+                out["angle_order"] = 24 // gcd(24, a, 2 * step)
+                out["coupling_hnf"] = [[1, a], [0, 2 * step]]
         return out
 
 
-@dataclass(frozen=True)
-class FiniteCyclic(MultClosure):
-    """The roots of unity of the given order."""
-
-    order: int = 1
-    shape: str = "FiniteCyclic"
-    exact: bool = True
-    includes_zero: bool = False
-
-    def elements(self) -> List[complex]:
-        if 12 % self.order:
-            return [cmath.exp(2j * math.pi * j / self.order) for j in range(self.order)]
-        return [ZETA_POWERS[self._step * j % 12].to_complex() for j in range(self.order)]
-
-    @cached_property
-    def _step(self) -> int:
-        """The generator's power of zeta12, when the order divides 12."""
-        return 12 // self.order
-
-    def _member(self, w: CycloScalar) -> bool:
-        k = w.root_of_unity_log()
-        return k is not None and k % self._step == 0
-
-    @cached_property
-    def _element_array(self) -> np.ndarray:
-        return np.array(self.elements(), dtype=np.complex128)
-
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        d = xi[:, None] - self._element_array[None, :]
-        return np.hypot(d.real, d.imag).min(axis=1)
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["order"] = self.order
-        root = f"zeta12^{self._step % 12}"
-        out["generator"] = f"exp(i*pi*2/{self.order})" if 12 % self.order else root
-        return out
+def _log_polar(w: CycloScalar) -> Tuple[float, float]:
+    """(log|w|, arg w / 2pi) of an exact value, the turn in (0, 1]; log1p
+    near |w| = 1, so that a ratio close to 1 keeps the digits of its log."""
+    q = w.abs_sq()
+    x = q.to_complex().real
+    s = 0.5 * (math.log1p((q - CYCLO_ONE).to_complex().real) if 0.5 < x < 2 else math.log(x))
+    t = cmath.phase(w.to_complex()) / math.tau
+    return s, t if t > 0 else t + 1.0
 
 
-@dataclass(frozen=True)
-class RaysDiscrete(MultClosure):
-    """The discrete closure {0} u generator^Z * <exp(2 pi i / root_order)>.
-
-    `generator` has modulus > 1 and generates the moduli of the group; its
-    argument is reduced into [0, 2 pi / root_order) when it is a multiple of
-    pi/12 or the closure is not exact (`generator` is then complex).  An
-    exact argument may be irrational (a discrete spiral): w is a member when
-    |w|^2 = |generator|^(2m), read on exponent vectors, and w * generator^(-m)
-    is a root."""
-
-    generator: CycloScalar = None
-    root_order: int = 1
-    shape: str = "RaysDiscrete"
-    exact: bool = True
-    includes_zero: bool = True
-
-    @property
-    def modulus_base_sq(self) -> CycloScalar:
-        return self.generator.abs_sq()
-
-    @cached_property
-    def _modulus_basis(self):
-        return _exponent_basis(self.modulus_base_sq)
-
-    @property
-    def modulus_base(self) -> float:
-        g = self.generator
-        return math.sqrt(g.abs_sq().to_complex().real) if self.exact else abs(g)
-
-    @cached_property
-    def _root_step(self) -> int:
-        """The roots' generator as a power of zeta12 (exact closures)."""
-        return 12 // self.root_order
-
-    @cached_property
-    def angle_log(self) -> Optional[int]:
-        """arg generator in units of pi/12, or None when it is irrational."""
-        return _angle_pi12(self.generator)
-
-    @property
-    def angle_order(self) -> Optional[int]:
-        if self.angle_log is None:
-            return None
-        return 24 // gcd(24, self.angle_log, 2 * self._root_step)
-
-    @property
-    def hnf_rows(self) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """HNF over Z x Z/24 of the (modulus exponent, argument in pi/12)
-        pairs of the group, or None when the argument is irrational."""
-        if self.angle_log is None:
-            return None
-        return ((1, self.angle_log), (0, 2 * self._root_step))
-
-    def _member(self, w: CycloScalar) -> bool:
-        m = _modulus_multiple(w, self._modulus_basis)
-        if m is None:
-            return False
-        k = (w * self.generator ** (-m)).root_of_unity_log()
-        return k is not None and k % self._root_step == 0
-
-    @cached_property
-    def _floats(self) -> Tuple[float, float, float]:
-        g = _as_complex(self.generator)
-        return abs(g), math.atan2(g.imag, g.real), math.tau / self.root_order
-
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        """The nearest of 0 and the points on the circles |w| = rho^m.
-
-        The circles are scanned outward and inward from |w| while the
-        radial gap to the next one is below the best distance so far; inner
-        circles of radius below 1e-12 |w| are skipped, which can only move
-        a distance by that much."""
-        rho, theta, step = self._floats
-        r = np.hypot(xi.real, xi.imag)
-        best = r.copy()  # 0 is a member
-        phase = np.arctan2(xi.imag, xi.real)
-        live = r > 0
-        m0 = np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
-        for m, outward in ((m0 + 1, True), (m0, False)):
-            active = live
-            while True:
-                radius = rho ** m
-                gap = radius - r if outward else r - radius
-                active = active & (gap < best)
-                if not outward:
-                    active &= radius > 1e-12 * r
-                if not active.any():
-                    break
-                idx = np.nonzero(active)[0]
-                base = m[idx] * theta
-                ang = base + np.round((phase[idx] - base) / step) * step
-                d = np.hypot(
-                    xi.real[idx] - radius[idx] * np.cos(ang),
-                    xi.imag[idx] - radius[idx] * np.sin(ang),
-                )
-                best[idx] = np.minimum(best[idx], d)
-                m = m + 1 if outward else m - 1
-        return best
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["modulus_ratio"] = self.modulus_base
-        if not self.exact:
-            out["generator"] = format_scalar(Scalar.approx(self.generator))
-            out["root_order"] = self.root_order
-            return out
-        out["generator"] = format_scalar(Scalar(self.generator))
-        if self.angle_log is not None:
-            out["angle_order"] = self.angle_order
-            out["coupling_hnf"] = [list(r) for r in self.hnf_rows]
-        return out
+def _ray(a: int) -> CycloScalar:
+    """A value of argument a*pi/12: (1 + zeta) has argument pi/12."""
+    w = ZETA_POWERS[a // 2 % 12]
+    return w * (CYCLO_ONE + ZETA_POWERS[1]) if a % 2 else w
 
 
-@dataclass(frozen=True)
-class Circles(MultClosure):
-    """Full circles |w| = rho^m, m in Z, and 0, with rho^2 = modulus_base_sq
-    (a float when the closure is not exact); with no modulus_base_sq (every
-    ratio of modulus 1) only the unit circle."""
-
-    modulus_base_sq: Optional[CycloScalar] = None
-    shape: str = "Circles"
-    exact: bool = True
-    includes_zero: bool = True
-
-    @cached_property
-    def _modulus_basis(self):
-        return _exponent_basis(self.modulus_base_sq)
-
-    @cached_property
-    def modulus_ratio(self) -> float:
-        return math.sqrt(_as_complex(self.modulus_base_sq).real)
-
-    def _member(self, w: CycloScalar) -> bool:
-        if self.modulus_base_sq is None:
-            return w.abs_sq() == CYCLO_ONE
-        return _modulus_multiple(w, self._modulus_basis) is not None
-
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        r = np.hypot(xi.real, xi.imag)
-        if self.modulus_base_sq is None:
-            return np.abs(r - 1.0)
-        rho = self.modulus_ratio
-        live = r > 0
-        inner = rho ** np.floor(np.log(np.where(live, r, 1.0)) / math.log(rho))
-        d = np.minimum(np.abs(r - inner), np.abs(rho * inner - r))
-        return np.where(live, d, 0.0)
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        if self.modulus_base_sq is not None:
-            out["modulus_ratio"] = self.modulus_ratio
-        return out
+# below this log-modulus a point is within e^-40 |q| of 0, so a search for
+# one nearer than 0 stops there
+_LOG_FLOOR = -40.0
+_LOG_CEILING = 40.0
+_GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-@dataclass(frozen=True)
-class RaysDense(MultClosure):
-    """Union of full rays at the angles 2 pi j / angle_order, and 0."""
-
-    angle_order: int = 1
-    shape: str = "RaysDense"
-    exact: bool = True
-    includes_zero: bool = True
-
-    @cached_property
-    def _angle_step(self) -> int:
-        """The angle between rays in units of pi/12 (exact closures)."""
-        return 24 // self.angle_order
-
-    def _member(self, w: CycloScalar) -> bool:
-        a = _angle_pi12(w)
-        return a is not None and a % self._angle_step == 0
-
-    @cached_property
-    def _directions(self) -> np.ndarray:
-        angles = np.arange(self.angle_order) * (24 / self.angle_order) * (math.pi / 12)
-        return np.cos(angles) + 1j * np.sin(angles)
-
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        u = self._directions[None, :]
-        w = xi[:, None]
-        t = w.real * u.real + w.imag * u.imag
-        perp = np.hypot(w.real - t * u.real, w.imag - t * u.imag)
-        r = np.hypot(xi.real, xi.imag)
-        return np.minimum(r, np.where(t > 0, perp, np.inf).min(axis=1))
-
-    def to_report(self) -> dict:
-        out = super().to_report()
-        out["angle_order"] = self.angle_order
-        return out
+def _expm1(p: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """exp(w) - 1 at w = p + x*e in the metric (s, 2 pi t), rows of p against
+    x, as expm1(s) cos(a) - 2 sin(a/2)^2 + i e^s sin(a), which keeps its
+    digits near w = 0; s is capped at _LOG_CEILING, past any search's bound."""
+    s, a = np.minimum(p[:, 0] + x * e[0], _LOG_CEILING), p[:, 1] + x * e[1]
+    return np.expm1(s) * np.cos(a) - 2 * np.sin(a / 2) ** 2 + 1j * np.exp(s) * np.sin(a)
 
 
-@dataclass(frozen=True)
-class WholePlane(MultClosure):
-    """All of C.  With exact=False and shape "Unknown": a closure this
-    classifier does not decide or does not represent, described by its
-    superset C, so that no orbit point is ever rejected."""
+def _slab(p: np.ndarray, lo, hi, e: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The range of x with lo <= p + x*e <= hi."""
+    if e == 0:
+        inside = (lo <= p) & (p <= hi)
+        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+    a, b = (lo - p) / e, (hi - p) / e
+    return np.minimum(a, b), np.maximum(a, b)
 
-    shape: str = "Plane"
-    exact: bool = True
-    includes_zero: bool = True
 
-    def _member(self, w: CycloScalar) -> bool:
-        return True
+def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bool) -> np.ndarray:
+    """min(1, |exp(w - w_q) - 1|) over the points w of the lines j*h + R*e,
+    or of their points j*h + Z*e when discrete, for each row w_q of wq, all
+    in the metric (s, 2 pi t); the set holds (0, 2 pi).
 
-    def distance_many(self, xi: np.ndarray) -> np.ndarray:
-        return np.zeros(xi.shape[0])
+    For c <= 1 the points w near 0 with |exp(w) - 1| < c are the log of the
+    disc |z - 1| < c, a convex set (log(1 + z) is a convex map of the unit
+    disc), inside |arg| < pi/2 and within the box log(1 - c) < s < log(1 + c),
+    |a| <= 2 arcsin(c / (2 sqrt(1 - c))).  So the point nearest in the metric
+    gives a first bound c, and each line of the set that crosses the box of c
+    is one 1-D search: along it |exp(w) - 1|, continued by 1 + psi with the
+    convex psi = s - log(2 cos a) past psi = 0, falls and then rises, so a
+    golden-section search (40 steps, to 1e-8 of its range) and three Newton
+    steps find its least point; when discrete, the integer points next to
+    it are the candidates."""
+    n = np.array([-e[1], e[0]]) / np.hypot(*e)
+    nh = float(n @ h)
+    # the nearest line, and on it the nearest point (of the line's points)
+    j = np.round((wq @ n) / nh)
+    p = j[:, None] * h - wq
+    x = -(p @ e) / (e @ e)
+    best = np.minimum(1.0, np.abs(_expm1(p, np.round(x) if discrete else x, e)))
+    gap = np.maximum(1.0 - best, 1e-300)
+    lo, hi = np.maximum(np.log(gap), _LOG_FLOOR), np.log1p(best)
+    half = np.minimum(2 * np.arcsin(np.minimum(1.0, best / (2 * np.sqrt(gap)))), math.pi / 2)
+    # the lines j*h + R*e that meet the box
+    ends = np.sort(np.stack([n[0] * lo, n[0] * hi]), axis=0)
+    reach = np.stack([ends[0] - abs(n[1]) * half, ends[1] + abs(n[1]) * half]) + wq @ n
+    j_lo, j_hi = np.sort(reach / nh, axis=0)
+    first = np.ceil(j_lo)
+    count = np.maximum(np.floor(j_hi) - first + 1, 0).astype(int)
+    idx = np.repeat(np.arange(len(wq)), count)
+    j = first[idx] + np.arange(len(idx)) - np.repeat(np.cumsum(count) - count, count)
+    p = j[:, None] * h - wq[idx]
+    s_lo, s_hi = _slab(p[:, 0], lo[idx], hi[idx], e[0])
+    a_lo, a_hi = _slab(p[:, 1], -half[idx], half[idx], e[1])
+    a, b = np.maximum(s_lo, a_lo), np.minimum(s_hi, a_hi)
+    keep = a <= b
+    idx, p, a, b = idx[keep], p[keep], a[keep], b[keep]
 
-    def is_whole_plane(self) -> Trilean:
-        return Trilean.YES if self.exact else Trilean.UNKNOWN
+    def rise(x):  # |exp(w) - 1|, and past psi = 0 the convex 1 + psi
+        psi = p[:, 0] + x * e[0] - np.log(2 * np.maximum(np.cos(p[:, 1] + x * e[1]), 1e-300))
+        return np.where(psi < 0, np.abs(_expm1(p, x, e)), 1.0 + psi)
+
+    for _ in range(40):
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        left = rise(c) <= rise(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    x, slope = (a + b) / 2, complex(*e)
+    for _ in range(3):  # Newton steps on |exp(w) - 1|^2, each kept if it gains
+        z1 = _expm1(p, x, e)
+        d1 = (z1 * np.conj(slope * (z1 + 1))).real
+        d2 = abs(slope * (z1 + 1)) ** 2 + (z1 * np.conj(slope ** 2 * (z1 + 1))).real
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0)
+        x = np.where(np.abs(_expm1(p, x - step, e)) < np.abs(z1), x - step, x)
+    if discrete:  # the integer points next to the least point
+        vals = np.min([np.abs(_expm1(p, np.floor(x) + k, e)) for k in (-1, 0, 1, 2)], axis=0)
+    else:
+        vals = np.abs(_expm1(p, x, e))
+    np.minimum.at(best, idx, vals)
+    return best
 
 
 # -- arithmetic of Q(sqrt3) and Z[sqrt3] ------------------------------------
@@ -1013,10 +1001,11 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     |lambda|^2 span a lattice of rank r (an HNF of [vectors | identity]),
     whose kernel K holds the words of modulus 1; K maps onto roots of unity
     or onto a dense subgroup of the circle.
-      r = 0: FiniteCyclic, or the unit circle (Circles);
-      r = 1: RaysDiscrete when K is torsion, else Circles;
-      r >= 2: WholePlane when K is not torsion, RaysDense when every argument
-      is a multiple of pi/12, and otherwise shape "Unknown" with exact=False
+      r = 0: the roots of unity K reaches, or the unit circle;
+      r = 1: a generator of the moduli with the roots, when K is torsion,
+      else circles of its moduli;
+      r >= 2: the plane when K is not torsion, rays when every argument is
+      a multiple of pi/12, and otherwise shape "Unknown" with exact=False
       and its reason: a four-exponentials question, described by the
       superset C.
     Approximate ratios take the closure of their log-polar image,
@@ -1037,33 +1026,34 @@ def classify_multiplicative_closure(ratios: Sequence[Scalar]) -> MultClosure:
     rank = len(modulus_rows)
     if rank >= 2:
         if None in logs:
-            return WholePlane()
+            return MultClosure(directions=_PLANE)
         angles = [_angle_pi12(v) for v in values]
         if None in angles:
-            return WholePlane(shape="Unknown", exact=False, evidence={"reason": _FOUR_EXPONENTIALS})
-        return RaysDense(angle_order=24 // gcd(24, *angles))
+            return MultClosure(False, _PLANE, evidence={"reason": _FOUR_EXPONENTIALS})
+        return MultClosure(directions=(_S_AXIS,), lattice=(_ray(gcd(24, *angles)),))
     if rank == 0:
         if None in logs:
-            return Circles(includes_zero=False)
-        return FiniteCyclic(order=12 // gcd(12, *logs))
+            return MultClosure(directions=(_T_AXIS,))
+        return MultClosure(lattice=(ZETA_POWERS[gcd(12, *logs) % 12],))
     generator = _word(values, modulus_rows[0][width:])
     if (generator.abs_sq() - 1).sign() < 0:
         generator = generator.inverse()
     if None in logs:
-        return Circles(modulus_base_sq=generator.abs_sq())
+        return MultClosure(directions=(_T_AXIS,), lattice=(generator,))
     g = gcd(12, *logs)
     a = _angle_pi12(generator)
     if a is not None:
         generator = generator * ZETA_POWERS[(-g * (a // (2 * g))) % 12]
-    return RaysDiscrete(generator=generator, root_order=12 // g)
+    return MultClosure(lattice=(generator, ZETA_POWERS[g % 12]))
 
 
 def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     """The closure of Lambda read off the closure V + L of its log-polar
     image w -> (log|w|, arg w / 2pi), with (0, 1) added for the turn, by the
-    relation routine of the additive side.  V's basis is in row echelon
-    form, so its pivot tells the coordinate axes from other lines; L of
-    rank 1 next to V = 0 or the first axis is Z(0, 1/k)."""
+    relation routine of the additive side, in the form the exact path gives
+    each shape.  V's basis is in row echelon form, so its pivot tells the
+    coordinate axes from other lines; L of rank 1 next to V = 0 or the
+    first axis is Z(0, 1/k)."""
     z = np.array([_as_complex(r) for r in ratios], dtype=np.complex128)
     r = np.abs(z)
     x = np.vstack([np.column_stack([np.log(r), np.angle(z) / math.tau]), [[0.0, 1.0]]])
@@ -1071,19 +1061,17 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     directions, lattice, evidence = _closure_by_relations(x, np.array(err + [0.0]), "ratios")
     found = {"exact": False, "evidence": evidence}
     if len(directions) == 2:
-        return WholePlane(**found)
+        return MultClosure(directions=_PLANE, **found)
     if len(directions) == 1:
         a, b = directions[0]
         if a != 1.0:  # no pivot on the first coordinate: V = span(0, 1)
-            if not len(lattice):
-                return Circles(includes_zero=False, **found)
-            return Circles(modulus_base_sq=math.exp(2 * abs(lattice[0][0])), **found)
+            return MultClosure(directions=(_T_AXIS,), lattice=tuple((abs(row[0]), 0.0) for row in lattice), **found)
         if abs(b) <= _RESIDUAL:
-            return RaysDense(angle_order=round(1 / abs(lattice[0][1])), **found)
+            return MultClosure(directions=(_S_AXIS,), lattice=(_root_row(lattice[0]),), **found)
         reason = "the closure is a finite union of logarithmic spirals, not represented here"
-        return WholePlane(shape="Unknown", exact=False, evidence={**evidence, "reason": reason})
+        return MultClosure(False, _PLANE, evidence={**evidence, "reason": reason})
     if len(lattice) == 1:
-        return FiniteCyclic(order=round(1 / abs(lattice[0][1])), **found)
+        return MultClosure(lattice=(_root_row(lattice[0]),), **found)
     # (0, 1) = c1 l1 + c2 l2, so (0, 1/k) with k = gcd(c1, c2) spans L meet
     # {0} x R, and u1 l1 + u2 l2 with u2 c1 - u1 c2 = k completes it
     c1, c2 = (int(c) for c in np.round(np.linalg.solve(lattice.T, [0.0, 1.0])))
@@ -1097,5 +1085,9 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     # the argument reduced into [0, 2pi/k), to 0 when it is a multiple of
     # 2pi/k within the relations' precision, as the exact path reduces it
     b = 0.0 if abs(b * k - round(b * k)) <= _RESIDUAL else b % (1 / k)
-    generator = cmath.exp(complex(a, math.tau * b))
-    return RaysDiscrete(generator=generator, root_order=k, **found)
+    return MultClosure(lattice=((a, b), (0.0, 1 / k)), **found)
+
+
+def _root_row(row) -> Tuple[float, float]:
+    """(0, 1/k) for a row (s, t) of L on the t-axis, k = round(1/|t|)."""
+    return 0.0, 1 / round(1 / abs(row[1]))

@@ -22,15 +22,13 @@ from homothety_orbits.exact_algebra import (
     CycloScalar,
     Scalar,
     Trilean,
+    format_scalar,
     parse_scalar,
 )
 from homothety_orbits.lattices import hnf
 from homothety_orbits import closed_subgroups
 from homothety_orbits.closed_subgroups import (
     AdditiveClosure,
-    FiniteCyclic,
-    RaysDense,
-    RaysDiscrete,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
@@ -597,22 +595,23 @@ class TestMultiplicativePinned:
     def test_fourth_roots_of_unity(self):
         c = classify_multiplicative_closure([parse_scalar("i")])
         assert c.shape == "FiniteCyclic"
-        assert c.order == 4 and c.to_report()["generator"] == "zeta12^3"
+        assert (c.to_report()["order"], c.to_report()["generator"]) == (4, "zeta12^3")
         assert not c.includes_zero
-        elems = sorted((round(z.real, 9), round(z.imag, 9)) for z in c.elements())
-        assert elems == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+        assert c.distance_many(np.array([1, 1j, -1, -1j])).max() <= 1e-15
+        assert c.distance(cmath.exp(1j * math.pi / 4)) == pytest.approx(abs(cmath.exp(1j * math.pi / 4) - 1))
         assert c.contains(Scalar.zeta_power(6))  # -1
         assert not c.contains(Scalar.zeta_power(2))
         assert c.is_whole_plane() is Trilean.NO
 
     def test_single_spiral_generator(self):
         c = classify_multiplicative_closure([parse_scalar("2i")])
+        report = c.to_report()
         assert c.shape == "RaysDiscrete"
         assert c.includes_zero
-        assert c.modulus_base == pytest.approx(2.0)
-        assert c.modulus_base_sq == Fraction(4)
-        assert c.angle_order == 4
-        assert c.hnf_rows == ((1, 6), (0, 24))  # arguments in units of pi/12
+        assert report["modulus_ratio"] == pytest.approx(2.0)
+        assert c.lattice[0].abs_sq() == Fraction(4)
+        assert report["angle_order"] == 4
+        assert report["coupling_hnf"] == [[1, 6], [0, 24]]  # arguments in units of pi/12
         # powers are members, unlinked modulus/angle combinations are not
         assert c.contains(parse_scalar("-4"))  # (2i)^2
         assert c.contains(parse_scalar("-1/4"))  # (2i)^-2
@@ -625,10 +624,11 @@ class TestMultiplicativePinned:
         c = classify_multiplicative_closure(
             [parse_scalar("2"), parse_scalar("zeta12^2")]
         )
+        report = c.to_report()
         assert c.shape == "RaysDiscrete"
-        assert c.angle_order == 6
-        assert c.modulus_base == pytest.approx(2.0)
-        assert c.hnf_rows == ((1, 0), (0, 4))  # arguments in units of pi/12
+        assert report["angle_order"] == 6
+        assert report["modulus_ratio"] == pytest.approx(2.0)
+        assert report["coupling_hnf"] == [[1, 0], [0, 4]]  # arguments in units of pi/12
         assert c.includes_zero
         for member in ("4", "1/2", "zeta12^4", "2*zeta12^2"):
             assert c.contains(parse_scalar(member)), member
@@ -638,7 +638,7 @@ class TestMultiplicativePinned:
     def test_two_multiplicatively_independent_moduli_fill_rays(self):
         c = classify_multiplicative_closure([parse_scalar("2"), parse_scalar("3")])
         assert c.shape == "RaysDense"
-        assert c.angle_order == 1
+        assert c.to_report()["angle_order"] == 1
         assert c.includes_zero
         assert c.contains(parse_scalar("3/2"))
         assert not c.contains(parse_scalar("-2"))
@@ -665,7 +665,7 @@ class TestMultiplicativePinned:
         assert (c.shape, c.exact, c.evidence["path"]) == (shape, False, "relations")
         assert c.is_whole_plane() is whole
         if order is not None:
-            assert getattr(c, order[0]) == order[1]
+            assert c.to_report()[order[0]] == order[1]
         assert all(c.distance(r) <= 1e-9 for r in ratios)
 
     def test_an_order_seven_generator_reads_back(self):
@@ -677,14 +677,15 @@ class TestMultiplicativePinned:
     def test_a_discrete_spiral_from_decimals(self):
         # {2 e^(in)} and 0: the generator itself, and no roots but 1
         c = classify_multiplicative_closure([parse_scalar("2*exp(i*1.0)")])
-        assert c.includes_zero and c.root_order == 1
-        assert abs(c.generator - 2 * cmath.exp(1j)) < 1e-12
+        report = c.to_report()
+        assert c.includes_zero and report["root_order"] == 1
+        assert abs(parse_scalar(report["generator"]).to_complex() - 2 * cmath.exp(1j)) < 1e-12
         assert c.distance(4 * cmath.exp(2j)) <= 1e-9 and c.distance(-2) > 0.1
 
     def test_trivial_inputs(self):
         for ratios in ([], [Scalar.integer(1)]):
             c = classify_multiplicative_closure(ratios)
-            assert c.shape == "FiniteCyclic" and c.order == 1
+            assert c.shape == "FiniteCyclic" and c.to_report()["order"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +700,9 @@ class TestMultiplicativeLogPolar:
     def test_gaussian_spiral_is_discrete(self):
         c = mult("2+i")
         assert (c.shape, c.exact) == ("RaysDiscrete", True)
-        assert c.angle_order is None and c.hnf_rows is None  # arg(2+i)/pi irrational
-        assert c.modulus_base_sq == 5
+        assert "angle_order" not in c.to_report()  # arg(2+i)/pi irrational
+        assert "coupling_hnf" not in c.to_report()
+        assert c.lattice[0].abs_sq() == 5
         assert c.contains(parse_scalar("3+4i"))  # (2+i)^2
         assert c.contains(parse_scalar("2/5-1/5i"))  # (2+i)^-1
         assert c.contains(Scalar.integer(0))
@@ -712,8 +714,8 @@ class TestMultiplicativeLogPolar:
     def test_spiral_and_quarter_turn_give_eight_discrete_rays(self):
         c = mult("1+i", "i")
         assert (c.shape, c.exact) == ("RaysDiscrete", True)
-        assert c.angle_order == 8
-        assert c.hnf_rows == ((1, 3), (0, 6))  # arg(1+i) = 3 pi/12, roots <i>
+        assert c.to_report()["angle_order"] == 8
+        assert c.to_report()["coupling_hnf"] == [[1, 3], [0, 6]]  # arg(1+i) = 3 pi/12, roots <i>
         for m in ("1-i", "2", "-1/2", "2+2i", "1/4i"):
             assert c.contains(parse_scalar(m)), m
         for other in ("zeta12", "3", "4+2i", "1+2i"):
@@ -722,7 +724,7 @@ class TestMultiplicativeLogPolar:
     def test_two_spirals_and_three_fill_eight_rays(self):
         c = mult("1+i", "1-i", "3")
         assert (c.shape, c.exact) == ("RaysDense", True)
-        assert c.angle_order == 8
+        assert c.to_report()["angle_order"] == 8
         assert c.contains(parse_scalar("3/2")) and c.contains(parse_scalar("5+5i"))
         assert not c.contains(parse_scalar("zeta12"))
         ray = complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) * 0.7
@@ -735,8 +737,9 @@ class TestMultiplicativeLogPolar:
         rng = np.random.default_rng(5)
         xi = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
         xi *= np.exp(rng.uniform(-2, 2, 200))
-        g = c.generator.to_complex()
-        roots = np.exp(2j * np.pi * np.arange(c.root_order) / c.root_order)
+        g = c.lattice[0].to_complex()
+        k = c.lattice[1].root_of_unity_log() or 12  # roots of order 12/k
+        roots = np.exp(2j * np.pi * np.arange(12 // k) * k / 12)
         points = np.append((g ** np.arange(-300.0, 300.0)[:, None] * roots).ravel(), 0)
         brute = np.abs(xi[:, None] - points[None, :]).min(axis=1)
         assert np.allclose(c.distance_many(xi), brute, rtol=0, atol=1e-10)
@@ -765,9 +768,9 @@ class TestMultiplicativeLogPolar:
         # the unit coordinate alone, and arg(1+zeta12) = pi/12
         c = mult("1+zeta12")
         assert (c.shape, c.exact) == ("RaysDiscrete", True)
-        assert c.modulus_base_sq == rq(2, 1)
-        assert c.angle_order == 24
-        assert c.hnf_rows == ((1, 1), (0, 24))
+        assert c.lattice[0].abs_sq() == rq(2, 1)
+        assert c.to_report()["angle_order"] == 24
+        assert c.to_report()["coupling_hnf"] == [[1, 1], [0, 24]]
         w = parse_scalar("1+zeta12").exact_value
         assert c.contains(Scalar(w ** 3)) and c.contains(Scalar(w ** -2))
         assert not c.contains(Scalar(w * w.conj()))  # 2+sqrt3, on a ray of angle 0
@@ -858,22 +861,34 @@ class TestMultiplicativeExactPool:
         assert (f.shape, f.exact, f.includes_zero) == (c.shape, False, c.includes_zero)
         if c.shape in ORDER_FIELD:
             key = ORDER_FIELD[c.shape]
-            assert getattr(f, key) == getattr(c, key)
+            assert f.to_report()[key] == c.to_report().get(key, 12 // (c.lattice[-1].root_of_unity_log() or 12))
         assert all(f.distance(r) <= 1e-9 for r in floats)
 
     def test_orders_on_the_pi12_grid_keep_the_bits_of_their_floats(self):
-        # angles of any order are whole turns over an integer; an order on
-        # the grid of the exact closures gives the floats it gave in units
-        # of pi/12
-        for order in (1, 2, 3, 4, 6, 8, 12, 24):
-            angles = np.arange(0, 24, 24 // order) * (math.pi / 12)
-            rays = RaysDense(angle_order=order)
-            assert np.array_equal(rays._directions, np.cos(angles) + 1j * np.sin(angles))
+        # angles of any order are whole turns over an integer; a float root
+        # of an order on the grid of the exact closures reads that order,
+        # its generator and the floats of the exact roots, and rays and
+        # discrete rays of those orders read their exact closures' distances
+        rng = np.random.default_rng(12)
+        xi = (rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50)) * np.exp(rng.uniform(-2, 2, 50))
         for order in (1, 2, 3, 4, 6, 12):
-            roots = [ZETA_POWERS[12 // order * j % 12].to_complex() for j in range(order)]
-            assert FiniteCyclic(order=order).elements() == roots
-            spiral = RaysDiscrete(generator=parse_scalar("2").exact_value, root_order=order)
-            assert spiral._floats[2] == math.tau * (12 // order) / 12
+            exact = mult(f"zeta12^{12 // order}")
+            floats = classify_multiplicative_closure([Scalar.approx(cmath.exp(2j * math.pi / order))])
+            assert floats.to_report()["order"] == exact.to_report()["order"] == order
+            assert floats.to_report()["generator"] == exact.to_report()["generator"]
+            roots = np.array([ZETA_POWERS[12 // order * j % 12].to_complex() for j in range(order)])
+            assert np.array_equal(exact.distance_many(roots), np.zeros(order))
+            assert np.array_equal(floats.distance_many(xi), exact.distance_many(xi))
+            spiral = mult("2", f"zeta12^{12 // order}")
+            floats = classify_multiplicative_closure([Scalar.approx(2.0), Scalar.approx(cmath.exp(2j * math.pi / order))])
+            assert floats.to_report()["root_order"] == order
+            assert np.allclose(floats.distance_many(xi), spiral.distance_many(xi), rtol=1e-13, atol=0)
+        for order in (1, 2, 3, 4, 6, 8, 12, 24):
+            angle = 2 * math.pi / order
+            rays = mult("2", "3", format_scalar(Scalar.approx(cmath.exp(1j * angle))))
+            ray = np.exp(1j * angle * np.arange(order)) * 1.5
+            assert rays.to_report()["angle_order"] == order
+            assert rays.distance_many(ray).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +944,96 @@ class TestMultiplicativeInvariants:
     def test_finite_cyclic_order_divides_twelve(self):
         for k in range(12):
             c = classify_multiplicative_closure([Scalar.zeta_power(k)])
+            order = c.to_report()["order"]
             assert c.shape == "FiniteCyclic"
-            assert 12 % c.order == 0
-            assert c.order == 12 // gcd(k, 12) if k else c.order == 1
+            assert 12 % order == 0
+            assert order == 12 // gcd(k, 12) if k else order == 1
+
+
+# ---------------------------------------------------------------------------
+# multiplicative closures: distances against brute force
+
+
+def _value(c, w) -> complex:
+    """A lattice generator of a closure as a complex number."""
+    return w.to_complex() if c.exact else cmath.exp(complex(w[0], 2 * math.pi * w[1]))
+
+
+def _log_modulus(c, w) -> float:
+    """log|w|, from the exact |w|^2 - 1 when exact, so that a ratio near 1
+    keeps its digits."""
+    return math.log1p((w.abs_sq() - 1).to_complex().real) / 2 if c.exact else float(w[0])
+
+
+def brute_distance(c, q: complex) -> float:
+    """The distance from q to the closure, each shape by its own picture:
+    the roots, the unit circle, the nearest circles, the rays, or the
+    points rho^m e^(i(m theta + 2 pi j/k)) of discrete rays, all of them
+    in the range that can be nearer than 0, or, when theta is a rational
+    turn p/den, those next to the foot of q on each of the den*k rays that
+    hold them."""
+    r, report = abs(q), c.to_report()
+    if c.shape in ("Plane", "Unknown"):
+        return 0.0
+    if c.shape == "FiniteCyclic":
+        k = report["order"]
+        return min(abs(q - cmath.exp(2j * math.pi * j / k)) for j in range(k))
+    if not c.includes_zero or r == 0:
+        return abs(r - 1) if not c.includes_zero else 0.0
+    if c.shape == "RaysDense":
+        k = report["angle_order"]
+        turns = [cmath.phase(q) - 2 * math.pi * j / k for j in range(k)]
+        return min([r] + [r * abs(math.sin(a)) for a in turns if math.cos(a) > 0])
+    if c.shape == "Circles":
+        lr = _log_modulus(c, c.lattice[0])
+        m = round(math.log(r) / lr)
+        return min(r, *(abs(r - math.exp(n * lr)) for n in (m - 1, m, m + 1)))
+    g, root = c.lattice
+    lr, theta = _log_modulus(c, g), cmath.phase(_value(c, g))
+    k = report.get("root_order") or 12 // (root.root_of_unity_log() or 12)
+    den = next((d for d in range(1, 25) if abs(theta * d / math.tau - round(theta * d / math.tau)) < 1e-12), None)
+    if den is None:
+        m = np.arange(math.floor(math.log(1e-14 * r) / lr), math.ceil(math.log(2 * r) / lr) + 1)[:, None]
+        points = np.exp(m * lr + 1j * (m * theta + math.tau * np.arange(k) / k))
+        return min(r, float(np.abs(q - points).min()))
+    best = r
+    for m0, j in itertools.product(range(den), range(k)):
+        angle = m0 * theta + math.tau * j / k
+        foot = r * math.cos(cmath.phase(q) - angle)
+        if foot > 0:
+            t = round((math.log(foot) / lr - m0) / den)
+            for m in range(m0 + (t - 3) * den, m0 + (t + 4) * den, den):
+                best = min(best, abs(q - cmath.rect(math.exp(m * lr), angle)))
+    return best
+
+
+BRUTE_CLOSURES = [
+    ("i",), ("2i",), ("2", "zeta12^2"), ("2+i",), ("1+i", "i"), ("1+zeta12",), ("11/10",),
+    ("10001/10000i", "i"), ("2", "3"), ("1+i", "1-i", "3"), ("2+i", "2-i"), ("3/5+4/5i",),
+    ("3/5+4/5i", "2", "3"), ("2+i", "3"),
+    ("exp(i*pi*2/7)",), ("-1.0",), ("2*exp(i*1.0)",), ("1.5+0.5i", "i"), ("1.00001i", "i"),
+    ("1.00000001i",), ("2.0", "3.0", "i"), ("1.5+0.5i", "1.5-0.5i"), ("0.6+0.8i",),
+    ("2.0", "3.0", "exp(i*1.0)"),
+]
+
+
+class TestMultiplicativeDistance:
+    @pytest.mark.parametrize("names", BRUTE_CLOSURES, ids="/".join)
+    def test_distance_many_matches_brute_force(self, names):
+        # |q - p| = |q| |p/q - 1| is computed relative to |q|, and far from
+        # the unit circle relative to the distance: both agree within 1e-12
+        c = mult(*names)
+        rng = np.random.default_rng(21)
+        q = (rng.uniform(-3, 3, 24) + 1j * rng.uniform(-3, 3, 24)) * np.exp(rng.uniform(-2, 2, 24))
+        ratios = np.array([parse_scalar(n).to_complex() for n in names])
+        near = np.concatenate([ratios, ratios ** 2 * (1 + 1e-7j), ratios * (1 - 3e-9)])
+        q = np.concatenate([q, near, [0, 1, -1, 1j, 3 + 4j]])
+        got = c.distance_many(q)
+        ref = np.array([brute_distance(c, z) for z in q])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(q), ref)), names
+
+    def test_a_near_one_ratio_takes_no_scan(self):
+        # <1.00000001i> has circles 4e-8 apart in log-modulus: the distance
+        # is a search along its short lattice vector, not a scan
+        c = mult("1.00000001i")
+        assert c.distance(3 + 4j) == pytest.approx(3.0, rel=1e-12)

@@ -501,7 +501,7 @@ class TestComputeProfile:
         assert profile.E_G.is_whole_space()
         assert len(profile.gamma_seeds) == 2
         assert profile.lambda_closure.shape == "FiniteCyclic"
-        assert profile.lambda_closure.order == 4
+        assert profile.lambda_closure.to_report()["order"] == 4
         assert profile.schreier.step == 3 and profile.schreier.shifts
         assert profile.exact
 
