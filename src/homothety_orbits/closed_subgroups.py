@@ -566,10 +566,10 @@ def _planar_float(z: complex) -> CycloScalar:
 # Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t), and one class holds every
 # closure of Lambda so: V by float rows (s, t) that span it, and L by
 # generators that span it with (0, 1).  The shape label is read off
-# (dim V, rank L) and the line V: the t-axis gives circles and the s-axis
-# rays.  An exact closure holds each generator as its value w in Q(zeta)*,
-# which stands for (log|w|, arg w / 2pi); an approximate one holds (s, t)
-# floats.
+# (dim V, rank L) and the line V: the t-axis gives circles, the s-axis rays
+# and any other line logarithmic spirals.  An exact closure holds each
+# generator as its value w in Q(zeta)*, which stands for (log|w|,
+# arg w / 2pi); an approximate one holds (s, t) floats.
 #
 # Exact ratios lie in Q(zeta)*, and are read through the same map.  The
 # squared modulus |w|^2 is a positive element of Q(sqrt3), recorded by its
@@ -596,8 +596,8 @@ class MultClosure:
     or, with exact=False, an (s, t) pair of floats.  The classifiers give
     each shape one form of (V, L): a root (FiniteCyclic), a generator of
     modulus > 1 and a root (RaysDiscrete), the t-axis with a generator or
-    none (Circles), the s-axis with a value on the first ray (RaysDense), or
-    the plane.  The plane
+    none (Circles), the s-axis with a value on the first ray (RaysDense), a
+    line (1, pitch) with a transversal (Spirals), or the plane.  The plane
     with a `reason` in the evidence is shape "Unknown": a closure this
     classifier does not decide, described by its superset C, so that no
     orbit point is ever rejected.  `evidence` is not part of ==."""
@@ -614,7 +614,7 @@ class MultClosure:
         if not self.directions:
             return "RaysDiscrete" if len(self.lattice) == 2 else "FiniteCyclic"
         s, t = self.directions[0]
-        return "Circles" if s == 0 else "RaysDense"
+        return "Circles" if s == 0 else "RaysDense" if t == 0 else "Spirals"
 
     @cached_property
     def _rows(self) -> List[Tuple[float, float]]:
@@ -725,6 +725,9 @@ class MultClosure:
             out["generator"] = f"exp(i*pi*2/{k})" if 12 % k else f"zeta12^{12 // k % 12}"
         elif shape == "RaysDense":
             out["angle_order"] = self._order
+        elif shape == "Spirals":  # arms: the lines of V + L per turn (0, 1)
+            (_, pitch), ((s, t),) = self.directions[0], self._rows
+            out["pitch"], out["arms"] = pitch, round(1 / abs(t - pitch * s))
         elif self.lattice:  # RaysDiscrete and Circles with 0
             g = self.lattice[0]
             if not self.exact:
@@ -1068,8 +1071,7 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
             return MultClosure(directions=(_T_AXIS,), lattice=tuple((abs(row[0]), 0.0) for row in lattice), **found)
         if abs(b) <= _RESIDUAL:
             return MultClosure(directions=(_S_AXIS,), lattice=(_root_row(lattice[0]),), **found)
-        reason = "the closure is a finite union of logarithmic spirals, not represented here"
-        return MultClosure(False, _PLANE, evidence={**evidence, "reason": reason})
+        return MultClosure(directions=((1.0, float(b)),), lattice=(tuple(map(float, lattice[0])),), **found)
     if len(lattice) == 1:
         return MultClosure(lattice=(_root_row(lattice[0]),), **found)
     # (0, 1) = c1 l1 + c2 l2, so (0, 1/k) with k = gcd(c1, c2) spans L meet

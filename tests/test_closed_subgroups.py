@@ -657,6 +657,8 @@ class TestMultiplicativePinned:
             (("1.5+0.5i", "1.5-0.5i"), "Circles", None, Trilean.NO),
             (("2.0", "3.0", "exp(i*1.0)"), "Plane", None, Trilean.UNKNOWN),
             (("-1.0",), "FiniteCyclic", ("order", 2), Trilean.NO),
+            # (log 2, 1/2pi) and sqrt2 times it: a line off both axes
+            (("2*exp(i*1.0)", "2.665144142690225*exp(i*1.4142135623730951)"), "Spirals", ("arms", 1), Trilean.NO),
         ],
     )
     def test_approximate_ratios_take_the_relations(self, names, shape, order, whole):
@@ -984,6 +986,8 @@ def brute_distance(c, q: complex) -> float:
         k = report["angle_order"]
         turns = [cmath.phase(q) - 2 * math.pi * j / k for j in range(k)]
         return min([r] + [r * abs(math.sin(a)) for a in turns if math.cos(a) > 0])
+    if c.shape == "Spirals":
+        return min(r, *(_spiral_distance(c, q, j) for j in range(report["arms"])))
     if c.shape == "Circles":
         lr = _log_modulus(c, c.lattice[0])
         m = round(math.log(r) / lr)
@@ -1007,13 +1011,30 @@ def brute_distance(c, q: complex) -> float:
     return best
 
 
+def _spiral_distance(c, q: complex, j: int) -> float:
+    """The distance from q to the j-th arm of a union of spirals: sampled
+    every 1e-3 in log-modulus, then a golden-section search about the
+    nearest sample."""
+    (_, pitch), ((s0, t0),) = c.directions[0], c.lattice
+    arm = lambda s: np.abs(q - np.exp(s + 2j * np.pi * (j * t0 + pitch * (s - j * s0))))
+    s = np.arange(math.log(1e-14 * abs(q)), math.log(2 * abs(q)), 1e-3)
+    k = int(np.argmin(arm(s)))
+    a, b = s[k] - 2e-3, s[k] + 2e-3
+    for _ in range(100):
+        x, y = b - 0.618 * (b - a), a + 0.618 * (b - a)
+        a, b = (a, y) if arm(x) <= arm(y) else (x, b)
+    return float(min(arm(s[k]), arm((a + b) / 2)))
+
+
+# 2*exp(i) and 2^sqrt2*exp(i*sqrt2): the rows (log 2, 1/2pi) and sqrt2 times it
+SPIRAL = ("2*exp(i*1.0)", "2.665144142690225*exp(i*1.4142135623730951)")
 BRUTE_CLOSURES = [
     ("i",), ("2i",), ("2", "zeta12^2"), ("2+i",), ("1+i", "i"), ("1+zeta12",), ("11/10",),
     ("10001/10000i", "i"), ("2", "3"), ("1+i", "1-i", "3"), ("2+i", "2-i"), ("3/5+4/5i",),
     ("3/5+4/5i", "2", "3"), ("2+i", "3"),
     ("exp(i*pi*2/7)",), ("-1.0",), ("2*exp(i*1.0)",), ("1.5+0.5i", "i"), ("1.00001i", "i"),
     ("1.00000001i",), ("2.0", "3.0", "i"), ("1.5+0.5i", "1.5-0.5i"), ("0.6+0.8i",),
-    ("2.0", "3.0", "exp(i*1.0)"),
+    ("2.0", "3.0", "exp(i*1.0)"), SPIRAL, SPIRAL + ("-1.0",),
 ]
 
 
