@@ -281,7 +281,8 @@ def cmd_classify(config: RunConfig) -> int:
 def cmd_orbit(config: RunConfig) -> int:
     doc = _load_document(config)
     spec, points, merged = build_spec(doc, config)
-    z = points[0]
+    # the first --point, which build_spec puts after the document's points
+    z = points[-len(config.cli_points)] if config.cli_points else points[0]
     cap = merged["word_cap"]
     try:
         sample = orbit_oracle.enumerate(spec, z, cap)

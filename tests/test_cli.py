@@ -582,6 +582,20 @@ class TestOrbit:
         out = capsys.readouterr().out
         assert out == "re(z1),im(z1),generation\n0.0,0.0,0\n"
 
+    def test_the_point_flag_names_the_orbit(self, tmp_path, capsys):
+        # {i@0, i@1} with the points [0, -i, i]: --point i enumerates the
+        # orbit of i, not of the document's first point
+        path = write_doc(tmp_path, "points.json", {
+            "dim": 1,
+            "generators": [{"ratio": "i", "center": ["0"]}, {"ratio": "i", "center": ["1"]}],
+            "points": [["0"], ["-i"], ["i"]],
+        })
+        assert main(["orbit", "--input", path, "--word-cap", "1", "--point", "i"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "0.0,1.0,0"
+        assert main(["orbit", "--input", path, "--word-cap", "1"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "0.0,0.0,0"
+
     def test_csv_file_output(self, tmp_path, capsys):
         path = quarter_doc(tmp_path)
         out_dir = tmp_path / "run"
