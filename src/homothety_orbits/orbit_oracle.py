@@ -358,8 +358,10 @@ def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
 def _cell_keys(rows: np.ndarray, cell: float) -> np.ndarray:
     """One key per complex row: its parts divided by `cell` and rounded,
     kept in float64 so that no coordinate overflows (adding 0.0 folds -0.0
-    into 0.0)."""
-    return _row_keys(np.round(np.ascontiguousarray(rows).view(np.float64) / cell) + 0.0)
+    into 0.0); a row past float range keys as inf or nan, silently, and
+    overflows later where the caller turns it into exit 3."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _row_keys(np.round(np.ascontiguousarray(rows).view(np.float64) / cell) + 0.0)
 
 
 def _grid_bfs(spec: GroupSpec, z: Point, L: int, cap: int) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -454,7 +456,8 @@ def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
         cand = np.repeat(rows[:, None], len(letters), axis=1)
         a, b = ratios, rows[:, None, : n + 1]
         head = cand[..., : n + 1]
-        head.real, head.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+        with np.errstate(over="ignore", invalid="ignore"):  # keyed as inf or nan, as above
+            head.real, head.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
         cand[..., 1:] += steps
         return cand.reshape(-1, rows.shape[1])
 
