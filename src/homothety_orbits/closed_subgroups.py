@@ -13,15 +13,15 @@ integer test on its lift.  Approximate vectors take the same duality in
 floats, its integer steps the integer relations that LLL finds among the
 vectors at a 1e-9 residual; the result is flagged as not exact.
 
-Multiplicative side: the closure of a subgroup of C* generated by exact
-ratios (elements of Q(zeta12)) is read through the log-polar map, from the
-exponent vectors of the squared moduli over the primes and the unit of
-Z[sqrt(3)] and the arguments in units of pi/12.  It is decided exactly
-except in one case of four-exponentials type, which is reported as such.
-Approximate ratios map to the rows (log|w|, arg w / 2pi), and with (0, 1)
-they generate a subgroup of R^2 whose closure V + L the additive side's
-relation routine gives; each (V, L) is one of the shapes of the exact
-side, flagged as not exact.
+Multiplicative side: the closure of a subgroup of C* is the image of a
+closed subgroup V + L + Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t),
+held by one class.  Exact ratios (elements of Q(zeta12)) give it through
+the exponent vectors of the squared moduli over the primes and the unit of
+Z[sqrt(3)] and the arguments in units of pi/12, exactly except in one case
+of four-exponentials type, which is reported as such.  Approximate ratios
+map to the rows (log|w|, arg w / 2pi), and with (0, 1) they generate a
+subgroup of R^2 whose closure V + L the additive side's relation routine
+gives, flagged as not exact.
 """
 
 from __future__ import annotations
@@ -590,17 +590,14 @@ _PLANE = (_S_AXIS, _T_AXIS)
 
 @dataclass(frozen=True)
 class MultClosure:
-    """The closure exp(V + L + Z(0, 1)) in C of a subgroup of C*: V spanned
-    by the float rows (s, t) of `directions`, L spanned with (0, 1) by the
-    `lattice` generators, each an exact value w (for (log|w|, arg w / 2pi))
-    or, with exact=False, an (s, t) pair of floats.  The classifiers give
-    each shape one form of (V, L): a root (FiniteCyclic), a generator of
-    modulus > 1 and a root (RaysDiscrete), the t-axis with a generator or
-    none (Circles), the s-axis with a value on the first ray (RaysDense), a
-    line (1, pitch) with a transversal (Spirals), or the plane.  The plane
-    with a `reason` in the evidence is shape "Unknown": a closure this
-    classifier does not decide, described by its superset C, so that no
-    orbit point is ever rejected.  `evidence` is not part of ==."""
+    """The closure exp(V + L + Z(0, 1)) in C of a subgroup of C*, V spanned
+    by the rows of `directions`, L with (0, 1) by the `lattice` generators.
+    Each shape has one form: a root (FiniteCyclic); a generator of modulus
+    > 1 and a root (RaysDiscrete); the t-axis with a generator or none
+    (Circles); the s-axis with a value on the first ray (RaysDense); a line
+    (1, pitch) with a transversal (Spirals); the plane, which with a
+    `reason` in the evidence is "Unknown", a closure not decided here and
+    described by its superset C.  `evidence` is not part of ==."""
 
     exact: bool = True
     directions: tuple = ()
@@ -623,7 +620,7 @@ class MultClosure:
             return [_log_polar(w) for w in self.lattice]
         return [(float(s), float(t)) for s, t in self.lattice]
 
-    @property
+    @cached_property
     def includes_zero(self) -> bool:
         """Whether some vector of V or L has s != 0: then 0 is a limit."""
         return any(s != 0 for s, _ in (*self.directions, *self._rows))
@@ -644,6 +641,14 @@ class MultClosure:
     def _modulus_basis(self):
         return _exponent_basis(self.lattice[0].abs_sq())
 
+    @cached_property
+    def _step(self) -> int:
+        """In units of pi/12 the angle between rays, on rays; else the root
+        as a power of zeta12."""
+        if self.directions == (_S_AXIS,):
+            return _angle_pi12(self.lattice[0]) or 24
+        return self.lattice[-1].root_of_unity_log() or 12
+
     def _member(self, w: CycloScalar) -> bool:
         """Exact membership of a nonzero exact value: |w|^2 a power of the
         generator's, read on exponent vectors, then w over that power a root
@@ -653,7 +658,7 @@ class MultClosure:
             return True
         if self.directions == (_S_AXIS,):
             a = _angle_pi12(w)
-            return a is not None and a % (_angle_pi12(self.lattice[0]) or 24) == 0
+            return a is not None and a % self._step == 0
         m = 0
         if self.includes_zero:
             m = _modulus_multiple(w, self._modulus_basis)
@@ -664,7 +669,7 @@ class MultClosure:
         if self.directions:  # circles: every argument
             return True
         k = (w * self.lattice[0] ** (-m) if m else w).root_of_unity_log()
-        return k is not None and k % (self.lattice[-1].root_of_unity_log() or 12) == 0
+        return k is not None and k % self._step == 0
 
     @cached_property
     def _roots(self) -> np.ndarray:
@@ -741,7 +746,7 @@ class MultClosure:
                 out["root_order"] = self._order
                 return out
             out["generator"] = format_scalar(Scalar(g))
-            a, step = _angle_pi12(g), 12 // self._order
+            a, step = _angle_pi12(g), self._step
             if a is not None:
                 out["angle_order"] = 24 // gcd(24, a, 2 * step)
                 out["coupling_hnf"] = [[1, a], [0, 2 * step]]
@@ -749,13 +754,10 @@ class MultClosure:
 
 
 def _log_polar(w: CycloScalar) -> Tuple[float, float]:
-    """(log|w|, arg w / 2pi) of an exact value, the turn in (0, 1]; log1p
-    near |w| = 1, so that a ratio close to 1 keeps the digits of its log."""
-    q = w.abs_sq()
-    x = q.to_complex().real
-    s = 0.5 * (math.log1p((q - CYCLO_ONE).to_complex().real) if 0.5 < x < 2 else math.log(x))
+    """(log|w|, arg w / 2pi) of an exact value of modulus >= 1, the turn in
+    (0, 1]; log1p of |w|^2 - 1 keeps the digits of a ratio close to 1."""
     t = cmath.phase(w.to_complex()) / math.tau
-    return s, t if t > 0 else t + 1.0
+    return 0.5 * math.log1p((w.abs_sq() - CYCLO_ONE).to_complex().real), t if t > 0 else t + 1.0
 
 
 def _ray(a: int) -> CycloScalar:
@@ -800,9 +802,9 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
     gives a first bound c, and each line of the set that crosses the box of c
     is one 1-D search: along it |exp(w) - 1|, continued by 1 + psi with the
     convex psi = s - log(2 cos a) past psi = 0, falls and then rises, so a
-    golden-section search (40 steps, to 1e-8 of its range) and three Newton
-    steps find its least point; when discrete, the integer points next to
-    it are the candidates."""
+    golden-section search finds its least point to 1e-8 of the box, which
+    moves the value by about 1e-16 of c; when discrete, the integer points
+    next to it are the candidates."""
     n = np.array([-e[1], e[0]]) / np.hypot(*e)
     nh = float(n @ h)
     # the nearest line, and on it the nearest point (of the line's points)
@@ -836,13 +838,7 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         left = rise(c) <= rise(d)
         a, b = np.where(left, a, c), np.where(left, d, b)
-    x, slope = (a + b) / 2, complex(*e)
-    for _ in range(3):  # Newton steps on |exp(w) - 1|^2, each kept if it gains
-        z1 = _expm1(p, x, e)
-        d1 = (z1 * np.conj(slope * (z1 + 1))).real
-        d2 = abs(slope * (z1 + 1)) ** 2 + (z1 * np.conj(slope ** 2 * (z1 + 1))).real
-        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0)
-        x = np.where(np.abs(_expm1(p, x - step, e)) < np.abs(z1), x - step, x)
+    x = (a + b) / 2
     if discrete:  # the integer points next to the least point
         vals = np.min([np.abs(_expm1(p, np.floor(x) + k, e)) for k in (-1, 0, 1, 2)], axis=0)
     else:
