@@ -801,10 +801,10 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
     |a| <= 2 arcsin(c / (2 sqrt(1 - c))).  So the point nearest in the metric
     gives a first bound c, and each line of the set that crosses the box of c
     is one 1-D search: along it |exp(w) - 1|, continued by 1 + psi with the
-    convex psi = s - log(2 cos a) past psi = 0, falls and then rises, so a
-    golden-section search finds its least point to 1e-8 of the box, which
-    moves the value by about 1e-16 of c; when discrete, the integer points
-    next to it are the candidates."""
+    convex psi = s - log(2 cos a) past psi = 0, falls and then rises, so
+    `_least_point` finds its least point (to 1e-8 of the box when it
+    searches, which moves the value by about 1e-16 of c); when discrete, the
+    integer points next to it are the candidates."""
     n = np.array([-e[1], e[0]]) / np.hypot(*e)
     nh = float(n @ h)
     # the nearest line, and on it the nearest point (of the line's points)
@@ -829,6 +829,30 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
     a, b = np.maximum(s_lo, a_lo), np.minimum(s_hi, a_hi)
     keep = a <= b
     idx, p, a, b = idx[keep], p[keep], a[keep], b[keep]
+    if not discrete:
+        np.minimum.at(best, idx, np.abs(_expm1(p, _least_point(p, a, b, e), e)))
+        return best
+    # a segment with few integer points takes them all, a longer one the
+    # four next to its least point
+    first, count = np.ceil(a), (np.floor(b) - np.ceil(a) + 1).astype(int)
+    long = count > 8
+    first[long] = np.floor(_least_point(p[long], a[long], b[long], e)) - 1
+    count[long] = 4
+    rep = np.repeat(np.arange(len(idx)), count)
+    x = first[rep] + np.arange(len(rep)) - np.repeat(np.cumsum(count) - count, count)
+    np.minimum.at(best, idx[rep], np.abs(_expm1(p[rep], x, e)))
+    return best
+
+
+def _least_point(p: np.ndarray, a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The x in [a, b] where |exp(p + x*e) - 1| is least, for segments in
+    the box of `_nearest_on_lines`: on a circle the point at angle 0, on a
+    ray the point of modulus cos(angle), and on a spiral a golden-section
+    search for the least point of the unimodal continuation."""
+    if e[0] == 0:
+        return np.clip(-p[:, 1] / e[1], a, b)
+    if e[1] == 0:
+        return np.clip((np.log(np.cos(p[:, 1])) - p[:, 0]) / e[0], a, b)
 
     def rise(x):  # |exp(w) - 1|, and past psi = 0 the convex 1 + psi
         psi = p[:, 0] + x * e[0] - np.log(2 * np.maximum(np.cos(p[:, 1] + x * e[1]), 1e-300))
@@ -838,13 +862,7 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         left = rise(c) <= rise(d)
         a, b = np.where(left, a, c), np.where(left, d, b)
-    x = (a + b) / 2
-    if discrete:  # the integer points next to the least point
-        vals = np.min([np.abs(_expm1(p, np.floor(x) + k, e)) for k in (-1, 0, 1, 2)], axis=0)
-    else:
-        vals = np.abs(_expm1(p, x, e))
-    np.minimum.at(best, idx, vals)
-    return best
+    return (a + b) / 2
 
 
 # -- arithmetic of Q(sqrt3) and Z[sqrt3] ------------------------------------
