@@ -563,25 +563,15 @@ def _planar_float(z: complex) -> CycloScalar:
 # multiplicative closures
 #
 # Every closed subgroup of C* is the image of a closed subgroup V + L +
-# Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t), and one class holds every
-# closure of Lambda so: V by float rows (s, t) that span it, and L by
-# generators that span it with (0, 1).  The shape label is read off
-# (dim V, rank L) and the line V: the t-axis gives circles, the s-axis rays
-# and any other line logarithmic spirals.  An exact closure holds each
-# generator as its value w in Q(zeta)*, which stands for (log|w|,
-# arg w / 2pi); an approximate one holds (s, t) floats.
-#
-# Exact ratios lie in Q(zeta)*, and are read through the same map.  The
-# squared modulus |w|^2 is a positive element of Q(sqrt3), recorded by its
-# exponent vector: one valuation per prime of Z[sqrt3] (a Euclidean domain)
-# and, last, the exponent of the unit 2+sqrt3.  The argument is a multiple
-# of pi/12 exactly when (w / conj w)^12 = 1, since the roots of unity of
-# Q(zeta) are the 12th roots; otherwise arg w / pi is irrational.
-# Approximate ratios are read through w -> (log|w|, arg w / 2pi) in floats,
-# by the relation routine of the additive side, and their closures have
-# angles of any order.  `distance_many` takes a complex array and `distance`
-# is its one-point case; exact membership of an exact value never reads a
-# float.
+# Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t); one class holds each
+# closure of Lambda so, with the shape read off (dim V, rank L) and the line
+# V: the t-axis gives circles, the s-axis rays and any other line spirals.
+# Exact ratios lie in Q(zeta)*: |w|^2 is a positive element of Q(sqrt3),
+# recorded by its exponent vector over the primes of Z[sqrt3] (a Euclidean
+# domain) and, last, the unit 2+sqrt3, and arg w is a multiple of pi/12
+# exactly when (w / conj w)^12 = 1, since the roots of unity of Q(zeta) are
+# the 12th roots; otherwise arg w / pi is irrational.  Exact membership of
+# an exact value never reads a float.
 
 
 _S_AXIS, _T_AXIS = (1.0, 0.0), (0.0, 1.0)
@@ -734,22 +724,16 @@ class MultClosure:
             (_, pitch), ((s, t),) = self.directions[0], self._rows
             out["pitch"], out["arms"] = pitch, round(1 / abs(t - pitch * s))
         elif self.lattice:  # RaysDiscrete and Circles with 0
-            g = self.lattice[0]
-            if not self.exact:
-                s, t = self._rows[0]
-                g = cmath.exp(complex(s, math.tau * t))
+            (s, t), g = self._rows[0], self.lattice[0]
+            g = g if self.exact else cmath.exp(complex(s, math.tau * t))
             out["modulus_ratio"] = math.sqrt(g.abs_sq().to_complex().real) if self.exact else abs(g)
-            if shape == "Circles":
-                return out
-            if not self.exact:
-                out["generator"] = format_scalar(Scalar.approx(g))
-                out["root_order"] = self._order
-                return out
-            out["generator"] = format_scalar(Scalar(g))
-            a, step = _angle_pi12(g), self._step
-            if a is not None:
-                out["angle_order"] = 24 // gcd(24, a, 2 * step)
-                out["coupling_hnf"] = [[1, a], [0, 2 * step]]
+            if shape == "RaysDiscrete" and not self.exact:
+                out["generator"], out["root_order"] = format_scalar(Scalar.approx(g)), self._order
+            elif shape == "RaysDiscrete":
+                out["generator"], a = format_scalar(Scalar(g)), _angle_pi12(g)
+                if a is not None:
+                    out["angle_order"] = 24 // gcd(24, a, 2 * self._step)
+                    out["coupling_hnf"] = [[1, a], [0, 2 * self._step]]
         return out
 
 
@@ -768,8 +752,7 @@ def _ray(a: int) -> CycloScalar:
 
 # below this log-modulus a point is within e^-40 |q| of 0, so a search for
 # one nearer than 0 stops there
-_LOG_FLOOR = -40.0
-_LOG_CEILING = 40.0
+_LOG_FLOOR, _LOG_CEILING = -40.0, 40.0
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
@@ -779,15 +762,6 @@ def _expm1(p: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     digits near w = 0; s is capped at _LOG_CEILING, past any search's bound."""
     s, a = np.minimum(p[:, 0] + x * e[0], _LOG_CEILING), p[:, 1] + x * e[1]
     return np.expm1(s) * np.cos(a) - 2 * np.sin(a / 2) ** 2 + 1j * np.exp(s) * np.sin(a)
-
-
-def _slab(p: np.ndarray, lo, hi, e: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The range of x with lo <= p + x*e <= hi."""
-    if e == 0:
-        inside = (lo <= p) & (p <= hi)
-        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
-    a, b = (lo - p) / e, (hi - p) / e
-    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bool) -> np.ndarray:
@@ -824,9 +798,13 @@ def _nearest_on_lines(wq: np.ndarray, e: np.ndarray, h: np.ndarray, discrete: bo
     idx = np.repeat(np.arange(len(wq)), count)
     j = first[idx] + np.arange(len(idx)) - np.repeat(np.cumsum(count) - count, count)
     p = j[:, None] * h - wq[idx]
-    s_lo, s_hi = _slab(p[:, 0], lo[idx], hi[idx], e[0])
-    a_lo, a_hi = _slab(p[:, 1], -half[idx], half[idx], e[1])
-    a, b = np.maximum(s_lo, a_lo), np.minimum(s_hi, a_hi)
+    # the x in the box; with e[k] = 0, ends of -inf, inf keep the whole line
+    # and ends of one sign none
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.stack([lo[idx], hi[idx], -half[idx], half[idx]]) - p.T[[0, 0, 1, 1]]
+        ends /= e[[0, 0, 1, 1], None]
+    a = np.maximum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
+    b = np.minimum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
     keep = a <= b
     idx, p, a, b = idx[keep], p[keep], a[keep], b[keep]
     if not discrete:
@@ -1082,10 +1060,12 @@ def _classify_mult_by_relations(ratios: Sequence) -> MultClosure:
     if len(directions) == 1:
         a, b = directions[0]
         if a != 1.0:  # no pivot on the first coordinate: V = span(0, 1)
-            return MultClosure(directions=(_T_AXIS,), lattice=tuple((abs(row[0]), 0.0) for row in lattice), **found)
+            rows = tuple((abs(row[0]), 0.0) for row in lattice)
+            return MultClosure(directions=(_T_AXIS,), lattice=rows, **found)
         if abs(b) <= _RESIDUAL:
             return MultClosure(directions=(_S_AXIS,), lattice=(_root_row(lattice[0]),), **found)
-        return MultClosure(directions=((1.0, float(b)),), lattice=(tuple(map(float, lattice[0])),), **found)
+        transversal = tuple(map(float, lattice[0]))
+        return MultClosure(directions=((1.0, float(b)),), lattice=(transversal,), **found)
     if len(lattice) == 1:
         return MultClosure(lattice=(_root_row(lattice[0]),), **found)
     # (0, 1) = c1 l1 + c2 l2, so (0, 1/k) with k = gcd(c1, c2) spans L meet
