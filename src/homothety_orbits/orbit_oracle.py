@@ -384,7 +384,10 @@ def _grid_bfs(spec: GroupSpec, z: Point, L: int, cap: int) -> Tuple[np.ndarray, 
 def _vector_key(v: Point, exact: bool, cell: float = 1e-12):
     if exact:
         return v
-    return tuple((round(c.real / cell), round(c.imag / cell)) for c in v_to_complex(v))
+    coords = v_to_complex(v)
+    if not np.isfinite(coords).all():  # exit 3, not a ValueError on nan
+        raise OverflowError("a harvested translation is past float range")
+    return tuple((round(c.real / cell), round(c.imag / cell)) for c in coords)
 
 
 def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:

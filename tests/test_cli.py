@@ -656,6 +656,23 @@ class TestVerify:
         assert captured.out == ""
         assert "beyond float range" in captured.err
 
+    @pytest.mark.parametrize("ratio", ["1e200", "1e100*exp(i*1.0)"])
+    def test_a_harvest_past_float_range_exits_undecidable(self, tmp_path, capsys, ratio):
+        # the approximate harvest of {ratio@(0,0), exp(i)@(1,0.5)} meets a
+        # translation of inf or nan; its key once raised a ValueError on nan,
+        # reported as malformed input
+        path = write_doc(tmp_path, "big.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": ratio, "center": ["0", "0"]},
+                {"ratio": "exp(i*1.0)", "center": ["1", "0.5"]},
+            ],
+            "points": [["0.5", "1"]],
+            "options": {"word_cap": 6, "grid": 4},
+        })
+        assert main(["verify", "--input", path]) == EXIT_UNDECIDABLE
+        assert "past float range" in capsys.readouterr().err
+
     def test_dim_4_spiral_verifies_quickly(self, tmp_path, capsys):
         # an irrational-angle ratio in C^4: 4^8 window cells are traced
         # against the closure of Lambda, a discrete spiral; measured against
