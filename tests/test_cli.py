@@ -325,6 +325,26 @@ class TestClassify:
         decimal["verdicts"]["notes"] = exact["verdicts"]["notes"]
         assert decimal["verdicts"] == exact["verdicts"]
 
+    def test_a_spiral_line_in_c2_is_no_dense_closure(self, tmp_path, capsys):
+        # 2e^i and 2^sqrt2 e^(i sqrt2): the rows (log 2, 1/2pi) and sqrt2
+        # times it close to a line off both axes, one logarithmic spiral,
+        # so E_G (a hyperplane) gives no dense orbit, and every orbit point
+        # of the cone is near it
+        path = write_doc(tmp_path, "spiral.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": "2*exp(i*1.0)", "center": ["0", "0"]},
+                {"ratio": "2.665144142690225*exp(i*1.4142135623730951)", "center": ["1", "0.5"]},
+            ],
+            "points": [["0.5", "1"]],
+        })
+        assert main(["verify", "--input", path, "--word-cap", "6", "--grid", "8"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        lam = report["profile"]["lambda_closure"]
+        assert (lam["shape"], lam["arms"], lam["exact"]) == ("Spirals", 1, False)
+        assert report["verdicts"]["has_dense_orbit"] == "no"
+        assert report["evidence"][0]["evidence"]["soundness_pass"]
+
     def test_decimal_centre_gives_the_lattice_of_its_exact_form(self, tmp_path, capsys):
         # with the third centre written 3/10 the exact path gives Lattice2
         # with basis 1/5, i/5; the integer relations among the decimal
