@@ -11,12 +11,15 @@ one above the closure trace's cell cap (40^4 cells) and one below it
 the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
 both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
-which take the approximate closures (an order-7 rotation pair among them),
-and `classify` on two such documents in C^2.  The `additive` line runs `classify` on dimension-1 half-turn groups
-whose translation closures take every additive shape, exact and from
-decimal data, and the `additive-c2` line the same on C^2 half-turn groups
-whose closures have (dim V, rank L) from (0, 1) to (4, 0), one with decimal
-centres, and then quarter-turns about the same decimal centres.  The
+which take the approximate closures (an order-7 rotation pair among them,
+and rotations by zeta12^2 about 0 and 0.3, whose report says whether the
+sandwich bounds pin the closure of T), and `classify` on two such
+documents in C^2.  The `additive` line runs `classify` on dimension-1
+half-turn groups whose translation closures take every additive shape,
+exact and from decimal data, and the `additive-c2` line the same on C^2
+half-turn groups whose closures have (dim V, rank L) from (0, 1) to
+(4, 0), one with decimal centres, and then quarter-turns about the same
+decimal centres.  The
 `lambda` line runs `classify` and `verify --word-cap 6 --grid 8` on one
 C^2 document per shape of the closure of Lambda, each in exact and in
 decimal form, whose orbit closures are cones over that closure: finite
@@ -59,6 +62,7 @@ NUMERIC_DOCS = (
     ("spiral", 1, (("1.5+0.5i", ("0",)), ("i", ("1",))), ("0.5",)),
     ("translation", 1, (("1", ("1",)), ("exp(i*1)", ("0",))), ("0",)),
     ("order-7", 1, (("exp(i*pi*2/7)", ("0",)), ("exp(i*pi*2/7)", ("1",))), ("1/3",)),
+    ("zeta12-pair", 1, (("zeta12^2", ("0",)), ("zeta12^2", ("0.3",))), ("0.5",)),
 )
 NUMERIC_C2_DOCS = (
     ("spiral-c2", 2, (("1.5+0.5i", ("0", "0")), ("i", ("1", "0.5"))), ("0.5", "1")),
