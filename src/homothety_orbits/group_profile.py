@@ -515,7 +515,9 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
             inner, outer = g1_lattice_bounds(spec)
             g1_inner = tuple(inner)
             g1_outer = tuple(outer)
-            g1_pinned = classify_additive_closure(inner) == classify_additive_closure(outer)
+            # inner <= T <= outer: pinned when outer lies in inner's closure
+            inner_closure = classify_additive_closure(inner)
+            g1_pinned = all(inner_closure.contains(t) for t in outer)
         except ValueError:
             pass
     exact = spec.is_exact and eg.exact and lam.exact

@@ -2,6 +2,7 @@
 subspace, the crystallographic angle test, and the one-dimensional
 translation-subgroup sandwich."""
 
+import dataclasses
 import math
 
 import pytest
@@ -304,22 +305,28 @@ class TestTranslationSandwich:
             assert profile.g1_closure.contains(s)
 
     def test_closures_compare_without_their_evidence(self):
-        # g1_pinned compares the inner and outer closures with ==, which
-        # reads the closures and not the relation heights and residuals
-        # of approximate ones
-        fine = classify_additive_closure([0.2, 0.6, 1.0])
-        coarse = classify_additive_closure([0.2])
-        assert fine.evidence != coarse.evidence
-        assert fine == coarse and hash(fine) == hash(coarse)
-        # {i@0, i@1, -1@0.3} is pinned as its exact form, with 3/10
-        pinned = []
-        for centre in ("0.3", "3/10"):
-            gens = (("i", "0"), ("i", "1"), ("-1", centre))
-            spec = GroupSpec(1, tuple(
-                Homothety.with_center(parse_scalar(r), [parse_scalar(c)]) for r, c in gens
-            ))
-            pinned.append(compute_profile(spec).g1_pinned)
-        assert pinned[0] is pinned[1] is False
+        # two generating lists of one exact lattice give equal closures, and
+        # evidence attached to one of them stays out of == and hash
+        fine = classify_additive_closure([parse_scalar(x) for x in ("1/5", "3/5", "1")])
+        coarse = classify_additive_closure([parse_scalar("1/5")])
+        noted = dataclasses.replace(coarse, evidence={"path": "relations"})
+        assert fine == coarse == noted and hash(fine) == hash(coarse) == hash(noted)
+        # g1_pinned asks whether the outer generators lie in the closure of
+        # the inner ones, so the decimal rotation pair about 0 and 0.3 is
+        # pinned as its exact form, with 3/10, is; {i@0, i@1, -1@0.3} is
+        # pinned by neither form
+        for gens, expected in (
+            ((("zeta12^2", "0"), ("zeta12^2", "{}")), True),
+            ((("i", "0"), ("i", "1"), ("-1", "{}")), False),
+        ):
+            pinned = []
+            for centre in ("0.3", "3/10"):
+                spec = GroupSpec(1, tuple(
+                    Homothety.with_center(parse_scalar(r), [parse_scalar(c.format(centre))])
+                    for r, c in gens
+                ))
+                pinned.append(compute_profile(spec).g1_pinned)
+            assert pinned[0] is pinned[1] is expected
 
     def test_order_twelve_pair_refuses_the_sandwich(self):
         # an angle of pi/6 has order 12: Z[ratio] is dense, there is no
