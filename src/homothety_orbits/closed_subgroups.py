@@ -11,7 +11,7 @@ generators v}) reduces the classification to integer kernels and small
 systems over Q(sqrt(3)).  Membership of an exact vector is then one
 integer test on its lift.  Approximate vectors take the same duality in
 floats, its integer steps the integer relations that LLL finds among the
-vectors at a 1e-9 residual; the result is flagged as not exact.
+vectors at a 1e-9 residual; the result holds floats, flagged not exact.
 
 Multiplicative side: the closure of a subgroup of C* is the image of a
 closed subgroup V + L + Z(0, 1) of R^2 under (s, t) -> exp(s + 2 pi i t),
@@ -135,7 +135,8 @@ def _complex_to_real(rows: np.ndarray) -> np.ndarray:
 # orthogonal complement of V.  One class holds every such closure: V by a
 # spanning list of directions, L by a basis, and the shape label is read
 # off (dim V, rank L).  A vector is a point of C^n, a tuple of exact
-# CycloScalars x + iy; in C it is held as its one coordinate.  Exact
+# CycloScalars x + iy, in C held as its one coordinate; an approximate
+# closure holds its 2n real coordinates as floats, for distances.  Exact
 # membership reads vectors through their planar lifts to Q^(4n) as integer
 # numerators over one denominator each, (x0 + x1*sqrt3, y0 + y1*sqrt3) / den
 # per coordinate.  The lifts of the Q(sqrt3)-points of V are the rational
@@ -180,16 +181,21 @@ _RATIONAL_FIELD = (lambda x: x == 0, Fraction(0), Fraction(1))
 @dataclass(frozen=True)
 class AdditiveClosure:
     """The closed subgroup V + L of C^n, n = dim: V spanned by `directions`,
-    L with basis `lattice` orthogonal to V.  With exact=False the vectors are
-    rational approximations of float ones, found through integer relations,
-    and only distances count.  `evidence` says how the closure was found,
-    and is not part of ==."""
+    L with basis `lattice` orthogonal to V.  With exact=False each vector is
+    a tuple of its 2n real coordinates as floats, with a positive lead and
+    no -0.0, found through integer relations, and only distances count.
+    `evidence` says how the closure was found, and is not part of ==."""
 
     exact: bool = True
     directions: tuple = ()
     lattice: tuple = ()
     evidence: Optional[dict] = field(default=None, compare=False)
     dim: int = 1
+
+    def __post_init__(self):
+        if not self.exact:
+            for name in ("directions", "lattice"):
+                object.__setattr__(self, name, tuple(map(_stored_row, getattr(self, name))))
 
     @property
     def shape(self) -> str:
@@ -239,29 +245,34 @@ class AdditiveClosure:
             (nums @ g.T) % (m * den)[:, None] == 0, axis=1
         )
 
+    def _row(self, v) -> tuple:
+        """The 2n real coordinates of a vector of the closure, as floats."""
+        if not self.exact:
+            return v
+        return tuple(p for c in _coords(v) for z in (c.to_complex(),) for p in (z.real, z.imag))
+
     @cached_property
-    def _floats(self) -> Tuple[List[np.ndarray], list]:
-        """An orthonormal basis of V (Gram-Schmidt on the directions), as real
-        rows, and a reduced basis of L, as complex vectors: Gauss-reduced in C,
-        so the nearest point to v is a corner of v's basis cell, else LLL."""
+    def _floats(self) -> Tuple[List[np.ndarray], np.ndarray]:
+        """An orthonormal basis of V (Gram-Schmidt on the directions) and a
+        reduced basis of L, as real rows: an exact one Gauss-reduced in C,
+        else LLL-reduced (an approximate one is stored so)."""
         units: List[np.ndarray] = []
         for d in self.directions:
-            w = _float_row(d)
+            w = np.array(self._row(d))
             for u in units:
                 w = w - _dot(w, u) * u
             units.append(w / np.hypot.reduce(w))
         basis = self.lattice
-        if len(basis) >= 2 and self.dim == 1:
+        if len(basis) >= 2 and self.exact and self.dim == 1:
             basis = _gauss_reduced(basis)
-        elif len(basis) >= 2:
+        elif len(basis) >= 2 and self.exact:
             reduced = _lll_reduced(np.array([_reals(b) for b in basis], dtype=object), _real_floats)
             basis = [_from_reals(row) for row in reduced]
-        return units, [_vector([c.to_complex() for c in _coords(b)]) for b in basis]
+        return units, np.array([self._row(b) for b in basis]).reshape(len(basis), 2 * self.dim)
 
     def distance_many(self, v: np.ndarray) -> np.ndarray:
         """Distances to the closure from the rows of an (N, n) complex array."""
-        units, vectors = self._floats
-        basis = [_complex_to_real(np.array([_coords(b)]))[0] for b in vectors]
+        units, basis = self._floats
         x = _complex_to_real(v.reshape(v.shape[0], -1))
         for u in units:
             x = x - _dot(x, u)[:, None] * u
@@ -271,8 +282,8 @@ class AdditiveClosure:
             (g,) = basis
             n = np.round(_dot(x, g) / float(np.hypot.reduce(g)) ** 2)
             return np.hypot.reduce(x - n[:, None] * g, axis=1)
-        if x.shape[1] > 2:
-            return _nearest_lattice_distance(x, np.array(basis))
+        if x.shape[1] > 2 or not self.exact:
+            return _nearest_lattice_distance(x, basis)
         (b1r, b1i), (b2r, b2i) = basis
         x, y = x[:, 0], x[:, 1]
         det = b1r * b2i - b1i * b2r
@@ -290,8 +301,9 @@ class AdditiveClosure:
         return float(self.distance_many(np.array([[_as_complex(c) for c in _coords(v)]]))[0])
 
     def shortest_vector(self) -> float:
-        """Length of the first reduced vector of L: a shortest one in C."""
-        return math.hypot(*(abs(z) for z in _coords(self._floats[1][0])))
+        """Length of the first reduced vector of L: a shortest one of an
+        exact closure in C."""
+        return float(np.hypot.reduce(self._floats[1][0]))
 
     def is_discrete(self) -> Trilean:
         if not self.exact:
@@ -310,20 +322,28 @@ class AdditiveClosure:
             out["evidence"] = self.evidence
         if self.dim > 1:
             for key, vectors in (("directions", self.directions), ("lattice", self.lattice)):
-                out[key] = [[_fmt_planar(c) for c in w] for w in vectors]
+                if self.exact:
+                    out[key] = [[_fmt_planar(c) for c in w] for w in vectors]
+                else:  # each vector as [re, im] per coordinate
+                    out[key + "_values"] = [np.reshape(w, (-1, 2)).tolist() for w in vectors]
             return out
         if self.shape == "Lattice2":
-            out["basis"] = [_fmt_planar(b) for b in self.lattice]
-            out["basis_values"] = [_c2l(b.to_complex()) for b in self.lattice]
+            if self.exact:
+                out["basis"] = [_fmt_planar(b) for b in self.lattice]
+            out["basis_values"] = [list(self._row(b)) for b in self.lattice]
         for key, w in zip(_REPORT_KEYS.get(self.shape, ()), self.directions + self.lattice):
-            out[key] = _fmt_planar(w)
-            out[key + "_value"] = _c2l(w.to_complex())
+            if self.exact:
+                out[key] = _fmt_planar(w)
+            out[key + "_value"] = list(self._row(w))
         return out
 
 
-def _float_row(v) -> np.ndarray:
-    """The real coordinates of an exact vector, as floats."""
-    return np.array([p for c in _coords(v) for z in (c.to_complex(),) for p in (z.real, z.imag)])
+def _stored_row(row) -> Tuple[float, ...]:
+    """A float row as Python floats with a positive lead, its first entry
+    above the relations' precision; adding 0.0 turns -0.0 into 0.0."""
+    top = max(map(abs, row), default=0.0)
+    sign = next((math.copysign(1.0, x) for x in row if abs(x) > _RESIDUAL * top), 1.0)
+    return tuple(float(sign * x) + 0.0 for x in row)
 
 
 def _gauss_reduced(basis: Sequence[CycloScalar]) -> Tuple[CycloScalar, CycloScalar]:
@@ -376,16 +396,16 @@ def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     more: so a lattice with short and long vectors does not spend the
     squares of its long levels on its short ones."""
     q, r = np.linalg.qr(basis.T)
-    y, n = x @ q, x.shape[0]
+    y, n = np.column_stack([_dot(x, col) for col in q.T]), x.shape[0]
     coef, bound = np.zeros_like(y), np.zeros(n)
     for k in reversed(range(r.shape[0])):
-        t = (y[:, k] - coef[:, k + 1 :] @ r[k, k + 1 :]) / r[k, k]
+        t = (y[:, k] - _dot(coef[:, k + 1 :], r[k, k + 1 :])) / r[k, k]
         coef[:, k] = np.round(t)
         bound += ((t - coef[:, k]) * r[k, k]) ** 2
     left = np.cumsum(np.diag(r) ** 2 / 4) * (1 + 1e-9)
     idx, coef, part = np.arange(n), np.zeros((n, 0)), np.zeros(n)
     for k in reversed(range(r.shape[0])):
-        t = (y[idx, k] - coef @ r[k, k + 1 :]) / r[k, k]
+        t = (y[idx, k] - _dot(coef, r[k, k + 1 :])) / r[k, k]
         slack = np.minimum(bound[idx] * (1 + 1e-9) - part, left[k])
         half = np.sqrt(np.maximum(slack, 0.0)) / abs(r[k, k]) + 1e-9
         lo = np.ceil(t - half)
@@ -396,8 +416,8 @@ def _nearest_lattice_distance(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
         coef = np.column_stack([ck, coef[rep]])
     best = np.full(n, np.inf)
     np.minimum.at(best, idx, part)
-    rest = x - y @ q.T
-    return np.sqrt(best + np.einsum("ij,ij->i", rest, rest))
+    rest = x - np.column_stack([_dot(y, row) for row in q])
+    return np.sqrt(best + _dot(rest, rest.T))
 
 
 def _exact_vector(v):
@@ -412,10 +432,6 @@ def _as_complex(v) -> complex:
     return complex(v)
 
 
-def _c2l(z: complex) -> List[float]:
-    return [z.real, z.imag]
-
-
 def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     """Closure of the subgroup of C^n = R^(2n) generated by the vectors.
 
@@ -426,18 +442,15 @@ def classify_additive_closure(vectors: Sequence) -> AdditiveClosure:
     D, phi in W; V = W meets D's orthogonal, L is the basis dual to D's.
     V's basis is in row echelon form, but a LineLattice's line in C keeps
     i*g (g spanning D) with a positive lead.  Approximate vectors take the
-    same duality in floats, `_closure_by_relations`, and every vector is
-    stored with a positive lead.
+    same duality in floats, `_closure_by_relations`, whose rows the closure
+    stores as they come.
     """
     exact = [_exact_vector(v) for v in vectors]
     if None in exact:
         coords = np.array([[_as_complex(c) for c in _coords(v)] for v in vectors])
         errors = [[c.err if isinstance(c, Scalar) else 0.0 for c in _coords(v)] for v in vectors]
-        x, err = _complex_to_real(coords), np.hypot.reduce(errors, axis=1)
-        directions, lattice, evidence = _closure_by_relations(x, err, "translations")
-        stored = [_stored_float(row) for row in (*directions, *lattice)]
-        v, n = len(directions), coords.shape[1]
-        return AdditiveClosure(False, tuple(stored[:v]), tuple(stored[v:]), evidence, n)
+        x, err, n = _complex_to_real(coords), np.hypot.reduce(errors, axis=1), coords.shape[1]
+        return AdditiveClosure(False, *_closure_by_relations(x, err, "translations"), n)
     n = len(_coords(exact[0])) if exact else 1
     basis = _lattice_basis(exact)
     reals = [_reals(b) for b in basis]
@@ -542,21 +555,6 @@ def _echelon(rows: np.ndarray) -> np.ndarray:
         a[others] -= np.outer(a[others, col], a[top])
         top += 1
     return a
-
-
-def _stored_float(row: np.ndarray):
-    """A float row of R^(2n) as a vector of C^n, by `_planar_float`, with a
-    positive lead."""
-    v = _vector([_planar_float(complex(row[k], row[k + 1])) for k in range(0, len(row), 2)])
-    sign = next((c.sign() for c in _reals(v) if not c.is_zero()), 1)
-    return v if sign > 0 else _vector([-c for c in _coords(v)])
-
-
-def _planar_float(z: complex) -> CycloScalar:
-    return CycloScalar.gauss(
-        Fraction(z.real).limit_denominator(10**12),
-        Fraction(z.imag).limit_denominator(10**12),
-    )
 
 
 # ---------------------------------------------------------------------------

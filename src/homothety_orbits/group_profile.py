@@ -31,7 +31,6 @@ from .closed_subgroups import (
     PLANE_DIRECTIONS,
     AdditiveClosure,
     MultClosure,
-    _planar_float,
     classify_additive_closure,
     classify_multiplicative_closure,
 )
@@ -391,11 +390,11 @@ def _infinite_ratio_g1_closure(spec: GroupSpec, nonreal: bool) -> AdditiveClosur
     # all of C; with real ratios only, it is the real span of T, which the
     # commutator vectors span.
     vectors = [f.commutator(g)[0] for f, g in combinations(spec.generators, 2)]
-    c = next(v for v in vectors if v.eq_zero() is Trilean.NO)
+    c, exact = next(v for v in vectors if v.eq_zero() is Trilean.NO), spec.is_exact
     if nonreal or any((v * c.conj()).is_real() is Trilean.NO for v in vectors):
-        return AdditiveClosure(exact=spec.is_exact, directions=PLANE_DIRECTIONS)
-    direction = c.exact_value if c.is_exact else _planar_float(c.to_complex())
-    return AdditiveClosure(exact=spec.is_exact, directions=(direction,))
+        return AdditiveClosure(exact, PLANE_DIRECTIONS if exact else ((1.0, 0.0), (0.0, 1.0)))
+    z = c.to_complex()
+    return AdditiveClosure(exact, (c.exact_value,) if exact else ((z.real, z.imag),))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +514,7 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
             inner, outer = g1_lattice_bounds(spec)
             g1_inner = tuple(inner)
             g1_outer = tuple(outer)
-            # inner <= T <= outer: pinned when outer lies in inner's closure
-            inner_closure = classify_additive_closure(inner)
+            inner_closure = classify_additive_closure(inner)  # inner <= T <= outer
             g1_pinned = all(inner_closure.contains(t) for t in outer)
         except ValueError:
             pass

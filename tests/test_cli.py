@@ -40,6 +40,19 @@ def write_doc(tmp_path, name, doc) -> str:
     return str(p)
 
 
+def assert_floats_only(block):
+    """An `exact: false` closure block holds its vectors as floats: no
+    rational string and no -0.0."""
+    assert block["exact"] is False
+    for key, value in block.items():
+        if key in ("shape", "exact", "evidence"):
+            continue
+        leaves = [value]
+        while any(isinstance(x, list) for x in leaves):
+            leaves = [y for x in leaves for y in (x if isinstance(x, list) else [x])]
+        assert all(isinstance(x, float) and str(x) != "-0.0" for x in leaves), (key, value)
+
+
 def quarter_doc(tmp_path, **extra):
     doc = {
         "dim": 1,
@@ -73,7 +86,7 @@ C2_HALF_TURN_SHAPES = [
 # (centres, translation_closure block) of half-turn groups: every additive
 # shape, exact and from decimal data, as the CLI printed it before the six
 # shapes became labels of one class; the decimal blocks as the integer
-# relations give them
+# relations give them, with float values only
 HALF_TURN_CLOSURES = [
     pytest.param(["0", "1"], (
         '{"exact": true, "generator": "[2, 0]", "generator_value": [2.0, 0.0], '
@@ -94,23 +107,23 @@ HALF_TURN_CLOSURES = [
         '"exact": true, "shape": "Lattice2"}'), id="Lattice2"),
     pytest.param(["0", "0.5"], (
         '{"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
-        '"generator": "[1, 0]", "generator_value": [1.0, 0.0], "shape": "Lattice1"}'),
+        '"generator_value": [1.0, 0.0], "shape": "Lattice1"}'),
         id="decimal-Lattice1"),
     pytest.param(["0", "0.3", "1"], (
         '{"evidence": {"height": 5, "path": "relations", "residual": 0.0}, "exact": false, '
-        '"generator": "[1/5, 0]", "generator_value": [0.2, 0.0], "shape": "Lattice1"}'),
+        '"generator_value": [0.2, 0.0], "shape": "Lattice1"}'),
         id="decimal-Lattice1-fifths"),
     pytest.param(["0", "1", "1.7320508075688772"], (
-        '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], '
+        '{"direction_value": [1.0, 0.0], '
         '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
         '"shape": "LineDense"}'), id="decimal-LineDense"),
     pytest.param(["0", "1", "1.7320508075688772", "i"], (
-        '{"direction": "[1, 0]", "direction_value": [1.0, 0.0], '
+        '{"direction_value": [1.0, 0.0], '
         '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, '
-        '"exact": false, "shape": "LineLattice", "transversal": "[0, 2]", '
-        '"transversal_value": [0.0, 2.0]}'), id="decimal-LineLattice"),
+        '"exact": false, "shape": "LineLattice", "transversal_value": [0.0, 2.0]}'),
+        id="decimal-LineLattice"),
     pytest.param(["0", "1", "0.5i"], (
-        '{"basis": ["[0, 1]", "[2, 0]"], "basis_values": [[0.0, 1.0], [2.0, 0.0]], '
+        '{"basis_values": [[0.0, 1.0], [2.0, 0.0]], '
         '"evidence": {"height": 1, "path": "relations", "residual": 0.0}, "exact": false, '
         '"shape": "Lattice2"}'), id="decimal-Lattice2"),
 ]
@@ -364,7 +377,10 @@ class TestClassify:
         block = report["profile"]["translation_closure"]
         assert (block["shape"], block["exact"]) == ("Lattice2", False)
         assert block["evidence"]["path"] == "relations"
-        assert sorted(block["basis_values"]) == [[0.0, 0.2], [0.2, 0.0]]
+        assert_floats_only(block)
+        assert sorted(block["basis_values"]) == [
+            pytest.approx([0.0, 0.2], abs=1e-12), pytest.approx([0.2, 0.0], abs=1e-12)
+        ]
         assert report["verdicts"]["has_dense_orbit"] == "unknown"
         assert main(["verify", "--input", path, "--word-cap", "8"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -381,7 +397,19 @@ class TestClassify:
         })
         assert main(["classify", "--input", path]) == EXIT_UNSUPPORTED
         report = json.loads(capsys.readouterr().out)
-        assert report["profile"]["translation_closure"] == json.loads(block)
+        actual, block = report["profile"]["translation_closure"], json.loads(block)
+        if block["exact"]:
+            assert actual == block
+            return
+        # the decimal blocks hold the relations' floats, pinned to 1e-12
+        assert_floats_only(actual)
+        assert actual.keys() == block.keys()
+        for key, value in block.items():
+            if key == "basis_values":
+                value = [pytest.approx(b, abs=1e-12) for b in value]
+            elif key.endswith("_value"):
+                value = pytest.approx(value, abs=1e-12)
+            assert actual[key] == value
 
     @pytest.mark.parametrize("centres, shape, exact", C2_HALF_TURN_SHAPES)
     def test_translation_closure_in_c2(self, tmp_path, capsys, centres, shape, exact):
@@ -409,6 +437,8 @@ class TestClassify:
             assert all(closure.contains(t) for t in profile.schreier.shifts)
             dim_v, rank_l = len(closure.directions), len(closure.lattice)
             assert block["shape"] == f"V{dim_v}+L{rank_l}"
+            if not block["exact"]:
+                assert_floats_only(block)
             if ratio == "-1":
                 assert code == EXIT_UNSUPPORTED
                 assert (block["shape"], block["exact"]) == (shape, exact)

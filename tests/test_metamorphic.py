@@ -19,6 +19,7 @@ conjugate.
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -29,7 +30,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from homothety_orbits import Homothety
 from homothety_orbits.affine_maps import as_point
-from homothety_orbits.cli import main
+from homothety_orbits.cli import RunConfig, build_spec, main
 from homothety_orbits.closed_subgroups import classify_additive_closure
 from homothety_orbits.exact_algebra import (
     CYCLO_I,
@@ -39,7 +40,7 @@ from homothety_orbits.exact_algebra import (
     format_scalar,
     parse_scalar,
 )
-from homothety_orbits.group_profile import AffineSubspace
+from homothety_orbits.group_profile import AffineSubspace, compute_profile
 
 SQRT3 = CycloScalar(0, 2, 0, -1)  # 2*zeta - zeta^3
 
@@ -194,6 +195,26 @@ def test_decimal_centres_keep_the_shape_of_the_closure_of_T(document):
         assert t2["shape"] == t["shape"]
         # a document with no rational literal there stays exact
         assert t2["exact"] == (t["exact"] and decimal == doc)
+        # and the two closures are one subgroup: each lattice vector of one,
+        # and each direction d at d and sqrt2*d, lies in the other to 1e-9
+        # of its size
+        exact, approx = (translation_closure(d) for d in (doc, decimal))
+        for one, other in ((exact, approx), (approx, exact)):
+            for v in closure_probes(one):
+                assert other.distance(v) <= 1e-9 * math.hypot(*map(abs, v))
+
+
+def translation_closure(doc):
+    """The closure of T of a document's group, computed in-process."""
+    return compute_profile(build_spec(doc, RunConfig("classify"))[0]).g1_closure
+
+
+def closure_probes(closure):
+    """Each lattice vector of a closure, and each direction d at d and at
+    sqrt2*d, as tuples of complex coordinates."""
+    rows = [closure._row(w) for w in closure.lattice + closure.directions]
+    points = [tuple(complex(*row[k : k + 2]) for k in range(0, len(row), 2)) for row in rows]
+    return points + [tuple(math.sqrt(2) * z for z in p) for p in points[len(closure.lattice) :]]
 
 
 def decided(verdicts) -> dict:
