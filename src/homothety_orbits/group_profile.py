@@ -515,7 +515,8 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
             g1_inner = tuple(inner)
             g1_outer = tuple(outer)
             inner_closure = classify_additive_closure(inner)  # inner <= T <= outer
-            g1_pinned = all(inner_closure.contains(t) for t in outer)
+            # an approximate closure holds floats: membership to 1e-9 of |t|
+            g1_pinned = all(inner_closure.contains(t, 1e-9 * abs(t.to_complex())) for t in outer)
         except ValueError:
             pass
     exact = spec.is_exact and eg.exact and lam.exact

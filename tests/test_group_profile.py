@@ -314,13 +314,18 @@ class TestTranslationSandwich:
         # g1_pinned asks whether the outer generators lie in the closure of
         # the inner ones, so the decimal rotation pair about 0 and 0.3 is
         # pinned as its exact form, with 3/10, is; {i@0, i@1, -1@0.3} is
-        # pinned by neither form
-        for gens, expected in (
-            ((("zeta12^2", "0"), ("zeta12^2", "{}")), True),
-            ((("i", "0"), ("i", "1"), ("-1", "{}")), False),
+        # pinned by neither form.  An approximate closure decides membership
+        # to 1e-9 of each generator's size, so the far and the near centre
+        # read as their exact forms too
+        zeta_pair, quarter_pair = (("zeta12^2", "0"), ("zeta12^2", "{}")), (("i", "0"), ("i", "{}"))
+        for gens, centres, expected in (
+            (zeta_pair, ("0.3", "3/10"), True),
+            (zeta_pair, ("30000000.3", "300000003/10"), True),
+            ((("i", "0"), ("i", "1"), ("-1", "{}")), ("0.3", "3/10"), False),
+            (quarter_pair, ("0.0000000001", "1/10000000000"), False),
         ):
             pinned = []
-            for centre in ("0.3", "3/10"):
+            for centre in centres:
                 spec = GroupSpec(1, tuple(
                     Homothety.with_center(parse_scalar(r), [parse_scalar(c.format(centre))])
                     for r, c in gens
