@@ -228,20 +228,13 @@ class LambdaCone(ClosureDesc):
     ratio_pool: Tuple[Scalar, ...] = ()  # exact group elements of the ratio group
 
     # -- transverse reduction ------------------------------------------------
-    def _off_base(self, w: Point) -> Point:
-        """w - apex minus its orthogonal projection on E's directions."""
-        t = v_sub(as_point(w), self.apex)
-        for u in self.base.basis:
-            t = v_sub(t, v_scale(hermitian_dot(t, u) / hermitian_dot(u, u), u))
-        return t
-
     @cached_property
     def _tz(self) -> Point:
-        return self._off_base(self.point)
+        return self.base.residual(self.point)
 
     def _transverse(self, w: Point) -> Tuple[Scalar, Point]:
         """Decompose w - apex = (parallel to E) + xi * t_z + residual."""
-        t = self._off_base(w)
+        t = self.base.residual(w)
         tz = self._tz
         xi = hermitian_dot(t, tz) / hermitian_dot(tz, tz)
         return xi, v_sub(t, v_scale(xi, tz))

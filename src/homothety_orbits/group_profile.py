@@ -20,6 +20,7 @@ from .affine_maps import (
     Homothety,
     Point,
     as_point,
+    hermitian_dot,
     scalar_columns_solve,
     v_add,
     v_is_zero,
@@ -155,6 +156,13 @@ class AffineSubspace:
         sol = scalar_columns_solve(list(self.basis), diff, eps=eps)
         return sol is not None
 
+    def residual(self, z) -> Point:
+        """z - base minus its orthogonal projection on the basis directions."""
+        t = v_sub(as_point(z), self.base)
+        for u in self.basis:
+            t = v_sub(t, v_scale(hermitian_dot(t, u) / hermitian_dot(u, u), u))
+        return t
+
     def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
         """Points of the subspace.  When translation vectors are supplied the
         sample favors base +/- one vector (short words realize these)."""
@@ -199,24 +207,20 @@ def _independent_append(basis: List[Point], v: Point, eps: float) -> bool:
     return True
 
 
-def _orthogonalize(basis: List[Point], exact: bool) -> List[Point]:
-    from .affine_maps import hermitian_dot
-
-    out: List[Point] = []
-    for v in basis:
-        w = v
-        for u in out:
-            num = hermitian_dot(w, u)
-            den = hermitian_dot(u, u)
-            w = v_sub(w, v_scale(num / den, u))
+def _orthogonal_span(base: Point, points: Sequence[Point], exact: bool) -> AffineSubspace:
+    """base + the span of p - base over the points, one Gram-Schmidt step
+    per point (normalized in approximate mode)."""
+    sub = AffineSubspace(base=base, basis=(), exact=exact)
+    for p in points:
+        w = sub.residual(p)
         if v_is_zero(w) is not Trilean.YES:
             if not exact:
                 norm = math.hypot(*(abs(c) for c in v_to_complex(w)))
                 if norm == 0.0:
                     raise UndecidableAtPrecision("cannot resolve whether E_G gains a direction")
                 w = v_scale(Scalar.approx(complex(1.0 / norm, 0.0), 0.0), w)
-            out.append(w)
-    return out
+            sub = AffineSubspace(base=base, basis=sub.basis + (w,), exact=exact)
+    return sub
 
 
 def compute_EG(spec: GroupSpec) -> AffineSubspace:
@@ -261,19 +265,21 @@ def compute_EG(spec: GroupSpec) -> AffineSubspace:
 
     eps = spec.eps
     basis: List[Point] = []
+    spanning: List[Point] = []  # the points whose directions from p0 joined basis
     for s in seeds:
-        _independent_append(basis, v_sub(s, p0), eps)
+        if _independent_append(basis, v_sub(s, p0), eps):
+            spanning.append(s)
     for _ in range(spec.dim + 1):
         grew = False
         for g in gens:
             image = g.apply(p0)
             if _independent_append(basis, v_sub(image, p0), eps):
+                spanning.append(image)
                 grew = True
         if not grew:
             break
     exact = spec.is_exact
-    basis = _orthogonalize(basis, exact)
-    sub = AffineSubspace(base=p0, basis=tuple(basis), exact=exact)
+    sub = _orthogonal_span(p0, spanning, exact)
     images = [g.apply(p0) for g in gens]
     for what, points in (("lost a seed point", seeds), ("is not generator-invariant", images)):
         if not all(sub.contains(p, eps) for p in points):

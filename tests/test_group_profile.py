@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homothety_orbits.affine_maps import Homothety, as_point
+from homothety_orbits.affine_maps import Homothety, as_point, hermitian_dot, v_add, v_sub
 from homothety_orbits.exact_algebra import (
     Scalar,
     Trilean,
@@ -139,6 +139,21 @@ class TestInvariantSubspace:
         assert sub.dim == 1
         assert sub.contains(as_point([Scalar.integer(5), Scalar.integer(0)]))
         assert not sub.contains(as_point([Scalar.integer(0), Scalar.integer(1)]))
+
+    def test_residual_is_the_part_orthogonal_to_the_subspace(self):
+        # E through the centres (0,0,0), (1,i,0) and (1,0,1): a plane off the
+        # axes, whose residuals are exact and orthogonal to its directions
+        gens = tuple(
+            Homothety.with_center(parse_scalar(r), [parse_scalar(c) for c in centre])
+            for r, centre in (("2i", ("0", "0", "0")), ("3", ("1", "i", "0")), ("-2", ("1", "0", "1")))
+        )
+        sub = compute_EG(GroupSpec(3, gens))
+        assert sub.dim == 2 and sub.exact
+        assert sub.residual(v_add(sub.base, sub.basis[0])) == as_point(O(3))
+        z = as_point([parse_scalar(c) for c in ("1/2", "2+i", "-3i")])
+        w = sub.residual(z)
+        assert all(hermitian_dot(w, u).eq_zero() is Trilean.YES for u in sub.basis)
+        assert sub.contains(v_sub(z, w)) and not sub.contains(z)
 
     def test_translation_directions_are_absorbed(self):
         scale = Homothety.with_center(parse_scalar("2"), O(2))
