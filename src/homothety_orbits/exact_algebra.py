@@ -727,7 +727,6 @@ SCALAR_I = Scalar.zeta_power(3)
 # approximate values with a few-ulp error radius.  exp(i*pi*q) is exact
 # precisely when 6q is an integer (the angle is a multiple of pi/6).
 
-_TERM_SPLIT = _regex.compile(r"(?<![eE*/^(])([+-])")
 _RATIONAL = _regex.compile(r"^[+-]?\d+(/\d+)?$")
 _DECIMAL = _regex.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+\.?\d*[eE][+-]?\d+)$")
 _ZETA = _regex.compile(r"^zeta12(\^(-?\d+))?$")

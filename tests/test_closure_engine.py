@@ -701,3 +701,48 @@ def test_the_unused_import_scan(tmp_path):
         "from typing import List, Set\n\n\ndef f(x: List) -> None:\n    return np.zeros(1)\n"
     )
     assert _unused_imports(path) == ["Set", "os"]
+
+
+# ---------------------------------------------------------------------------
+# private module-level names that nothing reads
+
+
+def _unread_private_names(paths) -> list:
+    """Private names that a module binds at top level (`_x`, not `__x__`)
+    and no module of `paths` reads: as a name, an attribute or an import."""
+    bound, read = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            bound.update(n for n in names if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(bound - read)
+
+
+def test_no_unread_private_module_level_name():
+    assert _unread_private_names(sorted((SRC / "homothety_orbits").glob("*.py"))) == []
+
+
+def test_the_unread_private_name_scan(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import re\n_USED = re.compile('x')\n_DEAD = re.compile('y')\n"
+        "_IMPORTED = 1\n_ATTR = 2\n__all__ = []\n\n\ndef _helper():\n    return _USED\n"
+        "\n\nclass _Unread:\n    _inner = 3\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import _IMPORTED\n\nx = a._ATTR + a._helper() + _IMPORTED\n"
+    )
+    assert _unread_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == ["_DEAD", "_Unread"]
