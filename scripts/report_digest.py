@@ -12,8 +12,8 @@ the window trace of `Affine`, `LambdaCone` and `RotationCoset` claims on
 both sides of the cap.  The `numeric` line runs `classify` and
 `verify --word-cap 8` on fixed dimension-1 documents with decimal data,
 which take the approximate closures (an order-7 rotation pair among them,
-and rotations by zeta12^2 about 0 and 0.3, whose report says whether the
-sandwich bounds pin the closure of T), and `classify` on two such
+and rotations by zeta12^2 about 0 and 0.3, whose closure carries the
+lattices that bracket the closure of T), and `classify` on two such
 documents in C^2.  The `additive` line runs `classify` on dimension-1
 half-turn groups whose translation closures take every additive shape,
 exact and from decimal data, and the `additive-c2` line the same on C^2

@@ -45,7 +45,13 @@ from .exact_algebra import (
     planar_lifts,
     widen,
 )
-from .group_profile import AffineSubspace, GroupProfile, GroupSpec, compute_profile
+from .group_profile import (
+    AffineSubspace,
+    GroupProfile,
+    GroupSpec,
+    compute_profile,
+    g1_lattice_bounds,
+)
 
 _TRACE_CELL_CAP = 300_000
 # relative slack on the half-diagonal: a closure point on a cell corner is
@@ -325,10 +331,9 @@ class RotationCoset(ClosureDesc):
     apex: Point = ()
     translation_closure: Optional[AdditiveClosure] = None  # the closure of T
     translation_generators: Tuple[Point, ...] = ()  # generate T (Schreier)
+    # lattices bracketing T for a planar pair of equal rotations
     inner_bound: Optional[Tuple[Scalar, ...]] = None
     outer_bound: Optional[Tuple[Scalar, ...]] = None
-    pinned: Optional[bool] = None
-    g1_unstable: bool = False
     # zeta12 exponent step of the rotation group actually generated, which
     # may be a proper subgroup of the family (e.g. two half-turns)
     step: int = 3
@@ -426,7 +431,6 @@ class RotationCoset(ClosureDesc):
             "rotation_order": self.order,
             "point": _format_point(self.point),
             "apex": _format_point(self.apex),
-            "g1_unstable": self.g1_unstable,
             "renderings": [
                 "F * (z - apex) + apex + closure(G1(0))",
                 "uncentered: F * z + closure(G(0))",
@@ -437,7 +441,6 @@ class RotationCoset(ClosureDesc):
         if self.inner_bound is not None:
             out["inner_bound"] = [format_scalar(s) for s in self.inner_bound]
             out["outer_bound"] = [format_scalar(s) for s in self.outer_bound]
-            out["pinned"] = self.pinned
         out["translation_generator_count"] = len(self.translation_generators)
         return out
 
@@ -559,20 +562,20 @@ def orbit_closure(profile: GroupProfile, z) -> ClosureDesc:
     # stabilizer realizes the whole rotation group, so every coset of the
     # family is witnessed by an actual group element about that point
     schreier = profile.schreier
-    unstable = profile.g1_pinned is False
-    exact_flag = profile.g1_closure.exact and profile.exact
+    try:
+        inner, outer = map(tuple, g1_lattice_bounds(profile.spec))
+    except ValueError:  # no pair of equal rotations to bracket T with
+        inner = outer = None
     return RotationCoset(
         provenance="Thm1.1(2)(ii)",
-        exact=exact_flag,
+        exact=profile.g1_closure.exact and profile.exact,
         family=profile.sr_membership,
         point=z,
         apex=schreier.witness.center(),
         translation_closure=profile.g1_closure,
         translation_generators=schreier.shifts,
-        inner_bound=profile.g1_inner,
-        outer_bound=profile.g1_outer,
-        pinned=profile.g1_pinned,
-        g1_unstable=unstable,
+        inner_bound=inner,
+        outer_bound=outer,
         step=schreier.step,
     )
 
@@ -698,17 +701,7 @@ def global_verdicts(profile: GroupProfile) -> Verdicts:
     g1 = profile.g1_closure
     discrete = g1.is_discrete()
     dense = g1.is_whole_plane()
-    # the outer sandwich lattice bounds only the pair's translations, not
-    # those a third generator adds, so discreteness comes from g1 alone
-    if profile.g1_outer is not None:
-        if profile.g1_pinned:
-            notes.append("sandwich bounds pin the translation closure")
-        else:
-            notes.append(
-                "sandwich bounds bracket but do not pin the translation "
-                "closure; the Schreier generators decide between them"
-            )
-    elif g1.exact:
+    if g1.exact:
         notes.append(
             "translation closure classified exactly from the Schreier "
             "generators of the translation subgroup"

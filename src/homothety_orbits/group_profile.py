@@ -5,8 +5,10 @@ present, modulus other than 1 present, containment in the crystallographic
 families), the canonical invariant affine subspace obtained by saturating
 the affine hull of the fixed-point seeds, the crystallographic test for a
 single rotation ratio, generators of the translation subgroup when the
-ratio group is finite (Schreier's lemma), and the inner/outer lattice
-sandwich that brackets the translation subgroup in dimension one.
+ratio group is finite (Schreier's lemma), and the closure of that subgroup.
+`g1_lattice_bounds` gives, for a one-dimensional pair of equal
+crystallographic rotations, an inner and an outer lattice that bracket the
+translation subgroup; only the rotation-coset closure reports them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .exact_algebra import (
     Scalar,
     Trilean,
     UndecidableAtPrecision,
+    format_scalar,
 )
 
 
@@ -183,8 +186,6 @@ class AffineSubspace:
         return out[: max(count, 1)]
 
     def to_report(self) -> dict:
-        from .exact_algebra import format_scalar
-
         return {
             "dim": self.dim,
             "ambient_dim": self.ambient_dim,
@@ -469,14 +470,9 @@ class GroupProfile:
     lambda_closure: MultClosure
     schreier: Optional[SchreierGenerators] = None
     g1_closure: Optional[AdditiveClosure] = None
-    g1_inner: Optional[Tuple[Scalar, ...]] = None
-    g1_outer: Optional[Tuple[Scalar, ...]] = None
-    g1_pinned: Optional[bool] = None
     exact: bool = True
 
     def to_report(self) -> dict:
-        from .exact_algebra import format_scalar
-
         out = {
             "has_nonreal_ratio": self.has_nonreal_ratio,
             "has_modulus_ne1": self.has_modulus_ne1,
@@ -491,10 +487,6 @@ class GroupProfile:
         }
         if self.g1_closure is not None:
             out["translation_closure"] = self.g1_closure.to_report()
-        if self.g1_inner is not None:
-            out["g1_inner"] = [format_scalar(s) for s in self.g1_inner]
-            out["g1_outer"] = [format_scalar(s) for s in self.g1_outer]
-            out["g1_pinned"] = self.g1_pinned
         return out
 
 
@@ -508,23 +500,10 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
     lam = classify_multiplicative_closure([g.ratio for g in spec.generators])
     schreier = schreier_generators(spec)
     g1_closure = None
-    g1_inner = None
-    g1_outer = None
-    g1_pinned = None
     if schreier is not None:
         g1_closure = classify_additive_closure(schreier.shifts)
     elif spec.dim == 1:
         g1_closure = _infinite_ratio_g1_closure(spec, flags.has_nonreal_ratio)
-    if spec.dim == 1:
-        try:
-            inner, outer = g1_lattice_bounds(spec)
-            g1_inner = tuple(inner)
-            g1_outer = tuple(outer)
-            inner_closure = classify_additive_closure(inner)  # inner <= T <= outer
-            # an approximate closure holds floats: membership to 1e-9 of |t|
-            g1_pinned = all(inner_closure.contains(t, 1e-9 * abs(t.to_complex())) for t in outer)
-        except ValueError:
-            pass
     exact = spec.is_exact and eg.exact and lam.exact
     return GroupProfile(
         spec=spec,
@@ -537,8 +516,5 @@ def compute_profile(spec: GroupSpec) -> GroupProfile:
         lambda_closure=lam,
         schreier=schreier,
         g1_closure=g1_closure,
-        g1_inner=g1_inner,
-        g1_outer=g1_outer,
-        g1_pinned=g1_pinned,
         exact=exact,
     )

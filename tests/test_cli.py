@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import tempfile
 import time
 from unittest import mock
@@ -792,6 +793,80 @@ class TestVerify:
         assert all(b["evidence"]["exact_membership"] for b in report["evidence"])
         assert report["verdicts"]["all_orbits_closed_discrete"] == "yes"
         assert report["verdicts"]["has_dense_orbit"] == "no"
+
+
+# ---------------------------------------------------------------------------
+# the README quick start
+
+
+def readme_quick_start_blocks():
+    """The JSON blocks of the README's quick start: the group document, the
+    closure block and the verdict block."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+def assert_readme_subset(got: dict, want: dict, where: str) -> None:
+    """`want` holds a subset of `got`'s keys, nested blocks included; a list
+    that ends in "..." stands for the lists it begins."""
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert_readme_subset(got.get(key) or {}, value, f"{where}.{key}")
+        elif isinstance(value, list) and value[-1:] == ["..."]:
+            assert got.get(key, [])[: len(value) - 1] == value[:-1], f"{where}.{key}"
+        else:
+            assert got.get(key) == value, f"{where}.{key}"
+
+
+class TestReadmeQuickStart:
+    def test_classify_prints_the_readme_blocks(self, tmp_path, capsys):
+        doc, closure, verdicts = readme_quick_start_blocks()
+        assert main(["classify", "--input", write_doc(tmp_path, "group.json", doc)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert_readme_subset(report["closures"][0], closure, "closure")
+        assert_readme_subset(report["verdicts"], verdicts, "verdicts")
+
+    def test_verify_holds_the_readme_claims(self, tmp_path, capsys):
+        # the README's prose after the verdict block: max_violation 0.0,
+        # exact_membership true, min_gap 0.707... stable across
+        # generations, exit code 0
+        doc = readme_quick_start_blocks()[0]
+        path = write_doc(tmp_path, "group.json", doc)
+        assert main(["verify", "--input", path, "--word-cap", "10"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == []
+        ev = report["evidence"][0]["evidence"]
+        assert ev["max_violation"] == 0.0 and ev["exact_membership"] is True
+        assert ev["discreteness_pass"] is True
+        assert ev["min_gap"] == pytest.approx(0.5 ** 0.5, abs=1e-9)
+        assert {gap for _, gap in ev["min_gap_history"]} == {ev["min_gap"]}
+
+
+# keys of the lattice sandwich that reports no longer carry
+def _sandwich_keys(block) -> list:
+    if isinstance(block, list):
+        return [k for item in block for k in _sandwich_keys(item)]
+    if not isinstance(block, dict):
+        return []
+    own = [k for k in block if k.startswith("g1_") or k in ("pinned", "g1_unstable")]
+    return own + [k for value in block.values() for k in _sandwich_keys(value)]
+
+
+@pytest.mark.parametrize("command", [["classify"], ["verify", "--word-cap", "6"]])
+@pytest.mark.parametrize("gens", [
+    pytest.param([("i", "0"), ("zeta12^3", "1")], id="quarter-pair"),
+    pytest.param([("zeta12^2", "0"), ("zeta12^2", "0.3")], id="decimal-sixth-pair"),
+    pytest.param([("i", "0"), ("i", "1"), ("-1", "3/10")], id="three-rotations"),
+    pytest.param([("zeta12", "0"), ("zeta12", "1")], id="order-twelve-pair"),
+    pytest.param([("1.5+0.5i", "0"), ("i", "1")], id="spiral"),
+])
+def test_no_report_carries_a_sandwich_pin_key(tmp_path, capsys, command, gens):
+    doc = {"dim": 1, "generators": [{"ratio": r, "center": [c]} for r, c in gens],
+           "points": [["1/3"]]}
+    code = main([*command, "--input", write_doc(tmp_path, "group.json", doc)])
+    assert code in (EXIT_OK, EXIT_MISMATCH)
+    assert _sandwich_keys(json.loads(capsys.readouterr().out)) == []
 
 
 # ---------------------------------------------------------------------------

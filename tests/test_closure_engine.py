@@ -129,7 +129,6 @@ class TestBranchTable:
         assert desc.provenance == "Thm1.1(2)(ii)"
         assert desc.family == "S2" and desc.order == 4
         assert desc.exact
-        assert desc.g1_unstable  # quarter-turn sandwich does not pin
 
         # w = i*z + (1+i) is a rotation of z plus a lattice translation
         w = I * z[0] + parse_scalar("1+1i")
@@ -139,8 +138,7 @@ class TestBranchTable:
 
         report = desc.to_report()
         assert report["translation_closure"]["shape"] == "Lattice2"
-        assert report["pinned"] is False
-        assert len(report["inner_bound"]) == 3
+        assert len(report["inner_bound"]) == 3 and len(report["outer_bound"]) == 2
         assert report["rotation_order"] == 4
 
     def test_real_ratio_groups_are_out_of_scope(self):

@@ -306,17 +306,23 @@ class TestTranslationSandwich:
         assert shifts, "no Schreier generators"
         assert all(s.is_exact for s in shifts)
 
-    def test_sixth_turn_pair_is_pinned(self):
-        profile = compute_profile(pair_spec(Z2))
-        assert profile.g1_pinned is True
-        assert profile.g1_closure.shape == "Lattice2"
+    def test_sixth_turn_pair_bounds_meet_at_the_schreier_closure(self):
+        spec = pair_spec(Z2)
+        inner, outer = g1_lattice_bounds(spec)
+        closure = compute_profile(spec).g1_closure
+        assert closure.shape == "Lattice2"
+        assert classify_additive_closure(inner) == classify_additive_closure(outer) == closure
 
     def test_quarter_turn_pair_is_not_pinned(self):
-        profile = compute_profile(pair_spec(I))
-        assert profile.g1_pinned is False
+        spec = pair_spec(I)
+        profile = compute_profile(spec)
+        inner, outer = g1_lattice_bounds(spec)
         assert profile.g1_closure.shape == "Lattice2"
+        # the inner lattice is a proper sublattice of the outer one
+        inner_closure = classify_additive_closure(inner)
+        assert not all(inner_closure.contains(s) for s in outer)
         # the Schreier generators already generate the inner generators
-        for s in profile.g1_inner:
+        for s in inner:
             assert profile.g1_closure.contains(s)
 
     def test_closures_compare_without_their_evidence(self):
@@ -326,27 +332,6 @@ class TestTranslationSandwich:
         coarse = classify_additive_closure([parse_scalar("1/5")])
         noted = dataclasses.replace(coarse, evidence={"path": "relations"})
         assert fine == coarse == noted and hash(fine) == hash(coarse) == hash(noted)
-        # g1_pinned asks whether the outer generators lie in the closure of
-        # the inner ones, so the decimal rotation pair about 0 and 0.3 is
-        # pinned as its exact form, with 3/10, is; {i@0, i@1, -1@0.3} is
-        # pinned by neither form.  An approximate closure decides membership
-        # to 1e-9 of each generator's size, so the far and the near centre
-        # read as their exact forms too
-        zeta_pair, quarter_pair = (("zeta12^2", "0"), ("zeta12^2", "{}")), (("i", "0"), ("i", "{}"))
-        for gens, centres, expected in (
-            (zeta_pair, ("0.3", "3/10"), True),
-            (zeta_pair, ("30000000.3", "300000003/10"), True),
-            ((("i", "0"), ("i", "1"), ("-1", "{}")), ("0.3", "3/10"), False),
-            (quarter_pair, ("0.0000000001", "1/10000000000"), False),
-        ):
-            pinned = []
-            for centre in centres:
-                spec = GroupSpec(1, tuple(
-                    Homothety.with_center(parse_scalar(r), [parse_scalar(c.format(centre))])
-                    for r, c in gens
-                ))
-                pinned.append(compute_profile(spec).g1_pinned)
-            assert pinned[0] is pinned[1] is expected
 
     def test_order_twelve_pair_refuses_the_sandwich(self):
         # an angle of pi/6 has order 12: Z[ratio] is dense, there is no
@@ -356,7 +341,6 @@ class TestTranslationSandwich:
         with pytest.raises(ValueError):
             g1_lattice_bounds(spec)
         profile = compute_profile(spec)
-        assert profile.g1_inner is None
         assert profile.outside_SR
         assert profile.g1_closure.shape == "Plane"
 
@@ -535,8 +519,7 @@ class TestComputeProfile:
         report = profile.to_report()
         assert report["sr_membership"] == "S2"
         assert report["translation_closure"]["shape"] == "Lattice2"
-        assert report["g1_pinned"] is False
-        assert len(report["g1_inner"]) == 3 and len(report["g1_outer"]) == 2
+        assert not any(key.startswith("g1_") for key in report)
         assert report["invariant_subspace"]["dim"] == 1
 
     def test_scaling_pair_profile(self):
@@ -549,7 +532,8 @@ class TestComputeProfile:
         profile = compute_profile(GroupSpec(2, gens))
         assert profile.outside_SR
         assert profile.has_modulus_ne1
-        assert profile.g1_closure is None  # sandwich is dimension-1 only
+        # T is classified only for finite ratio groups or in dimension 1
+        assert profile.g1_closure is None
         assert profile.lambda_closure.shape == "RaysDiscrete"
         assert profile.E_G.dim == 1  # centers share the first axis
 

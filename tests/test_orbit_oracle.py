@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from homothety_orbits.affine_maps import Homothety, as_point, v_to_complex
 from homothety_orbits.exact_algebra import Scalar, parse_scalar
-from homothety_orbits.group_profile import GroupSpec, compute_profile
+from homothety_orbits.group_profile import GroupSpec, compute_profile, g1_lattice_bounds
 from homothety_orbits.closure_engine import orbit_closure
 from homothety_orbits import orbit_oracle as oracle
 from homothety_orbits.orbit_oracle import BudgetExceeded, OrbitSample
@@ -806,8 +806,7 @@ class TestSandwichRealization:
     def test_inner_lattice_window_points_are_reached(self):
         # every point of the inner translation lattice inside the window
         # [-2, 2]^2 must be hit by a word of length <= 8 applied to 0
-        profile = quarter_profile()
-        inner = [complex(s.to_complex()) for s in profile.g1_inner]
+        inner = [complex(s.to_complex()) for s in g1_lattice_bounds(quarter_spec())[0]]
         window_pts = set()
         for a in range(-2, 3):
             for b in range(-2, 3):
