@@ -143,9 +143,10 @@ class TestInvariantSubspace:
     def test_residual_is_the_part_orthogonal_to_the_subspace(self):
         # E through the centres (0,0,0), (1,i,0) and (1,0,1): a plane off the
         # axes, whose residuals are exact and orthogonal to its directions
+        centres = (("0", "0", "0"), ("1", "i", "0"), ("1", "0", "1"))
         gens = tuple(
             Homothety.with_center(parse_scalar(r), [parse_scalar(c) for c in centre])
-            for r, centre in (("2i", ("0", "0", "0")), ("3", ("1", "i", "0")), ("-2", ("1", "0", "1")))
+            for r, centre in zip(("2i", "3", "-2"), centres)
         )
         sub = compute_EG(GroupSpec(3, gens))
         assert sub.dim == 2 and sub.exact
