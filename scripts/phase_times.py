@@ -6,8 +6,10 @@ perfbench/workloads.py) through `homothety_orbits.cli.main`, the way
 perfbench/run.py gives them, with these functions wrapped by a timer:
 
     orbit_oracle._min_gap_history   the closest-pair history of `verify`
-    orbit_oracle._row_bfs           exact enumeration and harvest kernel
-    orbit_oracle.harvest_translations
+    orbit_oracle.enumerate          the orbit search of `verify`
+    orbit_oracle.harvest_translations  the whole harvest, as one list
+    orbit_oracle.iter_translations  the harvest, timed step by step as
+                                    the approach samples read it
     ClosureDesc.trace_points        every override in closure_engine
     group_profile.compute_profile
     group_profile.compute_EG        the invariant affine subspace E_G
@@ -20,6 +22,10 @@ parts).
 
 A phase's time is inclusive (it holds the phases it calls) and counts the
 outermost call only, so a phase that calls itself is not counted twice.
+A generator phase (GENERATORS) is timed over the steps its readers draw,
+one call per generator.  A phase that a checkout does not have reads 0
+(before the harvest was read lazily, `verify` called harvest_translations
+and there was no iter_translations).
 The document set runs `--repeats` times; each line gives the median
 seconds over the repeats, the range, the calls per repeat and the share of
 the median total.  Comparing a change with its parent takes one command
@@ -50,14 +56,16 @@ HERE_ROOT = Path(__file__).resolve().parent.parent
 # (label, module, attribute); a `None` module means the closure classes
 PHASES = (
     ("_min_gap_history", "orbit_oracle", "_min_gap_history"),
-    ("_row_bfs", "orbit_oracle", "_row_bfs"),
+    ("enumerate", "orbit_oracle", "enumerate"),
     ("harvest_translations", "orbit_oracle", "harvest_translations"),
+    ("iter_translations", "orbit_oracle", "iter_translations"),
     ("trace_points", None, "trace_points"),
     ("compute_profile", "group_profile", "compute_profile"),
     ("compute_EG", "group_profile", "compute_EG"),
     ("schreier_generators", "group_profile", "schreier_generators"),
     ("_emit_report", "cli", "_emit_report"),
 )
+GENERATORS = {"iter_translations"}
 
 
 class PhaseClock:
@@ -81,6 +89,24 @@ class PhaseClock:
 
         return timed
 
+    def wrap_steps(self, label: str, fn):
+        """Time a generator function over the steps drawn from it."""
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            items = fn(*args, **kwargs)
+            self.calls[label] += 1
+            while True:
+                t0 = time.perf_counter()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    self.seconds[label] += time.perf_counter() - t0
+                yield item
+
+        return timed
+
 
 def install(clock: PhaseClock) -> None:
     """Wrap every phase wherever the package holds it by name (cli imports
@@ -96,8 +122,10 @@ def install(clock: PhaseClock) -> None:
                 if isinstance(cls, type) and attr in vars(cls):
                     setattr(cls, attr, clock.wrap(label, vars(cls)[attr]))
             continue
-        original = getattr(getattr(homothety_orbits, owner), attr)
-        timed = clock.wrap(label, original)
+        original = getattr(getattr(homothety_orbits, owner), attr, None)
+        if original is None:
+            continue
+        timed = (clock.wrap_steps if label in GENERATORS else clock.wrap)(label, original)
         for module in modules:
             for name, value in list(vars(module).items()):
                 if value is original:

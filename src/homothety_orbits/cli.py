@@ -339,7 +339,8 @@ def cmd_verify(config: RunConfig) -> int:
         _emit_report(report, config)
         return EXIT_UNSUPPORTED
     window = _window_tuple(spec, merged)
-    approach = orbit_oracle.harvest_translations(spec, 10)
+    # read by each point's approach sample only as far as it goes
+    approach = orbit_oracle.Replay(orbit_oracle.iter_translations(spec, 10))
     evidence = []
     failures: List[str] = []
     for z, closure in zip(points, closures):
@@ -385,7 +386,7 @@ def _scenario_rotation_translation_discrete() -> Tuple[str, bool, str]:
     z = zero_point(1)
     closure = orbit_closure(profile, z)
     sample = orbit_oracle.enumerate(spec, z, 10)
-    approach = orbit_oracle.harvest_translations(spec, 10)
+    approach = orbit_oracle.Replay(orbit_oracle.iter_translations(spec, 10))
     ev = orbit_oracle.verify(
         closure, sample, window=2.0, grid_res=40, approach_translations=approach
     )

@@ -12,12 +12,13 @@ four-exponentials type), the answer is "unknown", never a silent "no".
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class ClosureDesc:
         limit = cell * math.sqrt(center.shape[0]) / 2.0
         return centers[d <= limit * (1.0 + _TRACE_SLACK)]
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         raise NotImplementedError
 
     def to_report(self) -> dict:
@@ -158,9 +159,9 @@ class WholeSpace(ClosureDesc):
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
         return np.zeros(arr.shape[0])
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         out: List[Point] = [self.point]
-        out += [v_add(self.point, t) for t in translations[: max(0, count - 1)]]
+        out += [v_add(self.point, t) for t in itertools.islice(translations, max(0, count - 1))]
         while len(out) < count:
             out.append(
                 as_point(
@@ -210,7 +211,7 @@ class Affine(ClosureDesc):
         rows = _point_rows(self.sample(random.Random(20260817), 20_000))
         return _complex_to_real(rows)
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         return self.subspace.sample(rng, count, translations)
 
     def to_report(self) -> dict:
@@ -269,7 +270,7 @@ class LambdaCone(ClosureDesc):
         dxi = self.lambda_closure.distance_many(xi)
         return np.sqrt(rn ** 2 + (dxi * math.sqrt(den)) ** 2)
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         """Members built from short group data: apex + rho*(z-apex) + t with
         rho a finite product of generator ratios and t a single harvested
         translation vector; when 0 lies in the ratio closure the bare base
@@ -404,15 +405,15 @@ class RotationCoset(ClosureDesc):
             out = np.minimum(out, self.translation_closure.distance_many(wa - image))
         return out
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         """The first `count` distinct points offset + t, t = 0, a generator
-        of T or one of `translations`, in that order per offset."""
+        of T or one of `translations`, in that order per offset; the
+        translations are read only as far as that takes."""
         limit = max(1, count)
-        t_pool = (None, *self.translation_generators, *translations)
         seen = set()
         unique: List[Point] = []
         for offset in self._offsets:
-            for t in t_pool:
+            for t in itertools.chain((None,), self.translation_generators, translations):
                 p = offset if t is None else v_add(offset, t)
                 k = tuple(v_to_complex(p))
                 if k not in seen:
@@ -455,7 +456,7 @@ class Unsupported(ClosureDesc):
     def distance_many(self, arr: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"unsupported case has no distance: {self.reason}")
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         raise RuntimeError(f"unsupported case has no sampler: {self.reason}")
 
     def to_report(self) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_maps import (
     Homothety,
@@ -166,7 +166,7 @@ class AffineSubspace:
             t = v_sub(t, v_scale(hermitian_dot(t, u) / hermitian_dot(u, u), u))
         return t
 
-    def sample(self, rng, count: int, translations: Sequence[Point] = ()) -> List[Point]:
+    def sample(self, rng, count: int, translations: Iterable[Point] = ()) -> List[Point]:
         """Points of the subspace.  When translation vectors are supplied the
         sample favors base +/- one vector (short words realize these)."""
         out: List[Point] = [self.base]
@@ -230,8 +230,9 @@ def compute_EG(spec: GroupSpec) -> AffineSubspace:
     Seeds: centers of non-translation generators, plus p0 shifted by every
     translation-generator vector and every pairwise commutator vector (p0
     the first center).  A homothety maps base + span(B) into itself exactly
-    when it maps the base point in, so saturation only tracks images of the
-    base; each round either adds an independent direction or stops.
+    when it maps the base point in, so saturation only adds the directions
+    to the generators' images of the base, in one pass (the base is fixed,
+    so a second pass would repeat the first one's tests).
     """
     gens = spec.generators
     non_translations: List[Homothety] = []
@@ -270,18 +271,12 @@ def compute_EG(spec: GroupSpec) -> AffineSubspace:
     for s in seeds:
         if _independent_append(basis, v_sub(s, p0), eps):
             spanning.append(s)
-    for _ in range(spec.dim + 1):
-        grew = False
-        for g in gens:
-            image = g.apply(p0)
-            if _independent_append(basis, v_sub(image, p0), eps):
-                spanning.append(image)
-                grew = True
-        if not grew:
-            break
+    images = [g.apply(p0) for g in gens]
+    for image in images:
+        if _independent_append(basis, v_sub(image, p0), eps):
+            spanning.append(image)
     exact = spec.is_exact
     sub = _orthogonal_span(p0, spanning, exact)
-    images = [g.apply(p0) for g in gens]
     for what, points in (("lost a seed point", seeds), ("is not generator-invariant", images)):
         if not all(sub.contains(p, eps) for p in points):
             # approximate data fail this check when eps is below their rounding

@@ -30,7 +30,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def enumerate(
     exact_mode = spec.is_exact and all(c.is_exact for c in z) and not force_grid
     if exact_mode:
         letters = [_letter_matrix(h, False) for h in _letters(spec)]
-        rows, gens, truncated = _row_bfs(point_row(z), letters, L, budget + 1)
+        rows, gens, truncated = _bfs(_row_levels(point_row(z), letters, L, budget + 1))
         array, cell = _rows_to_complex(rows, spec.dim), 0.0
     else:
         rows, cell = None, GRID_DEDUP_EPS
@@ -224,45 +224,54 @@ def _admit(
     return np.array(new, dtype=np.intp), False
 
 
-def _bfs(
+def _bfs_levels(
     start: np.ndarray,
     expand: Callable[[np.ndarray], np.ndarray],
     keys: Callable[[np.ndarray], list],
     L: int,
     cap: int,
     prepare: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """(rows, generations, stopped): breadth-first closure of the one-row
-    array `start` up to word length L, stopping right after the row count
-    reaches `cap`.
+) -> Iterator[Tuple[int, np.ndarray, bool]]:
+    """Breadth-first closure of the one-row array `start` up to word length
+    L, one generation at a time: yields (level, new rows, stopped), level 0
+    being `start` itself, and stops right after the row count reaches `cap`
+    (`stopped` is then True on the last generation).
 
     `expand` maps a frontier to its candidate rows and `keys` gives one
     hashable key per row; the new candidates, those whose key is not yet
     in the set of seen keys, keep candidate order.  `prepare`, when given,
     runs on each frontier before it is expanded; when it returns another
-    dtype, every earlier row is converted too and keyed again."""
+    dtype, every earlier row is keyed again in that dtype (a collector
+    converts the earlier rows when it concatenates them)."""
     frontier = start
     seen = set(keys(frontier))
-    chunks = [frontier]
-    gens = [np.zeros(1, dtype=np.int32)]
+    chunks = [frontier]  # every row so far, to key again after a dtype switch
     total = 1
-    stopped = False
+    yield 0, frontier, False
     for level in range(1, L + 1):
         if frontier.shape[0] == 0:
-            break
+            return
         if prepare is not None:
             frontier = prepare(frontier)
             if frontier.dtype != chunks[-1].dtype:
-                chunks = [c.astype(frontier.dtype) for c in chunks]
-                seen = set(keys(np.concatenate(chunks)))
+                seen = set(keys(np.concatenate([c.astype(frontier.dtype) for c in chunks])))
         cand = expand(frontier)
         new, stopped = _admit(seen, cand, keys, cap - total)
         frontier = cand[new]
         chunks.append(frontier)
-        gens.append(np.full(new.shape[0], level, dtype=np.int32))
         total += new.shape[0]
+        yield level, frontier, stopped
         if stopped:
-            break
+            return
+
+
+def _bfs(levels: Iterator[Tuple[int, np.ndarray, bool]]) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, generations, stopped) of a whole `_bfs_levels` search; rows
+    of an int64 generation join object ones as Python ints."""
+    chunks, gens, stopped = [], [], False
+    for level, rows, stopped in levels:
+        chunks.append(rows)
+        gens.append(np.full(rows.shape[0], level, dtype=np.int32))
     return np.concatenate(chunks), np.concatenate(gens), stopped
 
 
@@ -299,10 +308,10 @@ def _letter_matrix(h: Homothety, ratio_coord: bool) -> np.ndarray:
     return out
 
 
-def _row_bfs(
+def _row_levels(
     start: List[int], letters: Sequence[np.ndarray], L: int, cap: int
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """`_bfs` on integer rows under the letter matrices, frontier-major.
+) -> Iterator[Tuple[int, np.ndarray, bool]]:
+    """`_bfs_levels` on integer rows under the letter matrices, frontier-major.
 
     Rows are int64 while every product provably stays below 2^62, checked
     in Python ints before each generation; past that the same search runs
@@ -325,7 +334,7 @@ def _row_bfs(
     first = np.array([start], dtype=object)
     if max_abs(first) * growth < INT64_SAFE:
         first = first.astype(np.int64)
-    return _bfs(first, expand, _row_keys, L, cap, prepare)
+    return _bfs_levels(first, expand, _row_keys, L, cap, prepare)
 
 
 def _rows_to_complex(rows: np.ndarray, k: int) -> np.ndarray:
@@ -371,10 +380,14 @@ def _grid_bfs(spec: GroupSpec, z: Point, L: int, cap: int) -> Tuple[np.ndarray, 
 
     def expand(rows: np.ndarray) -> np.ndarray:
         # letter-major, in numpy's complex products
-        return np.concatenate([r * rows + t for r, t in zip(ratios, shifts)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = np.concatenate([r * rows + t for r, t in zip(ratios, shifts)])
+        if not np.isfinite(cand).all():
+            raise OverflowError("an orbit point of the grid search is past float range")
+        return cand
 
     start = np.array([v_to_complex(z)], dtype=np.complex128)
-    return _bfs(start, expand, lambda rows: _cell_keys(rows, GRID_DEDUP_EPS), L, cap)
+    return _bfs(_bfs_levels(start, expand, lambda rows: _cell_keys(rows, GRID_DEDUP_EPS), L, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -390,51 +403,74 @@ def _vector_key(v: Point, exact: bool, cell: float = 1e-12):
     return tuple((round(c.real / cell), round(c.imag / cell)) for c in coords)
 
 
-def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
+def iter_translations(spec: GroupSpec, L: int) -> Iterator[Point]:
     """Translation vectors of all words of length <= L whose composed map
     has ratio exactly 1, deduplicated, plus every pairwise generator
-    commutator (a length-4 word); the zero vector (empty word) is always
-    present.
+    commutator (a length-4 word); the zero vector (empty word) comes first.
 
-    Maps, not points, are enumerated, frontier-major.  With exact
-    generators a map state is the row [ratio | shift] of the integer
-    kernel, and the ratio-one states are read off the rows.  With
-    approximate ones it is a complex row that also carries the net
-    exponent of each generator: the ratio of a word is the product of
-    generator ratios with those exponents, which detects ratio-one words
-    even with approximate scalars.  When the map-state count reaches
-    HARVEST_BUDGET the search stops expanding (the result is then a
-    sublist of the full harvest, which is safe for every use here:
-    harvests are lower-bound evidence).
+    Maps, not points, are enumerated, frontier-major, and the vectors of
+    each word length are yielded as the search reaches it, so a reader
+    that stops early stops the search.  With exact generators a map state
+    is the row [ratio | shift] of the integer kernel, and the ratio-one
+    states are read off the rows.  With approximate ones it is a complex
+    row that also carries the net exponent of each generator: the ratio of
+    a word is the product of generator ratios with those exponents, which
+    detects ratio-one words even with approximate scalars.  When the
+    map-state count reaches HARVEST_BUDGET the search stops expanding (the
+    result is then a sublist of the full harvest, which is safe for every
+    use here: harvests are lower-bound evidence).
     """
     exact = spec.is_exact
-    found = _harvest_exact(spec, L) if exact else _harvest_approx(spec, L)
     # commutators are always included, whatever the cap
-    m = len(spec.generators)
-    for i in range(m):
-        for j in range(i + 1, m):
-            f, g = spec.generators[i], spec.generators[j]
-            found.append(f.compose(g).compose(f.inverse()).compose(g.inverse()).shift)
-    vectors: List[Point] = []
+    commutators = (
+        f.compose(g).compose(f.inverse()).compose(g.inverse()).shift
+        for f, g in itertools.combinations(spec.generators, 2)
+    )
     known: Set = set()
-    for v in found:
+    for v in itertools.chain(_harvest_exact(spec, L) if exact else _harvest_approx(spec, L), commutators):
         key = _vector_key(v, exact)
         if key not in known:
             known.add(key)
-            vectors.append(v)
-    return vectors
+            yield v
 
 
-def _harvest_exact(spec: GroupSpec, L: int) -> List[Point]:
+def harvest_translations(spec: GroupSpec, L: int) -> List[Point]:
+    """The whole of `iter_translations(spec, L)`, as a list."""
+    return list(iter_translations(spec, L))
+
+
+class Replay:
+    """An iterable over an iterator that runs it only as far as some reader
+    has read: each `iter` starts from the first item, and items already
+    drawn are replayed, so several readers (interleaved or one after
+    another) see the same sequence and the iterator runs once."""
+
+    def __init__(self, items: Iterable):
+        self._source = iter(items)
+        self._drawn: list = []
+
+    def __iter__(self) -> Iterator:
+        i = 0
+        while True:
+            if i == len(self._drawn):
+                try:
+                    self._drawn.append(next(self._source))
+                except StopIteration:
+                    return
+            yield self._drawn[i]
+            i += 1
+
+
+def _harvest_exact(spec: GroupSpec, L: int) -> Iterator[Point]:
     letters = [_letter_matrix(h, True) for h in _letters(spec)]
     identity = [1, 0, 0, 0] + [0] * (4 * spec.dim) + [1]
-    rows, _, _ = _row_bfs(identity, letters, L, HARVEST_BUDGET)
-    # distinct maps of ratio one have distinct shifts
-    ratio_one = (rows[:, 0] == rows[:, -1]) & np.all(rows[:, 1:4] == 0, axis=1)
-    return rows_to_points(rows[ratio_one][:, 4:], spec.dim)
+    for _, rows, _ in _row_levels(identity, letters, L, HARVEST_BUDGET):
+        # distinct maps of ratio one have distinct shifts
+        ratio_one = (rows[:, 0] == rows[:, -1]) & np.all(rows[:, 1:4] == 0, axis=1)
+        yield from rows_to_points(rows[ratio_one][:, 4:], spec.dim)
 
 
-def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
+def _harvest_approx(spec: GroupSpec, L: int) -> Iterator[Point]:
     """The map search on complex rows [ratio | shift | exponents | count],
     where `count` is the number of letters with an approximate ratio in the
     word.  Maps are keyed on their first n + 1 columns at 1e-12, so a float
@@ -464,9 +500,6 @@ def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
         cand[..., 1:] += steps
         return cand.reshape(-1, rows.shape[1])
 
-    start = np.eye(1, n + m + 2, dtype=np.complex128)  # the identity map
-    rows, _, _ = _bfs(start, expand, lambda r: _cell_keys(r[:, : n + 1], 1e-12), L, HARVEST_BUDGET)
-
     @functools.cache
     def ratio_one(e: Tuple[int, ...]) -> bool:
         # for a word of exact-ratio letters: is its ratio exactly 1?
@@ -475,9 +508,12 @@ def _harvest_approx(spec: GroupSpec, L: int) -> List[Point]:
             r = r * g.ratio ** k
         return r.eq(SCALAR_ONE) is Trilean.YES
 
-    exps = map(tuple, rows[:, n + 1: -1].real.astype(np.int64).tolist())
-    keep = [not any(e) or (c == 0 and ratio_one(e)) for e, c in zip(exps, rows[:, -1].real.tolist())]
-    return [tuple(map(Scalar.approx, v)) for v, k in zip(rows[:, 1: n + 1].tolist(), keep) if k]
+    start = np.eye(1, n + m + 2, dtype=np.complex128)  # the identity map
+    levels = _bfs_levels(start, expand, lambda r: _cell_keys(r[:, : n + 1], 1e-12), L, HARVEST_BUDGET)
+    for _, rows, _ in levels:
+        exps = map(tuple, rows[:, n + 1: -1].real.astype(np.int64).tolist())
+        keep = [not any(e) or (c == 0 and ratio_one(e)) for e, c in zip(exps, rows[:, -1].real.tolist())]
+        yield from (tuple(map(Scalar.approx, v)) for v, k in zip(rows[:, 1: n + 1].tolist(), keep) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +803,14 @@ def _min_gap_history(
     return history[-1][1], history, used
 
 
-def _nearest_sq(pts: np.ndarray, target: np.ndarray) -> float:
-    """Least squared distance from target to a row of pts, by blocks."""
-    return min(
-        float(_sq_dists(pts[i : i + 2**16], target).min()) for i in range(0, pts.shape[0], 2**16)
-    )
+def _nearest_sq(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least squared distance from each row of targets to a row of pts, in
+    one pass over pts by blocks of about 2^16 distances."""
+    best = np.full(targets.shape[0], math.inf)
+    step = max(1, 2**16 // targets.shape[0])
+    for i in range(0, pts.shape[0], step):
+        np.minimum(best, _sq_dists(pts[i : i + step, None], targets).min(axis=0), out=best)
+    return best
 
 
 def verify(
@@ -780,7 +819,7 @@ def verify(
     window=2.0,
     grid_res: int = 40,
     eps: float = 1e-9,
-    approach_translations: Sequence[Point] = (),
+    approach_translations: Iterable[Point] = (),
 ) -> EvidenceReport:
     """Measure a predicted closure against an enumerated orbit.
 
@@ -791,7 +830,9 @@ def verify(
     and for the size of a failed exact test (through `distance`, on the
     failing points alone), trace_points(center, half, res) for the cells of
     the window on the closure, and sample(rng, count, translations) for
-    approach evidence.  Failures are report fields, never exceptions.
+    approach evidence.  `approach_translations` may be read more than
+    once (a `Replay` of `iter_translations` reads the harvest only as far
+    as the sample does).  Failures are report fields, never exceptions.
     """
     if len(sample) == 0:
         raise ValueError("empty orbit sample")
@@ -841,7 +882,7 @@ def verify(
         if all(abs(r - c) <= half for r, c in zip(row, center)):
             t_rows.append(row)
     if t_rows:
-        approach_max = math.sqrt(max(_nearest_sq(real_pts, np.array(t)) for t in t_rows))
+        approach_max = math.sqrt(float(_nearest_sq(real_pts, np.array(t_rows)).max()))
         approach_points = len(t_rows)
 
     return EvidenceReport(

@@ -10,6 +10,7 @@ import pathlib
 import re
 import tempfile
 import time
+import warnings
 from unittest import mock
 
 import jsonschema
@@ -659,6 +660,27 @@ class TestOrbit:
         assert lines[0] == "re(z1),im(z1),generation"
         assert len(lines) > 2
 
+    def test_a_grid_orbit_past_float_range_exits_undecidable(self, tmp_path, capsys):
+        # {1e200@(0,0), exp(i)@(1,0.5)} from (0.5, 1): by word length 2 the
+        # grid search meets points past float range; they once passed as
+        # CSV rows of inf and nan, exit 0, after numpy overflow warnings
+        path = write_doc(tmp_path, "big.json", {
+            "dim": 2,
+            "generators": [
+                {"ratio": "1e200", "center": ["0", "0"]},
+                {"ratio": "exp(i*1.0)", "center": ["1", "0.5"]},
+            ],
+            "points": [["0.5", "1"]],
+            "options": {"word_cap": 6},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["orbit", "--input", path]) == EXIT_UNDECIDABLE
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "past float range" in captured.err
+
 
 class TestVerify:
     def test_discrete_pair_verifies_clean(self, tmp_path, capsys):
@@ -709,9 +731,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("ratio", ["1e200", "1e100*exp(i*1.0)"])
     def test_a_harvest_past_float_range_exits_undecidable(self, tmp_path, capsys, ratio):
-        # the approximate harvest of {ratio@(0,0), exp(i)@(1,0.5)} meets a
-        # translation of inf or nan; its key once raised a ValueError on nan,
-        # reported as malformed input
+        # the grid enumeration of {ratio@(0,0), exp(i)@(1,0.5)} passes float
+        # range before the approach sample reads the harvest (whose
+        # translation of inf or nan once raised a ValueError as a key,
+        # reported as malformed input; see test_orbit_oracle)
         path = write_doc(tmp_path, "big.json", {
             "dim": 2,
             "generators": [
@@ -723,6 +746,35 @@ class TestVerify:
         })
         assert main(["verify", "--input", path]) == EXIT_UNDECIDABLE
         assert "past float range" in capsys.readouterr().err
+
+    def test_verify_reads_the_harvest_only_as_deep_as_its_samples(self, tmp_path, capsys):
+        # {zeta12@0, zeta12@1} from two points: each WholeSpace sample takes
+        # 23 harvested translations, all from words of length <= 4, so the
+        # map search of the harvest (to length 10) stops at level 4
+        levels = []
+        search = orbit_oracle._row_levels
+
+        def recorded(start, letters, L, cap):
+            harvest = len(start) == 9  # a map state [ratio | shift] on C
+            for level, rows, stopped in search(start, letters, L, cap):
+                if harvest:
+                    levels.append(level)
+                yield level, rows, stopped
+
+        path = write_doc(tmp_path, "twelfth.json", {
+            "dim": 1,
+            "generators": [
+                {"ratio": "zeta12", "center": ["0"]},
+                {"ratio": "zeta12", "center": ["1"]},
+            ],
+            "points": [["1/3"], ["1/2+1/3i"]],
+            "options": {"word_cap": 10},
+        })
+        with mock.patch.object(orbit_oracle, "_row_levels", recorded):
+            assert main(["verify", "--input", path]) in (EXIT_OK, EXIT_MISMATCH)
+        report = json.loads(capsys.readouterr().out)
+        assert [e["evidence"]["approach_points"] for e in report["evidence"]] == [24, 24]
+        assert levels and max(levels) <= 4
 
     def test_dim_4_spiral_verifies_quickly(self, tmp_path, capsys):
         # an irrational-angle ratio in C^4: 4^8 window cells are traced

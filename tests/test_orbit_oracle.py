@@ -470,11 +470,75 @@ class TestHarvestTranslations:
         assert len(vs) > 1 and np.where(np.eye(len(vs), dtype=bool), np.inf, gaps).min() > 1e-12
 
 
+    @pytest.mark.parametrize("spec", [
+        quarter_spec(),
+        GroupSpec(1, tuple(Homothety.with_center(r, P(c)) for r, c in ((I, 0), (S(-1), 1), (I, I)))),
+        GroupSpec(1, (Homothety.with_center(parse_scalar("exp(i*pi*1/4)"), P(0)),
+                      Homothety.with_center(parse_scalar("exp(i*pi*1/4)"), P(1)))),
+        HALF_TURN_CASE[0],
+    ], ids=["quarter", "three-exact", "eighth-decimal", "half-turn-decimal"])
+    def test_the_list_is_the_whole_iterator(self, spec):
+        got = list(oracle.iter_translations(spec, 6))
+        want = oracle.harvest_translations(spec, 6)
+        assert len(got) > 1
+        if spec.is_exact:
+            assert got == want
+        else:
+            assert [v_to_complex(v) for v in got] == [v_to_complex(v) for v in want]
+
+    def test_a_decimal_harvest_past_float_range_raises(self):
+        # {1e200@(0,0), exp(i)@(1,0.5)}: r r r^-1 r^-1 has ratio one and a
+        # shift of inf or nan, which has no key
+        spec = GroupSpec(2, (
+            Homothety.with_center(parse_scalar("1e200"), P(0, 0)),
+            Homothety.with_center(parse_scalar("exp(i*1.0)"), (S(1), parse_scalar("0.5"))),
+        ))
+        with pytest.raises(OverflowError, match="past float range"):
+            oracle.harvest_translations(spec, 6)
+
+    def test_replay_gives_interleaved_readers_one_sequence(self):
+        drawn = []
+
+        def source():
+            for k in range(5):
+                drawn.append(k)
+                yield k
+
+        replay = oracle.Replay(source())
+        a, b = iter(replay), iter(replay)
+        assert [next(a), next(a)] == [0, 1] and drawn == [0, 1]
+        assert [next(b), next(b), next(b)] == [0, 1, 2] and drawn == [0, 1, 2]
+        assert next(a) == 2 and drawn == [0, 1, 2]
+        assert list(b) == [3, 4] and list(a) == [3, 4] and list(replay) == [0, 1, 2, 3, 4]
+        assert drawn == [0, 1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # evidence measurement
 
 
 class TestVerify:
+    @pytest.mark.parametrize("gens, z, kind", [
+        ((("i", "0"), ("i", "1")), "1/3", "RotationCoset"),
+        ((("2", "0"), ("i", "1")), "1/3", "WholeSpace"),
+        ((("10001/10000i", "0,0"), ("i", "1,1/2")), "1/2,1", "LambdaCone"),
+        ((("2", "0,0"), ("i", "1,0")), "1/2,0", "Affine"),
+    ], ids=["rotation-coset", "whole-space", "lambda-cone", "affine"])
+    def test_a_lazy_harvest_gives_the_evidence_of_the_eager_one(self, gens, z, kind):
+        def point(text):
+            return as_point([parse_scalar(c) for c in text.split(",")])
+
+        z = point(z)
+        spec = GroupSpec(len(z), tuple(Homothety.with_center(parse_scalar(r), point(c)) for r, c in gens))
+        closure = orbit_closure(compute_profile(spec), z)
+        assert closure.kind() == kind
+        sample = oracle.enumerate(spec, z, 6)
+        eager = oracle.verify(closure, sample, approach_translations=oracle.harvest_translations(spec, 6))
+        lazy = oracle.verify(closure, sample,
+                             approach_translations=oracle.Replay(oracle.iter_translations(spec, 6)))
+        assert eager.approach_points > 1
+        assert lazy.to_report() == eager.to_report()
+
     def test_lattice_orbit_evidence(self):
         desc = orbit_closure(quarter_profile(), P(0))
         rep = oracle.verify(desc, quarter_sample(), window=4.0, grid_res=10)
@@ -777,10 +841,15 @@ class TestNeighbourSearch:
         from scipy.spatial import cKDTree
 
         rng = np.random.default_rng(10 + dim)
+        many = np.random.default_rng(20 + dim)
         for pts in point_clouds(rng, dim):
             targets = rng.normal(size=(6, dim))
             d, _ = cKDTree(pts).query(targets, k=1)
-            assert [math.sqrt(oracle._nearest_sq(pts, t)) for t in targets] == list(d)
+            assert [math.sqrt(x) for x in oracle._nearest_sq(pts, targets).tolist()] == list(d)
+            # 400 targets take pts in blocks of 163 rows
+            targets = many.normal(size=(400, dim))
+            d, _ = cKDTree(pts).query(targets, k=1)
+            assert [math.sqrt(x) for x in oracle._nearest_sq(pts, targets).tolist()] == list(d)
 
     def test_verify_imports_no_scipy(self, tmp_path):
         # the CLI's verify runs on numpy alone
