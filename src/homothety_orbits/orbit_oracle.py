@@ -421,13 +421,14 @@ def iter_translations(spec: GroupSpec, L: int) -> Iterator[Point]:
     use here: harvests are lower-bound evidence).
     """
     exact = spec.is_exact
+    found = _harvest_exact(spec, L) if exact else _harvest_approx(spec, L)
     # commutators are always included, whatever the cap
     commutators = (
         f.compose(g).compose(f.inverse()).compose(g.inverse()).shift
         for f, g in itertools.combinations(spec.generators, 2)
     )
     known: Set = set()
-    for v in itertools.chain(_harvest_exact(spec, L) if exact else _harvest_approx(spec, L), commutators):
+    for v in itertools.chain(found, commutators):
         key = _vector_key(v, exact)
         if key not in known:
             known.add(key)
